@@ -51,6 +51,7 @@ round-tripped cell compares equal to one built from Python literals.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import IO
@@ -60,7 +61,7 @@ import numpy as np
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
 from repro.core.snapshot import decode_array, encode_array
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ScheduleError
 from repro.exec.shard import Fig2Cell, ShardResult, ShardSpec, SystemCell
 
 __all__ = [
@@ -155,8 +156,12 @@ def decode_result(payload: dict) -> RunResult:
             energy_j=payload["energy_j"],
             average_power_w=payload["average_power_w"],
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ScheduleError) as exc:
         raise ProtocolError(f"malformed result payload: {exc}")
+
+
+_FIG2_FIELDS = ("kind", "platform", "pair", "scenario", "seed", "duration_s")
+_SYSTEM_FIELDS = ("system", "pair", "scenario", "seed", "duration_s")
 
 
 def encode_cell(cell) -> dict:
@@ -187,29 +192,48 @@ def encode_cell(cell) -> dict:
     raise ProtocolError(f"unknown grid cell type {type(cell)!r}")
 
 
-def decode_cell(payload: dict):
-    """The inverse of :func:`encode_cell`."""
+def _type_name(value) -> str:
+    """The type of a decoded JSON value, for error messages."""
+    return "null" if value is None else type(value).__name__
+
+
+def _cell_fields(payload: dict, names: tuple[str, ...]) -> dict:
+    """The named fields of a cell payload, each of its expected type.
+
+    Names are strings, the seed an int, and the duration null or a number.
+    """
     try:
-        kind = payload["type"]
-        if kind == "fig2":
-            return Fig2Cell(
-                kind=payload["kind"],
-                platform=payload["platform"],
-                pair=payload["pair"],
-                scenario=payload["scenario"],
-                seed=payload["seed"],
-                duration_s=payload["duration_s"],
-            )
-        if kind == "system":
-            return SystemCell(
-                system=payload["system"],
-                pair=payload["pair"],
-                scenario=payload["scenario"],
-                seed=payload["seed"],
-                duration_s=payload["duration_s"],
-            )
+        fields = {name: payload[name] for name in names}
     except KeyError as exc:
         raise ProtocolError(f"malformed cell payload: missing {exc}")
+    for name, value in fields.items():
+        if name == "seed":
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif name == "duration_s":
+            ok = value is None or (
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+            )
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            raise ProtocolError(
+                f"malformed cell payload: {name} has the wrong type "
+                f"({_type_name(value)})"
+            )
+    return fields
+
+
+def decode_cell(payload: dict):
+    """The inverse of :func:`encode_cell`."""
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"cell payload must be an object, not {_type_name(payload)}"
+        )
+    kind = payload.get("type")
+    if kind == "fig2":
+        return Fig2Cell(**_cell_fields(payload, _FIG2_FIELDS))
+    if kind == "system":
+        return SystemCell(**_cell_fields(payload, _SYSTEM_FIELDS))
     raise ProtocolError(f"unknown cell type {kind!r}")
 
 
@@ -249,37 +273,73 @@ def encode_shard_request(spec: ShardSpec) -> dict:
     return message
 
 
+def _list(message: dict, name: str) -> list:
+    """A list-valued message field; absent means empty."""
+    value = message.get(name, [])
+    if not isinstance(value, list):
+        raise ProtocolError(
+            f"malformed message: {name} must be a list, "
+            f"not {_type_name(value)}"
+        )
+    return value
+
+
+def _optional(message: dict, name: str, kind: type):
+    """An optional message field: absent or null, else a ``kind``."""
+    value = message.get(name)
+    if value is not None and not isinstance(value, kind):
+        raise ProtocolError(
+            f"malformed message: {name} must be {kind.__name__} or null, "
+            f"not {_type_name(value)}"
+        )
+    return value
+
+
+#: A per-cell snapshot slot: an encoded snapshot object, or null.
+_SNAPSHOT_SLOT = (dict, type(None))
+
+
+def _per_cell(message: dict, name: str, count: int, kinds) -> tuple | None:
+    """An optional per-cell list: ``count`` entries, each one of ``kinds``."""
+    if message.get(name) is None:
+        return None
+    entries = _list(message, name)
+    if len(entries) != count or not all(
+        isinstance(entry, kinds) for entry in entries
+    ):
+        raise ProtocolError(
+            f"malformed message: {name} must hold one valid entry per "
+            f"cell ({count})"
+        )
+    return tuple(entries)
+
+
 def decode_shard_spec(message: dict) -> ShardSpec:
     """A worker-side :class:`ShardSpec` from a ``shard`` message.
 
     Worker-side indices are synthetic (the parent keeps the real grid
     positions); only identity, cells, and execution context cross the
-    wire.
+    wire.  A field of the wrong JSON type, or a per-cell list that does
+    not match the cells, raises :class:`ProtocolError`.
     """
-    cells = tuple(decode_cell(entry) for entry in message.get("cells", ()))
+    cells = tuple(decode_cell(entry) for entry in _list(message, "cells"))
+    snapshots = _per_cell(message, "snapshots", len(cells), _SNAPSHOT_SLOT)
+    emit_snapshots = _per_cell(message, "emit_snapshots", len(cells), bool)
     return ShardSpec(
         key=str(message.get("id", "")),
         cells=cells,
         indices=tuple(range(len(cells))),
         policy=str(message.get("policy", "")),
         profile=bool(message.get("profile", False)),
-        cache_root=message.get("cache_root"),
-        snapshot=message.get("snapshot"),
+        cache_root=_optional(message, "cache_root", str),
+        snapshot=_optional(message, "snapshot", dict),
         emit_snapshot=bool(message.get("emit_snapshot", False)),
         sharing=str(message.get("sharing", "off")),
-        cluster_state=message.get("cluster_state"),
+        cluster_state=_optional(message, "cluster_state", dict),
         emit_cluster_state=bool(message.get("emit_cluster_state", False)),
         batch=str(message.get("batch", "off")),
-        snapshots=(
-            tuple(message["snapshots"])
-            if message.get("snapshots") is not None
-            else None
-        ),
-        emit_snapshots=(
-            tuple(bool(flag) for flag in message["emit_snapshots"])
-            if message.get("emit_snapshots") is not None
-            else None
-        ),
+        snapshots=snapshots,
+        emit_snapshots=emit_snapshots,
     )
 
 
@@ -318,21 +378,33 @@ def encode_shard_result(
 
 
 def decode_shard_result(message: dict) -> ShardResult:
-    """A parent-side :class:`ShardResult` from a ``result`` message."""
+    """A parent-side :class:`ShardResult` from a ``result`` message.
+
+    A field of the wrong JSON type, per-cell snapshots that do not match
+    the results, or a ``wall_s`` that is not a finite float >= 0 raises
+    :class:`ProtocolError`.
+    """
+    results = tuple(
+        decode_result(entry) for entry in _list(message, "results")
+    )
+    wall_s = message.get("wall_s")
+    # The encoder always writes a float; NaN fails the comparison.
+    if wall_s is not None and not (
+        isinstance(wall_s, float) and 0.0 <= wall_s < math.inf
+    ):
+        raise ProtocolError(
+            "malformed message: wall_s must be a finite float >= 0"
+        )
     return ShardResult(
         key=str(message.get("id", "")),
-        results=tuple(
-            decode_result(entry) for entry in message.get("results", ())
+        results=results,
+        profile=_optional(message, "profile", dict),
+        snapshot=_optional(message, "snapshot", dict),
+        cluster_state=_optional(message, "cluster_state", dict),
+        snapshots=_per_cell(
+            message, "snapshots", len(results), _SNAPSHOT_SLOT
         ),
-        profile=message.get("profile"),
-        snapshot=message.get("snapshot"),
-        cluster_state=message.get("cluster_state"),
-        snapshots=(
-            tuple(message["snapshots"])
-            if message.get("snapshots") is not None
-            else None
-        ),
-        wall_s=message.get("wall_s"),
+        wall_s=wall_s,
     )
 
 

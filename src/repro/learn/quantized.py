@@ -13,6 +13,8 @@ architectures whose accuracy degrades faster than the raw numeric error
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -38,13 +40,22 @@ def effective_quantize(
     Args:
         x: Tensor to quantize.
         fmt: MX format; ``None`` returns ``x`` unchanged (FP32 execution).
-        sensitivity: Error multiplier (1.0 = exact fake quantization).
+        sensitivity: Error multiplier (1.0 = exact fake quantization); a
+            finite number >= 0.
         axis: Blocking axis.
+
+    Raises:
+        ConfigurationError: If ``sensitivity`` is negative, NaN or
+            infinite.
     """
     if fmt is None:
         return ensure_float(x)
-    if sensitivity < 0:
-        raise ConfigurationError("sensitivity must be non-negative")
+    # A chained comparison, not a numpy call, on this hot path: NaN and
+    # inf both fail it.
+    if not 0.0 <= sensitivity < math.inf:
+        raise ConfigurationError(
+            f"sensitivity must be a finite number >= 0, got {sensitivity!r}"
+        )
     x = ensure_float(x)
     # Computed as x + sensitivity * (quantize(x) - x), accumulated in place
     # on the freshly allocated quantized array (this is the hottest function

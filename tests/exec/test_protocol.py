@@ -93,6 +93,25 @@ class TestCellRoundTrip:
         assert isinstance(decoded.seed, int)
         assert isinstance(decoded.duration_s, float)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "x",
+            ["system"],
+            {"type": "system", "system": "a", "pair": "b", "scenario": "c",
+             "seed": "0", "duration_s": None},
+            {"type": "system", "system": "a", "pair": "b", "scenario": "c",
+             "seed": True, "duration_s": None},
+            {"type": "system", "system": 5, "pair": "b", "scenario": "c",
+             "seed": 0, "duration_s": None},
+            {"type": "fig2", "kind": "student", "platform": "p", "pair": "b",
+             "scenario": "c", "seed": 0, "duration_s": "60"},
+        ],
+    )
+    def test_mistyped_cell_refused(self, payload):
+        with pytest.raises(ProtocolError):
+            protocol.decode_cell(payload)
+
     def test_unknown_cell_type(self):
         with pytest.raises(ProtocolError):
             protocol.encode_cell("not-a-cell")
@@ -137,6 +156,17 @@ class TestShardMessages:
         assert decoded.key == "abc123"
         assert run_digest(decoded.results[0]) == run_digest(result)
         assert decoded.profile == {"retrain": {"total_s": 1.0, "count": 2}}
+
+    def test_mis_shaped_messages_refused(self):
+        with pytest.raises(ProtocolError, match="results must be a list"):
+            protocol.decode_shard_result({"id": "k", "results": 5})
+        with pytest.raises(ProtocolError, match="must be an object"):
+            protocol.decode_shard_spec({"id": "k", "cells": ["x"]})
+        # Per-cell lists must line up with the cells they describe.
+        request = protocol.encode_shard_request(self.spec())
+        request["emit_snapshots"] = [True, False]
+        with pytest.raises(ProtocolError, match="one valid entry per cell"):
+            protocol.decode_shard_spec(request)
 
     def test_messages_are_single_lines(self):
         request = protocol.encode_shard_request(self.spec())

@@ -1,0 +1,189 @@
+"""Property-based tests (hypothesis) for the shard-message decoders.
+
+Every encoded shard request and shard result must round-trip exactly, and
+a message with any one field replaced by an arbitrary JSON value must
+either decode or raise :class:`ProtocolError` -- never a raw exception,
+which would escape the transports' retry handling as a traceback.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.phases import PhaseKind, PhaseRecord
+from repro.core.results import RunResult
+from repro.errors import ProtocolError
+from repro.exec import Fig2Cell, ShardResult, ShardSpec, SystemCell, protocol
+from repro.reference import run_digest
+
+SPEC_FIELDS = (
+    "v", "kind", "id", "cells", "policy", "profile", "cache_root",
+    "snapshot", "emit_snapshot", "sharing", "cluster_state",
+    "emit_cluster_state", "batch", "snapshots", "emit_snapshots",
+)
+RESULT_FIELDS = (
+    "v", "kind", "id", "results", "profile", "snapshot", "cluster_state",
+    "snapshots", "wall_s",
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+# Snapshot-like payloads travel as opaque JSON objects; NaN would make an
+# exact round trip compare unequal, so they stay finite here.
+finite_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+objects = st.dictionaries(st.text(max_size=8), finite_json, max_size=4)
+
+names = st.text(max_size=12)
+seeds = st.integers(-(2**40), 2**40)
+durations = st.none() | st.floats(allow_nan=False)
+cells = st.one_of(
+    st.builds(SystemCell, names, names, names, seeds, durations),
+    st.builds(Fig2Cell, names, names, names, names, seeds, durations),
+)
+
+
+@st.composite
+def shard_specs(draw):
+    spec_cells = tuple(draw(st.lists(cells, max_size=4)))
+    count = len(spec_cells)
+    per_cell = st.none() | st.tuples(*[st.none() | objects] * count)
+    return ShardSpec(
+        key=draw(names),
+        cells=spec_cells,
+        indices=tuple(range(count)),
+        policy=draw(names),
+        profile=draw(st.booleans()),
+        cache_root=draw(st.none() | names),
+        snapshot=draw(st.none() | objects),
+        emit_snapshot=draw(st.booleans()),
+        sharing=draw(names),
+        cluster_state=draw(st.none() | objects),
+        emit_cluster_state=draw(st.booleans()),
+        batch=draw(names),
+        snapshots=draw(per_cell),
+        emit_snapshots=draw(
+            st.none() | st.tuples(*[st.booleans()] * count)
+        ),
+    )
+
+
+def run_result(seed: int, frames: int) -> RunResult:
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.random(frames)) * 10.0
+    return RunResult(
+        system="DaCapo-Spatiotemporal",
+        scenario="S1",
+        pair="resnet18_wrn50",
+        times=times,
+        correct=rng.random(frames) < 0.7,
+        dropped=rng.random(frames) < 0.1,
+        phases=(
+            PhaseRecord(PhaseKind.LABEL, 0.0, 2.5, samples=frames),
+            PhaseRecord(PhaseKind.RETRAIN, 2.5, 10.0, drift_detected=True),
+        ),
+        duration_s=10.0,
+        energy_j=float(rng.random()),
+        average_power_w=float(rng.random()),
+    )
+
+
+@st.composite
+def shard_results(draw):
+    results = tuple(
+        run_result(seed, frames)
+        for seed, frames in draw(
+            st.lists(
+                st.tuples(st.integers(0, 99), st.integers(0, 5)), max_size=3
+            )
+        )
+    )
+    count = len(results)
+    return ShardResult(
+        key=draw(names),
+        results=results,
+        profile=draw(st.none() | objects),
+        snapshot=draw(st.none() | objects),
+        cluster_state=draw(st.none() | objects),
+        snapshots=draw(st.none() | st.tuples(*[st.none() | objects] * count)),
+        wall_s=draw(
+            st.none() | st.floats(min_value=0.0, allow_infinity=False)
+        ),
+    )
+
+
+def wire(message: dict) -> dict:
+    """A message as the peer parses it off the wire."""
+    return protocol.decode_message(protocol.encode_message(message))
+
+
+@given(shard_specs())
+@settings(max_examples=100, deadline=None)
+def test_shard_spec_round_trips(spec):
+    decoded = protocol.decode_shard_spec(
+        wire(protocol.encode_shard_request(spec))
+    )
+    assert decoded == spec
+
+
+@given(shard_results())
+@settings(max_examples=50, deadline=None)
+def test_shard_result_round_trips(result):
+    message = protocol.encode_shard_result(
+        result.key, result.results, result.profile, result.snapshot,
+        cluster_state=result.cluster_state, snapshots=result.snapshots,
+        wall_s=result.wall_s,
+    )
+    decoded = protocol.decode_shard_result(wire(message))
+    assert [run_digest(r) for r in decoded.results] == [
+        run_digest(r) for r in result.results
+    ]
+    assert replace(decoded, results=result.results) == result
+
+
+def decodes_or_refuses(decode, message: dict) -> None:
+    try:
+        decode(wire(message))
+    except ProtocolError:
+        pass
+
+
+@given(shard_specs(), st.sampled_from(SPEC_FIELDS), json_values)
+@settings(max_examples=200, deadline=None)
+def test_spec_with_any_field_replaced_decodes_or_refuses(spec, field, value):
+    message = protocol.encode_shard_request(spec)
+    message[field] = value
+    decodes_or_refuses(protocol.decode_shard_spec, message)
+
+
+@given(shard_results(), st.sampled_from(RESULT_FIELDS), json_values)
+@settings(max_examples=200, deadline=None)
+def test_result_with_any_field_replaced_decodes_or_refuses(
+    result, field, value
+):
+    message = protocol.encode_shard_result(
+        result.key, result.results, result.profile, result.snapshot,
+        cluster_state=result.cluster_state, snapshots=result.snapshots,
+        wall_s=result.wall_s,
+    )
+    message[field] = value
+    decodes_or_refuses(protocol.decode_shard_result, message)

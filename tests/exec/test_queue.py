@@ -161,6 +161,33 @@ class TestQueueExecution:
         assert not excinfo.value.retriable
         assert excinfo.value.attempts == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("results", 5), ("results", ["x"]), ("snapshots", "abc"),
+         ("wall_s", "slow")],
+    )
+    def test_mis_shaped_result_is_a_retriable_failure(
+        self, tmp_path, field, value
+    ):
+        """A result file that parses but has the wrong shape is a corrupt
+        reply: a retriable failure, never a raw exception."""
+        backend = QueueBackend(1, directory=tmp_path / "q", spawn=False)
+        try:
+            spec, = make_shard_specs(CELLS[:1], 1, "float64")
+            message = protocol.encode_shard_result(spec.key, [], None)
+            message[field] = value
+            path = backend.layout.results / backend.layout.message_name(
+                spec.key
+            )
+            protocol.write_message_file(path, message)
+            outcome = backend._collect(spec, {})
+            assert isinstance(outcome, ShardFailure)
+            assert outcome.retriable
+            assert outcome.message == "worker result payload undecodable"
+            assert not path.exists()
+        finally:
+            backend.close()
+
 
 class TestPullModel:
     def test_external_drain_worker_serves_a_prefilled_queue(
