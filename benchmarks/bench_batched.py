@@ -1,8 +1,8 @@
 """Batched multi-cell executor benchmark: the per-K speedup curve.
 
 Runs a same-geometry fleet (K cameras on the ``resnet18_wrn50`` pair,
-S4, seeds ``0..K-1``) through the serial per-cell path and through
-``run_cells_batched`` at each K, and emits
+S4, seeds ``0..K-1``) through the serial per-cell path and, as one
+batched shard, through ``execute_shard`` at each K, and emits
 ``benchmarks/results/BENCH_batched.json`` with, per K:
 
 - **numpy dispatches**: kernel-level calls counted by
@@ -31,12 +31,15 @@ import os
 import time
 from pathlib import Path
 
-from repro.batching import ON, use_batching
-from repro.exec.batched import _warm_streams, run_cells_batched
+from repro.data.scenarios import build_scenario
 from repro.exec.shard import (
+    CellJob,
+    ShardSpec,
     SystemCell,
     cell_key,
+    execute_shard,
     run_cell,
+    shard_key,
     warm_model_caches,
 )
 from repro.learn.ops import dispatch_count, reset_dispatch
@@ -73,12 +76,19 @@ def timed_serial(cells):
 
 
 def timed_batched(cells):
+    policy = active_policy().name
+    spec = ShardSpec(
+        key=shard_key(policy, cells),
+        jobs=tuple(CellJob(cell) for cell in cells),
+        indices=tuple(range(len(cells))),
+        policy=policy,
+        batch="on",
+    )
     reset_dispatch()
     start = time.perf_counter()
-    with use_batching(ON):
-        pairs = run_cells_batched(cells)
+    result = execute_shard(spec)
     wall = time.perf_counter() - start
-    return [result for result, _ in pairs], wall, dispatch_count()
+    return list(result.results), wall, dispatch_count()
 
 
 def test_batched_speedup_curve():
@@ -87,7 +97,10 @@ def test_batched_speedup_curve():
     # Neither leg pays materialization: pretrain and stream caches are
     # warmed up front, exactly as a resident service holds them.
     warm_model_caches(cells)
-    _warm_streams(cells)
+    for cell in cells:
+        build_scenario(cell.scenario, duration_s=cell.duration_s).materialize(
+            cell.seed
+        )
 
     curve = {}
     for k in KS:

@@ -17,12 +17,12 @@ runs one oversubscribed paced stream and records what the degradation
 ladder sheds, pricing graceful degradation rather than asserting
 timing (CI runners are too noisy for deadline guarantees).
 
-A third section prices the incremental-window alternative
-(``window_mode="incremental"``): per-window wall time of chained
-snapshot-resumed runs against the growing prefix runs, asserting the
-incremental curve stays flat (O(window) per window) while the prefix
-curve grows with the window index -- and that every per-window digest
-matches, since the speedup is only admissible at bit-identity.
+A third section prices the incremental windows the service serves:
+per-window wall time of chained snapshot-resumed runs (``run_job``)
+against the growing prefix runs, asserting the incremental curve stays
+flat (O(window) per window) while the prefix curve grows with the window
+index -- and that every per-window digest matches, since the speedup is
+only admissible at bit-identity.
 
 ``REPRO_BENCH_QUICK=1`` (CI) shrinks the grid; emits
 ``benchmarks/results/BENCH_service.json``.
@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.core.parallel import run_cells
 from repro.exec import SystemCell
-from repro.exec.shard import cell_key, run_cell, run_cell_incremental
+from repro.exec.shard import CellJob, cell_key, run_cell, run_job
 from repro.reference import run_digest
 from repro.service import FleetService, ServiceConfig
 from repro.service.pacing import window_count
@@ -166,11 +166,14 @@ def test_incremental_vs_prefix_window_curve():
         prefix_times.append(time.perf_counter() - start)
 
         start = time.perf_counter()
-        incremental_result, snapshot = run_cell_incremental(
-            replace(cell, duration_s=end),
-            snapshot=snapshot,
-            emit_snapshot=True,
+        outcome = run_job(
+            CellJob(
+                replace(cell, duration_s=end),
+                snapshot=snapshot,
+                emit_snapshot=True,
+            )
         )
+        incremental_result, snapshot = outcome.result, outcome.snapshot
         incremental_times.append(time.perf_counter() - start)
         # The speedup is only admissible at bit-identity.
         assert run_digest(incremental_result) == run_digest(prefix_result), i

@@ -241,7 +241,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         control_port=args.control,
         degrade=not args.no_degrade,
         stay=args.stay,
-        window_mode=args.window_mode,
     )
     group = plan.groups[0]
     print(
@@ -411,14 +410,6 @@ def main(argv: list[str] | None = None) -> int:
                               "dispatch as one batched shard instead of "
                               "K singletons, bit-identically; overrides "
                               "$REPRO_BATCH")
-    p_serve.add_argument("--window-mode", default=None,
-                         choices=["incremental", "prefix"],
-                         help="incremental (default; resume each window "
-                              "from the previous window's run-state "
-                              "snapshot) or prefix (stateless full-"
-                              "prefix recompute); both journal "
-                              "byte-identical window records; default "
-                              "honours $REPRO_WINDOW_MODE")
 
     p_worker = sub.add_parser(
         "worker",

@@ -14,9 +14,7 @@ capture a :class:`~repro.core.snapshot.RunCheckpoint` (weights, buffer,
 RNG state, clock, per-frame prefixes, scheduler cursor) from which a later
 execution resumes bit-identically.  That is what lets the fleet service
 compute window ``i+1`` from window ``i``'s snapshot instead of replaying
-the whole stream prefix.  Systems that still override
-:meth:`~CLSystemBase.phase_generator` with a plain generator keep working
-but cannot checkpoint or resume.
+the whole stream prefix.
 
 :class:`DaCapoSystem` implements the paper's Algorithm 1 on top of this:
 retrain -> validate -> label -> drift check, with the labeling escalation
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -167,21 +165,6 @@ class CLSystemBase:
         generated step may be discarded when the stream truncates it.
         """
         raise NotImplementedError
-
-    def phase_generator(
-        self, frames: FrameWindow, rng: np.random.Generator
-    ) -> Iterator[PhaseStep]:
-        """Yield the schedule by driving :meth:`next_phase`.
-
-        Subclasses may still override this with a plain generator; such
-        systems run normally but cannot checkpoint or resume (see
-        :class:`RunExecution`).
-        """
-        while True:
-            step = self.next_phase(frames, rng)
-            if step is None:
-                return
-            yield step
 
     def scheduler_state(self) -> dict:
         """The scheduler's cursor state, as a JSON-safe dict."""
@@ -412,9 +395,8 @@ class RunExecution:
         stream: The scenario stream.
         seed: Stream + RNG seed (as in :meth:`CLSystemBase.run`).
         checkpoint: Resume from this safe point instead of t=0.  The
-            system must be resumable (no legacy ``phase_generator``
-            override) and the checkpoint's frame prefix must match the
-            stream, else :class:`SnapshotError`.
+            checkpoint's frame prefix must match the stream, else
+            :class:`SnapshotError`.
         capture: Keep a checkpoint of the latest safe point (costs array
             copies per phase; the monolithic ``run()`` leaves it off).
     """
@@ -434,19 +416,10 @@ class RunExecution:
         with profiling.scope(profiling.MATERIALIZE):
             self.frames = stream.materialize(seed)
         self.duration = stream.duration_s
-        self.resumable = (
-            type(system).phase_generator is CLSystemBase.phase_generator
-        )
-        self.capture_enabled = bool(capture) and self.resumable
+        self.capture_enabled = bool(capture)
         self._checkpoint: RunCheckpoint | None = None
-        self._iterator: Iterator[PhaseStep] | None = None
 
         if checkpoint is not None:
-            if not self.resumable:
-                raise SnapshotError(
-                    f"{system.name}: overrides phase_generator and cannot "
-                    f"resume from a snapshot"
-                )
             self._restore(checkpoint)
         else:
             self.rng = np.random.default_rng(
@@ -457,8 +430,6 @@ class RunExecution:
             self.records: list[PhaseRecord] = []
             self.clock = 0.0
             self.idle_from: float | None = None
-        if not self.resumable:
-            self._iterator = system.phase_generator(self.frames, self.rng)
         if self.capture_enabled:
             self._capture()
 
@@ -527,11 +498,6 @@ class RunExecution:
         """The latest safe point (None unless ``capture`` was on)."""
         return self._checkpoint
 
-    def _next_step(self) -> PhaseStep | None:
-        if self._iterator is not None:
-            return next(self._iterator, None)
-        return self.system.next_phase(self.frames, self.rng)
-
     def run_to_end(self) -> None:
         """Advance from the current state to the end of the stream."""
         system = self.system
@@ -561,7 +527,7 @@ class RunExecution:
             return
 
         while self.clock < duration:
-            step = self._next_step()
+            step = system.next_phase(frames, self.rng)
             if step is None:
                 # Scheduler exhausted early (e.g. no-retrain systems):
                 # evaluate the remainder under the final weights.

@@ -1,15 +1,20 @@
-"""Pluggable execution: shards, transports, scheduling, and resume.
+"""Pluggable execution: cell jobs, shards, transports, scheduling, resume.
 
-The dispatch layer extracted from ``core/parallel.py``: grids decompose
-into stream-sharing :class:`~repro.exec.shard.ShardSpec`\\ s, an
-:class:`~repro.exec.backends.ExecutionBackend` runs them -- in-process
-(:class:`SerialBackend`), on the historical fork pool
-(:class:`ProcessPoolBackend`), or over the versioned JSON-lines stdio
-protocol to ``python -m repro worker`` children
+The dispatch layer extracted from ``core/parallel.py``.  Grids decompose
+into stream- or cluster-sharing :class:`~repro.exec.shard.ShardSpec`\\ s
+of :class:`~repro.exec.shard.CellJob`\\ s, and one worker-side call,
+:func:`~repro.exec.shard.execute_shard`, turns a spec into a
+:class:`~repro.exec.shard.ShardResult` of per-job
+:class:`~repro.exec.shard.CellOutcome`\\ s -- the single place where
+incremental snapshots, cross-camera sharing and lockstep batching
+compose.  An :class:`~repro.exec.backends.ExecutionBackend` decides where
+that call runs: in-process (:class:`SerialBackend`), on the historical
+fork pool (:class:`ProcessPoolBackend`), over the versioned JSON-lines
+stdio protocol to ``python -m repro worker`` children
 (:class:`SubprocessWorkerBackend`, ssh-able via ``$REPRO_WORKER_CMD``),
 or pulled from a file-system job queue with worker leases and heartbeats
 (:class:`~repro.exec.queue.QueueBackend` -- the transport that survives
-SIGKILLed workers and lets external ones attach mid-sweep) -- and the
+SIGKILLed workers and lets external ones attach mid-sweep).  The
 :class:`~repro.exec.scheduler.Scheduler` adds bounded per-shard retry
 with exponential backoff, failed-worker exclusion, poison-shard
 quarantine (:class:`ShardQuarantined`), plus the :class:`SweepJournal`
@@ -18,9 +23,10 @@ layer (:mod:`repro.exec.faults`) exercises every one of those paths in
 tests and CI against the frozen reference digests.
 
 Every backend is bit-identical at any worker count: cells seed their own
-RNGs and shard payloads carry the numeric policy and cache root
-explicitly, so *where* a shard runs never changes *what* it computes --
-the frozen reference digests are checked across all three transports.
+RNGs and shard payloads carry the numeric, sharing and batching policies
+and the cache root explicitly, so *where* a shard runs never changes
+*what* it computes -- the frozen reference digests are checked across
+every transport.
 
 ``run_cells``/``parallel_map`` (:mod:`repro.core.parallel`) remain the
 stable entry points; they delegate here, selecting a backend from an
@@ -67,7 +73,8 @@ from repro.exec.scheduler import (
     execute_cells,
 )
 from repro.exec.shard import (
-    FAULT_TOKEN_ENV,
+    CellJob,
+    CellOutcome,
     Fig2Cell,
     ShardFailure,
     ShardQuarantined,
@@ -75,7 +82,6 @@ from repro.exec.shard import (
     ShardSpec,
     SystemCell,
     batch_signature,
-    cell_batch_key,
     cell_key,
     cell_label,
     execute_shard,
@@ -85,9 +91,7 @@ from repro.exec.shard import (
     plan_shards,
     reset_observed_costs,
     run_cell,
-    run_cell_incremental,
-    run_shard_cells,
-    run_spec_cells,
+    run_job,
     stream_signature,
     warm_model_caches,
 )
@@ -102,7 +106,8 @@ __all__ = [
     "DEFAULT_QUARANTINE_AFTER",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
-    "FAULT_TOKEN_ENV",
+    "CellJob",
+    "CellOutcome",
     "ExecutionBackend",
     "FaultEntry",
     "FaultPlan",
@@ -124,7 +129,6 @@ __all__ = [
     "active_backend_spec",
     "backoff_delay",
     "batch_signature",
-    "cell_batch_key",
     "cell_key",
     "cell_label",
     "execute_cells",
@@ -140,9 +144,7 @@ __all__ = [
     "queue_worker_main",
     "resolve_backend",
     "run_cell",
-    "run_cell_incremental",
-    "run_shard_cells",
-    "run_spec_cells",
+    "run_job",
     "save_plan",
     "stream_signature",
     "use_backend",

@@ -43,11 +43,11 @@ import shlex
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import replace
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -58,10 +58,9 @@ from repro.exec.shard import (
     ShardResult,
     ShardSpec,
     cell_label,
+    checked_reply,
     execute_shard,
-    run_spec_cells,
 )
-from repro.numeric import use_policy
 
 __all__ = [
     "BACKEND_ENV",
@@ -124,10 +123,9 @@ class ExecutionBackend(Protocol):
 class SerialBackend:
     """Run shards in this process -- the historical serial code path.
 
-    The ambient profiler (if any) records phases directly, so shard
-    results never carry *profile* snapshots (incremental run snapshots
-    do ride along); exceptions propagate exactly as the serial
-    experiments have always surfaced them.
+    Serial specs are planned without ``profile`` (the ambient profiler,
+    if any, records phases directly), and exceptions propagate exactly
+    as the serial experiments have always surfaced them.
     """
 
     name = "serial"
@@ -137,51 +135,23 @@ class SerialBackend:
         specs: Sequence[ShardSpec],
         excluded: frozenset[str] = frozenset(),
     ) -> list:
-        outcomes = []
-        for spec in specs:
-            started = time.perf_counter()
-            with use_policy(spec.policy):
-                (
-                    results,
-                    run_snapshot,
-                    snapshots,
-                    cluster_state,
-                ) = run_spec_cells(spec)
-            outcomes.append(
-                ShardResult(
-                    key=spec.key,
-                    results=tuple(results),
-                    snapshot=run_snapshot,
-                    cluster_state=cluster_state,
-                    snapshots=snapshots,
-                    wall_s=time.perf_counter() - started,
-                )
-            )
-        return outcomes
+        return [execute_shard(spec) for spec in specs]
 
     def close(self) -> None:
         pass
 
 
-def _pool_run_shard(spec: ShardSpec) -> tuple:
+def _pool_run_shard(spec: ShardSpec) -> ShardResult:
     """Pool-worker entry point (module-level so it pickles)."""
     faults.on_claim(spec.key)
-    started = time.perf_counter()
-    (
-        results,
-        profile_snapshot,
-        run_snapshot,
-        snapshots,
-        cluster_state,
-    ) = execute_shard(spec)
-    wall_s = time.perf_counter() - started
+    result = execute_shard(spec)
     # Pool replies are in-process Python objects, not encoded bytes, so
     # there are no bytes to garble: a ``corrupt-result`` firing drops the
-    # last per-cell result instead, which the parent's length-vs-spec
+    # last per-cell outcome instead, which the parent's length-vs-spec
     # check must reject before anything reaches a journal.
     if faults.reply_fault(spec.key) is not None:
-        results = results[:-1]
-    return results, profile_snapshot, run_snapshot, snapshots, cluster_state, wall_s
+        result = replace(result, outcomes=result.outcomes[:-1])
+    return result
 
 
 class ProcessPoolBackend:
@@ -218,14 +188,7 @@ class ProcessPoolBackend:
         broken = False
         for spec, future in zip(specs, futures):
             try:
-                (
-                    results,
-                    profile_snapshot,
-                    run_snapshot,
-                    snapshots,
-                    cluster_state,
-                    wall_s,
-                ) = future.result()
+                result = future.result()
             except BrokenProcessPool as exc:
                 broken = True
                 outcomes.append(
@@ -253,32 +216,7 @@ class ProcessPoolBackend:
                     )
                 )
             else:
-                if len(results) != len(spec.cells):
-                    # A short reply must never be journaled as a completed
-                    # shard; retriable -- the next attempt recomputes it
-                    # whole on a fresh pool worker.
-                    outcomes.append(
-                        ShardFailure(
-                            f"pool worker returned {len(results)} results "
-                            f"for a {len(spec.cells)}-cell shard",
-                            shard_key=spec.key,
-                            cells=tuple(
-                                cell_label(c) for c in spec.cells
-                            ),
-                        )
-                    )
-                    continue
-                outcomes.append(
-                    ShardResult(
-                        key=spec.key,
-                        results=tuple(results),
-                        profile=profile_snapshot,
-                        snapshot=run_snapshot,
-                        cluster_state=cluster_state,
-                        snapshots=snapshots,
-                        wall_s=wall_s,
-                    )
-                )
+                outcomes.append(checked_reply(spec, result))
         if broken:
             self.close()
         return outcomes
@@ -456,18 +394,10 @@ class _WorkerHandle:
                 worker=self.id,
                 cause=str(exc),
             )
-        if len(decoded.results) != len(spec.cells):
-            # A truncated reply must never be journaled as a completed
-            # shard; treat it as out-of-protocol and let the retry path
-            # recompute the shard whole.
-            raise ShardFailure(
-                f"worker returned {len(decoded.results)} results for a "
-                f"{len(spec.cells)}-cell shard",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
-            )
-        return decoded
+        outcome = checked_reply(spec, decoded, self.id)
+        if isinstance(outcome, ShardFailure):
+            raise outcome  # out of protocol: the worker is retired
+        return outcome
 
     def shutdown(self) -> None:
         """Ask the worker to drain and exit; kill it if it lingers."""

@@ -1,11 +1,12 @@
-"""Lockstep batched execution: advance K co-sharded cells per numpy call.
+"""Lockstep batched execution: advance K co-sharded lanes per numpy call.
 
 The serial executor runs one cell's phase loop at a time, so a worker
 serving K same-geometry cameras makes K times the numpy dispatches it
-needs to.  This module runs each cell of a batch group on its own *lane*
-thread executing the completely unmodified ``run_cell`` /
-``run_cell_incremental`` code, and intercepts only the two functions where
-all lane-relevant numpy work funnels: ``MLPClassifier.forward`` and
+needs to.  :func:`run_lane_jobs` runs each *lane* of a shard -- one cell
+job, or one sharing cluster's jobs in order (see
+:func:`repro.exec.shard.execute_shard`) -- on its own thread executing the
+completely unmodified per-cell code, and intercepts only the two functions
+where all lane-relevant numpy work funnels: ``MLPClassifier.forward`` and
 ``train_sgd`` (see :func:`repro.batching.current_lane`).  Each intercepted
 call becomes a request to the :class:`BatchConductor`; when every live
 lane has submitted its next request, the last-arriving lane executes the
@@ -21,14 +22,14 @@ whole *round* inline:
   final windows) costs only the batching, never correctness.
 
 Lanes therefore stay in lockstep at *request* granularity -- each cell's
-``RunResult``, snapshot, and journal contract is untouched -- and every
-result is bit-identical to the serial path regardless of how the OS
-schedules the lane threads: a round's composition is each live lane's
-next request (deterministic), groups are ordered by lane index, and every
-stacked kernel is per-slice exact.
+``RunResult``, snapshot, cluster state, and journal contract is untouched
+-- and every result is bit-identical to the serial path regardless of how
+the OS schedules the lane threads: a round's composition is each live
+lane's next request (deterministic), groups are ordered by lane index,
+and every stacked kernel is per-slice exact.
 
 Determinism also makes the barrier deadlock-free: a lane either submits
-its next request or finishes its cell and deregisters, and either event
+its next request or finishes its jobs and deregisters, and either event
 re-checks the ``pending == live`` round condition.
 
 Profiling composes (the satellite fix in :mod:`repro.profiling`): each
@@ -48,15 +49,10 @@ import numpy as np
 from repro import profiling
 from repro.batching import lane_scope, suspend_lane
 from repro.errors import ConfigurationError
-from repro.exec.shard import (
-    run_cell,
-    run_cell_incremental,
-    warm_model_caches,
-)
 from repro.learn.mlp import BatchedMLPBank
 from repro.learn.train import train_sgd, train_sgd_batched
 
-__all__ = ["BatchConductor", "run_cells_batched", "run_lane_jobs"]
+__all__ = ["BatchConductor", "run_lane_jobs"]
 
 
 def _geometry(model) -> tuple:
@@ -91,7 +87,7 @@ class _Request:
 
 
 class _Lane:
-    """One cell's interception point (installed thread-locally)."""
+    """One lane's interception point (installed thread-locally)."""
 
     __slots__ = ("conductor", "index")
 
@@ -164,7 +160,7 @@ class BatchConductor:
         return request.result
 
     def deregister(self) -> None:
-        """A lane finished its cell; release the barrier it was holding."""
+        """A lane finished its jobs; release the barrier it was holding."""
         with self._cond:
             self._live -= 1
             if self._pending and len(self._pending) >= self._live:
@@ -249,11 +245,11 @@ class BatchConductor:
 def run_lane_jobs(jobs: list) -> list:
     """Run zero-arg callables in lockstep lanes; results in job order.
 
-    The generic driver under :func:`run_cells_batched` and the sharing
-    composition (one lane per cluster): each job runs on its own thread
-    with a lane installed, in a copy of the caller's context so numeric/
-    sharing/batching policies apply unchanged.  The first lane error is
-    re-raised after every lane has finished.
+    Where :func:`repro.exec.shard.execute_shard` runs a batched shard's
+    lanes: each callable runs on its own thread with a lane installed, in
+    a copy of the caller's context so numeric/sharing/batching policies
+    apply unchanged.  The first lane error is re-raised after every lane
+    has finished.
     """
     count = len(jobs)
     if count == 0:
@@ -289,75 +285,3 @@ def run_lane_jobs(jobs: list) -> list:
         if error is not None:
             raise error
     return results
-
-
-def _run_one(cell, snapshot, emit_snapshot):
-    if snapshot is not None or emit_snapshot:
-        return run_cell_incremental(cell, snapshot, emit_snapshot)
-    return run_cell(cell), None
-
-
-def run_cells_batched(
-    cells,
-    snapshots=None,
-    emit_snapshots=None,
-) -> list[tuple]:
-    """Execute cells in lockstep lanes; per-cell ``(result, snapshot)``.
-
-    The batched counterpart of running each cell through ``run_cell`` /
-    ``run_cell_incremental`` in order -- same per-cell contract, same
-    bits, fewer numpy dispatches.  ``snapshots`` / ``emit_snapshots``
-    align with ``cells`` (service windows resume and emit per member);
-    omitted entries run the plain full-prefix path.
-
-    A single cell runs the serial functions directly on the calling
-    thread -- no conductor, no lane threads -- so K=1 *is* the serial
-    code path, not an emulation of it.
-    """
-    cells = list(cells)
-    count = len(cells)
-    snaps = list(snapshots) if snapshots is not None else [None] * count
-    emits = (
-        list(emit_snapshots)
-        if emit_snapshots is not None
-        else [False] * count
-    )
-    if len(snaps) != count or len(emits) != count:
-        raise ConfigurationError("snapshots must align with cells")
-    if count == 0:
-        return []
-    if count == 1:
-        return [_run_one(cells[0], snaps[0], emits[0])]
-
-    # Fill the shared caches serially before the lanes race for them:
-    # model pretrains via the existing warm path, streams by touching
-    # each distinct materialization once.
-    with profiling.scope(profiling.MATERIALIZE):
-        warm_model_caches(cells)
-        _warm_streams(cells)
-
-    jobs = [
-        (
-            lambda cell=cell, snap=snaps[i], emit=emits[i]: _run_one(
-                cell, snap, emit
-            )
-        )
-        for i, cell in enumerate(cells)
-    ]
-    return run_lane_jobs(jobs)
-
-
-def _warm_streams(cells) -> None:
-    from repro.data.scenarios import build_scenario
-
-    seen: set[tuple] = set()
-    for cell in cells:
-        key = (cell.scenario, cell.duration_s, cell.seed)
-        if key in seen:
-            continue
-        seen.add(key)
-        if cell.duration_s is None:
-            stream = build_scenario(cell.scenario)
-        else:
-            stream = build_scenario(cell.scenario, duration_s=cell.duration_s)
-        stream.materialize(cell.seed)

@@ -1,11 +1,10 @@
 """Deterministic fault injection: the dispatch layer's correctness tool.
 
 Fault tolerance that is only exercised by real outages is fault tolerance
-that silently rots.  This module generalizes the original one-trick
-``REPRO_EXEC_DIE_TOKEN`` hook into a :class:`FaultPlan`: a small JSON
-document describing *which* faults to inject (and how many times), armed
-on the filesystem so that exactly-once semantics hold across an entire
-fleet of worker processes, local or remote.
+that silently rots.  A :class:`FaultPlan` is a small JSON document
+describing *which* faults to inject (and how many times), armed on the
+filesystem so that exactly-once semantics hold across an entire fleet of
+worker processes, local or remote.
 
 Fault kinds (:data:`FAULT_KINDS`):
 
@@ -37,9 +36,10 @@ Arming and claiming:
 (``<plan>.tokens/``) holding one file per scheduled firing.  Every
 injection site calls back into this module; firing a fault requires
 *claiming* a token via ``os.unlink``, which the filesystem makes atomic
-and exactly-once across any number of processes -- the same trick the
-original die token used.  Workers find the plan through
-``$REPRO_FAULT_PLAN`` (inherited or shipped via the worker environment).
+and exactly-once across any number of processes.  Workers find the plan
+through ``$REPRO_FAULT_PLAN`` (inherited or shipped via the worker
+environment).  A one-entry ``die-once`` plan is the single-kill drill:
+its token directory is empty afterwards exactly when one worker died.
 
 Determinism: which *worker* claims a given token depends on scheduling,
 but every observable fault behavior -- the slow-worker delay, the
@@ -65,10 +65,8 @@ __all__ = [
     "DIE_EXIT_CODE",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
-    "FAULT_TOKEN_ENV",
     "FaultEntry",
     "FaultPlan",
-    "consume_die_token",
     "corrupt_reply",
     "daemon_fault",
     "journal_fault",
@@ -81,12 +79,6 @@ __all__ = [
 
 #: Environment variable naming the armed fault-plan JSON file.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Legacy single-fault hook: when this variable names an existing file,
-#: the next worker to claim (unlink) it dies.  Kept working verbatim --
-#: CI recipes and operators' muscle memory depend on it -- and subsumed
-#: by a one-entry ``die-once`` plan.
-FAULT_TOKEN_ENV = "REPRO_EXEC_DIE_TOKEN"
 
 #: The recognized fault kinds, in documentation order.
 FAULT_KINDS = (
@@ -291,33 +283,15 @@ def _claim_kind(kinds: tuple[str, ...], context: str):
     return None
 
 
-def consume_die_token() -> None:
-    """The legacy hook: die abruptly -- once, fleet-wide -- if armed.
-
-    The unlink is the atomic claim: exactly one process across the fleet
-    wins it and exits without replying, which is precisely the mid-shard
-    crash the scheduler's retry path must absorb.
-    """
-    path = os.environ.get(FAULT_TOKEN_ENV)
-    if not path:
-        return
-    try:
-        os.unlink(path)
-    except OSError:
-        return
-    os._exit(DIE_EXIT_CODE)
-
-
 def on_claim(context: str, before_hang: Callable[[], None] | None = None) -> None:
     """The worker-side injection point, called as a shard is claimed.
 
     Fires at most one of ``die-once`` / ``hang`` / ``slow-worker`` per
-    claim (plus the legacy die token).  ``before_hang`` lets a transport
-    silence its liveness signal first -- the queue worker stops its
-    heartbeat thread, because a genuinely wedged process stops beating
-    too, and a hang that keeps heartbeating would never be detected.
+    claim.  ``before_hang`` lets a transport silence its liveness signal
+    first -- the queue worker stops its heartbeat thread, because a
+    genuinely wedged process stops beating too, and a hang that keeps
+    heartbeating would never be detected.
     """
-    consume_die_token()
     claimed = _claim_kind(("die-once", "hang", "slow-worker"), context)
     if claimed is None:
         return

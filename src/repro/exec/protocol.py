@@ -22,17 +22,25 @@ Message kinds (every message carries ``"v": PROTOCOL_VERSION``):
 - ``hello``    worker -> parent, once at startup: ``{pid}``.  The parent
   rejects a version mismatch before dispatching anything.
 - ``shard``    parent -> worker: ``{id, cells, policy, profile,
-  cache_root}`` plus additive opt-in fields -- ``snapshot`` /
-  ``emit_snapshot`` (incremental windows), ``sharing`` /
-  ``cluster_state`` / ``emit_cluster_state`` (cross-camera sharing),
-  ``batch`` / ``snapshots`` / ``emit_snapshots`` (batched execution) --
-  each omitted when unset.
-- ``result``   worker -> parent: ``{id, results, profile}`` plus, when
-  set, ``snapshot``, ``cluster_state``, per-cell ``snapshots``, and the
-  worker's observed ``wall_s``.
+  cache_root}``, plus ``sharing`` / ``batch`` when not ``"off"``, plus a
+  per-cell ``jobs`` list aligned with ``cells`` whose entries hold the
+  set fields of each :class:`~repro.exec.shard.CellJob` (``cluster``,
+  ``snapshot``, ``emit_snapshot``, ``cluster_state``,
+  ``emit_cluster_state``).  An unset field is omitted from its entry,
+  and the list is omitted when every entry is empty -- so a plain sweep
+  shard carries no per-cell fields at all.
+- ``result``   worker -> parent: ``{id, results, profile}``, plus a
+  per-cell ``outcomes`` list aligned with ``results`` holding each
+  :class:`~repro.exec.shard.CellOutcome`'s set ``snapshot`` /
+  ``cluster_state`` (omitted under the same rule), plus the worker's
+  observed ``wall_s``.
 - ``error``    worker -> parent: the shard raised; ``{id, error,
   traceback}``.  The worker stays alive and keeps serving.
 - ``shutdown`` parent -> worker: drain and exit 0.
+
+Version 2 replaced version 1's singular and plural snapshot and cluster
+fields with the per-cell lists; :func:`decode_message` refuses a peer
+speaking any other version with :class:`~repro.errors.ProtocolError`.
 
 Bit-identity contract: :func:`encode_result` / :func:`decode_result` must
 round-trip a :class:`~repro.core.results.RunResult` *exactly* -- the frozen
@@ -62,7 +70,14 @@ from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
 from repro.core.snapshot import decode_array, encode_array
 from repro.errors import ProtocolError, ScheduleError
-from repro.exec.shard import Fig2Cell, ShardResult, ShardSpec, SystemCell
+from repro.exec.shard import (
+    CellJob,
+    CellOutcome,
+    Fig2Cell,
+    ShardResult,
+    ShardSpec,
+    SystemCell,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -84,7 +99,7 @@ __all__ = [
 
 #: Bump on any incompatible message-shape change; parent and worker refuse
 #: to talk across versions.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class _PayloadEncoder(json.JSONEncoder):
@@ -237,14 +252,34 @@ def decode_cell(payload: dict):
     raise ProtocolError(f"unknown cell type {kind!r}")
 
 
-def encode_shard_request(spec: ShardSpec) -> dict:
-    """The ``shard`` message dispatching one :class:`ShardSpec`.
+#: Each per-cell field on the wire, with its JSON type.  An entry holds
+#: only the fields that are set: None and False are omitted.
+_JOB_FIELDS = {
+    "cluster": str,
+    "snapshot": dict,
+    "emit_snapshot": bool,
+    "cluster_state": dict,
+    "emit_cluster_state": bool,
+}
+_OUTCOME_FIELDS = {"snapshot": dict, "cluster_state": dict}
 
-    The incremental fields (``snapshot``, ``emit_snapshot``) are additive
-    and omitted when unset, so batch shard messages keep their historical
-    byte shape and a version-skewed worker that ignores them still
-    returns a correct (prefix-computed) result.
-    """
+
+def _per_cell_entries(items, fields: dict) -> list[dict] | None:
+    """Each item's set fields, or None when no item sets any."""
+    entries = [
+        {
+            name: value
+            for name in fields
+            if (value := getattr(item, name)) is not None
+            and value is not False
+        }
+        for item in items
+    ]
+    return entries if any(entries) else None
+
+
+def encode_shard_request(spec: ShardSpec) -> dict:
+    """The ``shard`` message dispatching one :class:`ShardSpec`."""
     message = {
         "v": PROTOCOL_VERSION,
         "kind": "shard",
@@ -254,22 +289,13 @@ def encode_shard_request(spec: ShardSpec) -> dict:
         "profile": bool(spec.profile),
         "cache_root": spec.cache_root,
     }
-    if spec.snapshot is not None:
-        message["snapshot"] = spec.snapshot
-    if spec.emit_snapshot:
-        message["emit_snapshot"] = True
     if spec.sharing != "off":
         message["sharing"] = spec.sharing
-    if spec.cluster_state is not None:
-        message["cluster_state"] = spec.cluster_state
-    if spec.emit_cluster_state:
-        message["emit_cluster_state"] = True
     if spec.batch != "off":
         message["batch"] = spec.batch
-    if spec.snapshots is not None:
-        message["snapshots"] = list(spec.snapshots)
-    if spec.emit_snapshots is not None:
-        message["emit_snapshots"] = list(spec.emit_snapshots)
+    jobs = _per_cell_entries(spec.jobs, _JOB_FIELDS)
+    if jobs is not None:
+        message["jobs"] = jobs
     return message
 
 
@@ -295,98 +321,81 @@ def _optional(message: dict, name: str, kind: type):
     return value
 
 
-#: A per-cell snapshot slot: an encoded snapshot object, or null.
-_SNAPSHOT_SLOT = (dict, type(None))
+def _per_cell(message: dict, name: str, count: int, fields: dict) -> list:
+    """An optional per-cell list: ``count`` objects of known, typed fields.
 
-
-def _per_cell(message: dict, name: str, count: int, kinds) -> tuple | None:
-    """An optional per-cell list: ``count`` entries, each one of ``kinds``."""
+    Absent means every entry is empty.
+    """
     if message.get(name) is None:
-        return None
+        return [{}] * count
     entries = _list(message, name)
     if len(entries) != count or not all(
-        isinstance(entry, kinds) for entry in entries
+        isinstance(entry, dict)
+        and all(
+            key in fields and isinstance(value, fields[key])
+            for key, value in entry.items()
+        )
+        for entry in entries
     ):
         raise ProtocolError(
             f"malformed message: {name} must hold one valid entry per "
             f"cell ({count})"
         )
-    return tuple(entries)
+    return entries
 
 
 def decode_shard_spec(message: dict) -> ShardSpec:
     """A worker-side :class:`ShardSpec` from a ``shard`` message.
 
     Worker-side indices are synthetic (the parent keeps the real grid
-    positions); only identity, cells, and execution context cross the
+    positions); only identity, jobs, and execution context cross the
     wire.  A field of the wrong JSON type, or a per-cell list that does
     not match the cells, raises :class:`ProtocolError`.
     """
     cells = tuple(decode_cell(entry) for entry in _list(message, "cells"))
-    snapshots = _per_cell(message, "snapshots", len(cells), _SNAPSHOT_SLOT)
-    emit_snapshots = _per_cell(message, "emit_snapshots", len(cells), bool)
+    entries = _per_cell(message, "jobs", len(cells), _JOB_FIELDS)
     return ShardSpec(
         key=str(message.get("id", "")),
-        cells=cells,
+        jobs=tuple(
+            CellJob(cell, **entry) for cell, entry in zip(cells, entries)
+        ),
         indices=tuple(range(len(cells))),
         policy=str(message.get("policy", "")),
         profile=bool(message.get("profile", False)),
         cache_root=_optional(message, "cache_root", str),
-        snapshot=_optional(message, "snapshot", dict),
-        emit_snapshot=bool(message.get("emit_snapshot", False)),
         sharing=str(message.get("sharing", "off")),
-        cluster_state=_optional(message, "cluster_state", dict),
-        emit_cluster_state=bool(message.get("emit_cluster_state", False)),
         batch=str(message.get("batch", "off")),
-        snapshots=snapshots,
-        emit_snapshots=emit_snapshots,
     )
 
 
-def encode_shard_result(
-    key: str,
-    results,
-    profile: dict | None,
-    snapshot: dict | None = None,
-    *,
-    cluster_state: dict | None = None,
-    snapshots: tuple | None = None,
-    wall_s: float | None = None,
-) -> dict:
-    """The ``result`` message for one completed shard.
-
-    ``snapshots`` (per-cell, batched service shards) and ``wall_s`` (the
-    worker's observed execution time, feeding the planner's cost weights)
-    are additive and omitted when unset, like every extension field.
-    """
+def encode_shard_result(result: ShardResult) -> dict:
+    """The ``result`` message for one completed shard."""
     message = {
         "v": PROTOCOL_VERSION,
         "kind": "result",
-        "id": key,
-        "results": [encode_result(result) for result in results],
-        "profile": profile,
+        "id": result.key,
+        "results": [encode_result(run) for run in result.results],
+        "profile": result.profile,
     }
-    if snapshot is not None:
-        message["snapshot"] = snapshot
-    if cluster_state is not None:
-        message["cluster_state"] = cluster_state
-    if snapshots is not None:
-        message["snapshots"] = list(snapshots)
-    if wall_s is not None:
-        message["wall_s"] = float(wall_s)
+    outcomes = _per_cell_entries(result.outcomes, _OUTCOME_FIELDS)
+    if outcomes is not None:
+        message["outcomes"] = outcomes
+    if result.wall_s is not None:
+        message["wall_s"] = float(result.wall_s)
     return message
 
 
 def decode_shard_result(message: dict) -> ShardResult:
     """A parent-side :class:`ShardResult` from a ``result`` message.
 
-    A field of the wrong JSON type, per-cell snapshots that do not match
+    A field of the wrong JSON type, per-cell outcomes that do not match
     the results, or a ``wall_s`` that is not a finite float >= 0 raises
     :class:`ProtocolError`.
     """
     results = tuple(
         decode_result(entry) for entry in _list(message, "results")
     )
+    entries = _per_cell(message, "outcomes", len(results), _OUTCOME_FIELDS)
     wall_s = message.get("wall_s")
     # The encoder always writes a float; NaN fails the comparison.
     if wall_s is not None and not (
@@ -397,13 +406,10 @@ def decode_shard_result(message: dict) -> ShardResult:
         )
     return ShardResult(
         key=str(message.get("id", "")),
-        results=results,
-        profile=_optional(message, "profile", dict),
-        snapshot=_optional(message, "snapshot", dict),
-        cluster_state=_optional(message, "cluster_state", dict),
-        snapshots=_per_cell(
-            message, "snapshots", len(results), _SNAPSHOT_SLOT
+        outcomes=tuple(
+            CellOutcome(run, **entry) for run, entry in zip(results, entries)
         ),
+        profile=_optional(message, "profile", dict),
         wall_s=wall_s,
     )
 

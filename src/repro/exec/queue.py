@@ -51,7 +51,6 @@ import subprocess
 import tempfile
 import threading
 import time
-import traceback
 from pathlib import Path
 from typing import Sequence
 
@@ -62,7 +61,7 @@ from repro.exec.shard import (
     ShardFailure,
     ShardSpec,
     cell_label,
-    execute_shard,
+    checked_reply,
 )
 
 __all__ = [
@@ -249,7 +248,12 @@ def queue_worker_main(
     claims it immediately instead of waiting out the heartbeat TTL --
     and the worker exits 0.
     """
-    from repro.exec.worker import GracefulShutdown, install_graceful_shutdown
+    from repro.exec.worker import (
+        GracefulShutdown,
+        error_message,
+        install_graceful_shutdown,
+        run_shard_message,
+    )
 
     install_graceful_shutdown()
     layout = QueueLayout(queue_dir)
@@ -292,9 +296,6 @@ def queue_worker_main(
     lease_dir.mkdir(parents=True, exist_ok=True)
     ban_marker = layout.banned / worker_id
     heartbeat_s = max(lease_ttl_s / 4.0, 0.02)
-    # Shards pin the cache root per-payload; remember this worker's own
-    # baseline so a cache_root-less shard falls back to it rather than
-    # inheriting whatever the previous shard pinned.
     baseline_cache_root = os.environ.get(CACHE_ENV)
 
     def claim() -> Path | None:
@@ -335,14 +336,9 @@ def queue_worker_main(
                 message = protocol.read_message_file(lease)
             except ProtocolError as exc:
                 message = None
-                reply = {
-                    "v": protocol.PROTOCOL_VERSION,
-                    "kind": "error",
-                    "id": key,
-                    "error": f"undecodable queue message: {exc}",
-                    "traceback": None,
-                    "worker": worker_id,
-                }
+                reply = error_message(
+                    key, f"undecodable queue message: {exc}"
+                )
             if message is not None:
                 # Fault-injection sits exactly where real failures
                 # strike: after the claim, before the first heartbeat.
@@ -354,40 +350,7 @@ def queue_worker_main(
                 heartbeat = _Heartbeat(lease, heartbeat_s)
                 heartbeat.start()
                 try:
-                    spec = protocol.decode_shard_spec(message)
-                    if spec.cache_root is not None:
-                        os.environ[CACHE_ENV] = spec.cache_root
-                    elif baseline_cache_root is not None:
-                        os.environ[CACHE_ENV] = baseline_cache_root
-                    else:
-                        os.environ.pop(CACHE_ENV, None)
-                    started = time.perf_counter()
-                    (
-                        results,
-                        profile_snapshot,
-                        run_snapshot,
-                        snapshots,
-                        cluster_state,
-                    ) = execute_shard(spec)
-                    wall_s = time.perf_counter() - started
-                    reply = protocol.encode_shard_result(
-                        key, results, profile_snapshot, run_snapshot,
-                        cluster_state=cluster_state, snapshots=snapshots,
-                        wall_s=wall_s,
-                    )
-                    reply["worker"] = worker_id
-                    mode = faults.reply_fault(key)
-                    if mode is not None:
-                        reply = faults.corrupt_reply(reply, mode)
-                except Exception as exc:
-                    reply = {
-                        "v": protocol.PROTOCOL_VERSION,
-                        "kind": "error",
-                        "id": key,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                        "worker": worker_id,
-                    }
+                    reply = run_shard_message(message, baseline_cache_root)
                 finally:
                     heartbeat.stop()
                 if heartbeat.failed:
@@ -397,19 +360,14 @@ def queue_worker_main(
                     # Report a *retriable* failure instead of a result --
                     # the explicit version of what would otherwise be a
                     # phantom hang.
-                    reply = {
-                        "v": protocol.PROTOCOL_VERSION,
-                        "kind": "error",
-                        "id": key,
-                        "error": (
-                            "lease heartbeat thread failed mid-shard: "
-                            f"{heartbeat.error}"
-                        ),
-                        "traceback": None,
-                        "worker": worker_id,
-                        "retriable": True,
-                    }
+                    reply = error_message(
+                        key,
+                        "lease heartbeat thread failed mid-shard: "
+                        f"{heartbeat.error}",
+                    )
+                    reply["retriable"] = True
                 heartbeat = None
+            reply["worker"] = worker_id
             if lease.exists():
                 # Still ours: post the reply, then release the claim.  If
                 # the lease was reclaimed while we ran (we were presumed
@@ -714,17 +672,7 @@ class QueueBackend:
                     worker=worker,
                     cause=str(exc),
                 )
-            if len(decoded.results) != len(spec.cells):
-                # A truncated reply must never reach a journal as a
-                # completed shard.
-                return ShardFailure(
-                    f"worker returned {len(decoded.results)} results "
-                    f"for a {len(spec.cells)}-cell shard",
-                    shard_key=spec.key,
-                    cells=cells,
-                    worker=worker,
-                )
-            return decoded
+            return checked_reply(spec, decoded, worker)
         lease = self.layout.lease_of(spec.key)
         if lease is None:
             return None  # pending, or mid-rename; keep polling

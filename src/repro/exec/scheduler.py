@@ -232,10 +232,6 @@ class Scheduler:
                     )
                 if isinstance(outcome, ShardResult):
                     outcomes[entry.index] = outcome
-                    # Feed the observed wall back into the planner's cost
-                    # model: the next plan_shards() balances by measured
-                    # per-cell cost instead of the uniform default.
-                    note_shard_observation(spec, outcome.wall_s)
                     if self.on_complete is not None:
                         self.on_complete(spec, outcome)
                     continue
@@ -443,8 +439,9 @@ def execute_cells(
     The single engine behind ``run_cells`` and ``run_sweep``: shards the
     grid by stream signature for ``workers``, runs the shards through
     ``backend`` under a retrying :class:`Scheduler`, restores submission
-    order from the carried indices, and folds worker profile snapshots
-    into the parent's active profiler.  Results are bit-identical across
+    order from the carried indices, feeds each shard's wall time back to
+    the planner's cost weights, and folds worker profile snapshots into
+    the parent's active profiler.  Results are bit-identical across
     backends and worker counts.
     """
     cells = list(cells)
@@ -478,6 +475,10 @@ def execute_cells(
     for spec, shard_result in zip(specs, shard_results):
         for index, run in zip(spec.indices, shard_result.results):
             results[index] = run
+        # Feed the observed wall back into the planner's cost model: the
+        # next plan_shards() balances by measured per-cell cost instead of
+        # the uniform default.
+        note_shard_observation(spec, shard_result.wall_s)
         if profiler is not None and shard_result.profile:
             # Worker phase seconds fold into the parent profile, so
             # --profile composes with every multi-process backend

@@ -1,13 +1,27 @@
-"""Shards: the unit of work every execution backend dispatches.
+"""Shards and cell jobs: the unit of work every execution backend dispatches.
 
-A *shard* is a group of grid cells sharing one materialized stream -- the
-same decomposition :func:`plan_shards` has always produced for the process
-pool -- plus the two pieces of parent context a worker cannot inherit
-ambiently: the numeric policy name and the artifact-cache root.  Packaging
-those into a :class:`ShardSpec` is what makes the unit transport-agnostic:
-the same spec runs in-process (:class:`~repro.exec.backends.SerialBackend`),
-in a forked pool worker, or JSON-encoded over a pipe to a
+A :class:`CellJob` is one grid cell plus the state it resumes from and
+emits: a run-state snapshot (incremental service windows) and a cluster id
+and weight state (cross-camera sharing).  A *shard* is a tuple of jobs --
+the stream- or cluster-sharing groups :func:`plan_shards` produces --
+packaged in a :class:`ShardSpec` with the parent context a worker cannot
+inherit ambiently: the numeric, sharing and batching policy names and the
+artifact-cache root.  That makes the unit transport-agnostic: the same
+spec runs in-process (:class:`~repro.exec.backends.SerialBackend`), in a
+forked pool worker, or JSON-encoded over a pipe or a queue file to a
 ``python -m repro worker`` child on another host.
+
+:func:`execute_shard` is the one call every transport makes.  It runs a
+spec's jobs in *lanes*: with sharing off each job is its own lane; with
+sharing on, jobs group by the cluster id the planner (or the service)
+stamped on them, and a lane runs its jobs in order through one
+:class:`~repro.share.runtime.ClusterRuntime`.  With batching on and two or
+more lanes, the lanes advance in lockstep (:mod:`repro.exec.batched`);
+otherwise they run inline, in order, on the calling thread -- so one lane
+*is* the serial code path.  Every job yields one :class:`CellOutcome`
+(result, snapshot, cluster state), and the :class:`ShardResult` carries
+them in job order.  Sharing, batching and snapshots therefore compose in
+this one place.
 
 The cell dataclasses (:class:`SystemCell` / :class:`Fig2Cell`) and the
 shard planner live here -- :mod:`repro.core.parallel` re-exports them for
@@ -24,29 +38,30 @@ worker reproduces the original results bit-identically.
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from repro import profiling
-from repro.batching import active_batching, resolve_batching, use_batching
+from repro.batching import active_batching, use_batching
 from repro.core.results import RunResult
+from repro.core.runner import build_fig2_system, build_system
 from repro.core.snapshot import (
     decode_run_snapshot,
     encode_run_snapshot,
     stream_prefix_aligned,
 )
 from repro.core.system import RunExecution
-from repro.exec import faults
-from repro.core.runner import build_fig2_system, build_system, run_on_scenario
 from repro.data.scenarios import build_scenario
 from repro.errors import ConfigurationError, ExecutionError, SnapshotError
+from repro.exec.batched import run_lane_jobs
 from repro.learn.student import make_student
 from repro.learn.teacher import make_teacher
 from repro.models.zoo import get_pair
 from repro.numeric import active_policy, use_policy
 from repro.share.cluster import cluster_cells
-from repro.share.policy import active_sharing, resolve_sharing, use_sharing
+from repro.share.policy import active_sharing, use_sharing
 from repro.share.runtime import (
     ClusterRuntime,
     decode_cluster_state,
@@ -54,7 +69,8 @@ from repro.share.runtime import (
 )
 
 __all__ = [
-    "FAULT_TOKEN_ENV",
+    "CellJob",
+    "CellOutcome",
     "Fig2Cell",
     "ShardFailure",
     "ShardQuarantined",
@@ -62,10 +78,9 @@ __all__ = [
     "ShardSpec",
     "SystemCell",
     "batch_signature",
-    "cell_batch_key",
     "cell_key",
     "cell_label",
-    "consume_fault_token",
+    "checked_reply",
     "execute_shard",
     "make_shard_specs",
     "note_shard_observation",
@@ -73,29 +88,10 @@ __all__ = [
     "plan_shards",
     "reset_observed_costs",
     "run_cell",
-    "run_cell_incremental",
-    "run_shard_cells",
-    "run_spec_cells",
+    "run_job",
     "stream_signature",
     "warm_model_caches",
 ]
-
-#: Fault-injection hook (tests, CI's kill-and-resume leg): when this
-#: variable names an existing file, the next worker to *claim* it dies.
-#: The general mechanism now lives in :mod:`repro.exec.faults`
-#: (``REPRO_FAULT_PLAN``); this single-fault hook is kept verbatim.
-FAULT_TOKEN_ENV = faults.FAULT_TOKEN_ENV
-
-
-def consume_fault_token() -> None:
-    """Die abruptly -- once, fleet-wide -- if the fault token is armed.
-
-    Workers (pool and subprocess alike) call this before executing each
-    shard.  Kept as a compatibility alias; the claim semantics (unlink =
-    atomic, exactly-once) are documented in
-    :func:`repro.exec.faults.consume_die_token`.
-    """
-    faults.consume_die_token()
 
 
 @dataclass(frozen=True)
@@ -142,57 +138,85 @@ class Fig2Cell:
 CELL_TYPES = (SystemCell, Fig2Cell)
 
 
-def run_cell(cell) -> RunResult:
-    """Execute one cell (runs inside worker processes; must stay pickleable)."""
-    if isinstance(cell, SystemCell):
-        system = build_system(cell.system, cell.pair, seed=cell.seed)
-    elif isinstance(cell, Fig2Cell):
-        system = build_fig2_system(cell.kind, cell.platform, cell.pair)
-    else:
-        raise ConfigurationError(f"unknown grid cell type {type(cell)!r}")
-    return run_on_scenario(
-        system, cell.scenario, seed=cell.seed, duration_s=cell.duration_s
-    )
+@dataclass(frozen=True)
+class CellJob:
+    """One cell to run, with the state it resumes from and emits.
+
+    Attributes:
+        cell: The grid cell.
+        cluster: Sharing cluster id, stamped by the planner (sweeps) or the
+            service (windows); jobs with one id share a lane and its
+            :class:`~repro.share.runtime.ClusterRuntime`.  Unused with
+            sharing off.
+        snapshot: Encoded run-state snapshot to resume from.  An
+            incompatible snapshot degrades to a full prefix run.
+        emit_snapshot: Return the run's final safe point, encoded.
+        cluster_state: Encoded cluster weight state the lane's runtime
+            starts from (a service window resuming its cluster's
+            journaled learning).
+        emit_cluster_state: Return the lane's cluster state after the job.
+    """
+
+    cell: object
+    cluster: str | None = None
+    snapshot: dict | None = None
+    emit_snapshot: bool = False
+    cluster_state: dict | None = None
+    emit_cluster_state: bool = False
 
 
-def _build_cell_system(cell):
-    if isinstance(cell, SystemCell):
-        return build_system(cell.system, cell.pair, seed=cell.seed)
-    if isinstance(cell, Fig2Cell):
-        return build_fig2_system(cell.kind, cell.platform, cell.pair)
-    raise ConfigurationError(f"unknown grid cell type {type(cell)!r}")
+@dataclass(frozen=True)
+class CellOutcome:
+    """What one :class:`CellJob` produced.
+
+    ``snapshot`` and ``cluster_state`` are set only when the job asked to
+    emit them (and, for the snapshot, its duration is segment-aligned).
+    """
+
+    result: RunResult
+    snapshot: dict | None = None
+    cluster_state: dict | None = None
 
 
-def run_cell_incremental(
-    cell, snapshot: dict | None = None, emit_snapshot: bool = False
-) -> tuple[RunResult, dict | None]:
-    """Execute one cell, optionally resuming from / emitting a snapshot.
+def _stream(cell):
+    if cell.duration_s is None:
+        return build_scenario(cell.scenario)
+    return build_scenario(cell.scenario, duration_s=cell.duration_s)
 
-    The incremental-window primitive: with a compatible ``snapshot``
-    (window ``i``'s encoded safe point), only the stream-seconds past the
-    snapshot's clock are simulated; the result is bit-identical to
-    :func:`run_cell` over the full prefix.  An *incompatible* snapshot --
+
+def run_job(job: CellJob) -> CellOutcome:
+    """Run one job's cell, resuming from / emitting a run-state snapshot.
+
+    A job with neither is the plain monolithic run.  With a compatible
+    ``job.snapshot`` (window ``i``'s encoded safe point), only the
+    stream-seconds past the snapshot's clock are simulated; the result is
+    bit-identical to a full prefix run.  An *incompatible* snapshot --
     wrong version, policy, cell identity, or an origin not aligned to the
     stream's segment grid -- falls back to a full prefix run: slower,
     never wrong.
 
-    With ``emit_snapshot``, the run's final safe point is returned encoded
-    (None when the cell's duration is not segment-aligned, since such a
-    prefix is not reproducible in a longer stream).
+    With ``job.emit_snapshot``, the run's final safe point comes back
+    encoded (None when the cell's duration is not segment-aligned, since
+    such a prefix is not reproducible in a longer stream).  Cluster state
+    is the lane's business (:func:`execute_shard`), not the cell's.
     """
-    system = _build_cell_system(cell)
-    if cell.duration_s is None:
-        stream = build_scenario(cell.scenario)
+    cell = job.cell
+    if isinstance(cell, SystemCell):
+        build = partial(build_system, cell.system, cell.pair, seed=cell.seed)
+    elif isinstance(cell, Fig2Cell):
+        build = partial(build_fig2_system, cell.kind, cell.platform, cell.pair)
     else:
-        stream = build_scenario(cell.scenario, duration_s=cell.duration_s)
+        raise ConfigurationError(f"unknown grid cell type {type(cell)!r}")
+    system = build()
+    stream = _stream(cell)
     policy = active_policy().name
-    emit = emit_snapshot and stream_prefix_aligned(stream.duration_s)
+    emit = job.emit_snapshot and stream_prefix_aligned(stream.duration_s)
 
     checkpoint = None
-    if snapshot is not None:
+    if job.snapshot is not None:
         try:
             checkpoint = decode_run_snapshot(
-                snapshot,
+                job.snapshot,
                 policy=policy,
                 system=system.name,
                 scenario=stream.name,
@@ -208,15 +232,14 @@ def run_cell_incremental(
     except SnapshotError:
         # A restore that fails partway may have touched the system's
         # weights/buffer; rebuild it fresh for the prefix fallback.
-        system = _build_cell_system(cell)
+        system = build()
         execution = RunExecution(system, stream, cell.seed, capture=emit)
     execution.run_to_end()
-    result = execution.result()
 
-    payload = None
+    snapshot = None
     final = execution.checkpoint()
     if emit and final is not None:
-        payload = encode_run_snapshot(
+        snapshot = encode_run_snapshot(
             final,
             policy=policy,
             system=system.name,
@@ -224,7 +247,12 @@ def run_cell_incremental(
             seed=cell.seed,
             origin_duration_s=stream.duration_s,
         )
-    return result, payload
+    return CellOutcome(execution.result(), snapshot)
+
+
+def run_cell(cell) -> RunResult:
+    """Execute one cell from t=0 (the plain reference every path matches)."""
+    return run_job(CellJob(cell)).result
 
 
 def cell_label(cell) -> str:
@@ -281,25 +309,14 @@ def batch_signature(cell) -> tuple:
     return ("system", cell.pair)
 
 
-def cell_batch_key(policy_name: str, cell) -> tuple:
-    """A cell's full batch-compatibility key, including its policy.
-
-    Cells under different numeric policies must never co-batch (their
-    models carry different dtypes); the planner gets this for free --
-    shards are planned per policy group -- but the service and tests use
-    this key to make the exclusion explicit.
-    """
-    return (policy_name,) + batch_signature(cell)
-
-
 # -- observed shard costs (the learned-scheduling seed) --------------------
 #
-# The scheduler reports each completed shard's wall time back here
-# (:func:`note_shard_observation`); the planner's split loop then weighs
-# shards by observed per-cell cost instead of cell count.  With no
-# observations every cell weighs 1.0 and the split sequence is provably
-# the historical one.  Per-process state, deliberately: each sweep's
-# parent learns from its own completed shards.
+# ``execute_cells`` -- the one caller that plans -- reports each completed
+# shard's wall time back here (:func:`note_shard_observation`); the
+# planner's split loop then weighs shards by observed per-cell cost
+# instead of cell count.  With no observations every cell weighs 1.0 and
+# the split sequence is provably the historical one.  Per-process state,
+# deliberately: each sweep's parent learns from its own completed shards.
 
 _observed_costs: dict[str, float] = {}
 
@@ -323,15 +340,15 @@ def reset_observed_costs() -> None:
     _observed_costs.clear()
 
 
-def _shard_weight(shard: list[tuple[int, object]]) -> float:
+def _shard_weight(shard: list[tuple[int, CellJob]]) -> float:
     policy = active_policy().name
-    return sum(observed_cost(cell_key(policy, cell)) for _, cell in shard)
+    return sum(observed_cost(cell_key(policy, job.cell)) for _, job in shard)
 
 
 def plan_shards(
     cells: Sequence, jobs: int
-) -> list[list[tuple[int, object]]]:
-    """Group (index, cell) pairs into stream-sharing shards.
+) -> list[list[tuple[int, CellJob]]]:
+    """Group cells into stream-sharing shards of ``(index, job)`` pairs.
 
     Shards are split (largest first) until there is one per worker or
     nothing splittable remains, so small grids with few distinct streams
@@ -349,8 +366,9 @@ def plan_shards(
     the decomposition changes shape: cells group by *cluster* instead of
     stream signature, and clusters are never split -- a cluster's cells
     must co-locate on one shard so label/weight reuse happens in-process.
-    The grouping is a pure function of the cell set and the policy, so it
-    is identical at every ``jobs`` count.
+    Each job carries its cluster id, so workers never re-cluster.  The
+    grouping is a pure function of the cell set and the policy, so it is
+    identical at every ``jobs`` count.
 
     Under an enabled batching policy (:func:`repro.batching.active_batching`)
     cells group by :func:`batch_signature` instead of stream signature, so
@@ -368,29 +386,24 @@ def plan_shards(
     batching = active_batching()
     if sharing.enabled:
         assignment = cluster_cells(cells, sharing)
-        clustered: dict[str, list[tuple[int, object]]] = {}
+        clustered: dict[str, list[tuple[int, CellJob]]] = {}
         for index, cell in enumerate(cells):
-            clustered.setdefault(assignment.cluster_of(cell), []).append(
-                (index, cell)
+            cid = assignment.cluster_of(cell)
+            clustered.setdefault(cid, []).append(
+                (index, CellJob(cell, cluster=cid))
             )
         if not batching.enabled:
             return list(clustered.values())
-        merged: dict[tuple, list[tuple[int, object]]] = {}
+        merged: dict[tuple, list[tuple[int, CellJob]]] = {}
         for cluster in clustered.values():
-            merged.setdefault(batch_signature(cluster[0][1]), []).extend(
-                cluster
-            )
+            merged.setdefault(
+                batch_signature(cluster[0][1].cell), []
+            ).extend(cluster)
         return list(merged.values())
-    groups: dict[tuple, list[tuple[int, object]]] = {}
+    signature = batch_signature if batching.enabled else stream_signature
+    groups: dict[tuple, list[tuple[int, CellJob]]] = {}
     for index, cell in enumerate(cells):
-        if batching.enabled:
-            groups.setdefault(batch_signature(cell), []).append(
-                (index, cell)
-            )
-        else:
-            groups.setdefault(stream_signature(cell), []).append(
-                (index, cell)
-            )
+        groups.setdefault(signature(cell), []).append((index, CellJob(cell)))
     shards = list(groups.values())
     target = min(jobs, len(cells))
     while len(shards) < target:
@@ -431,8 +444,8 @@ class ShardSpec:
     Attributes:
         key: Content-derived shard identity (hash over policy + cell
             keys); what failure messages and journals reference.
-        cells: The cells to run, in order.
-        indices: Each cell's position in the originating grid (restores
+        jobs: The :class:`CellJob`\\ s to run, in order.
+        indices: Each job's position in the originating grid (restores
             submission order after unordered completion).
         policy: Numeric policy *name* -- explicit because contextvar
             overrides do not survive spawn-started or remote workers.
@@ -440,61 +453,48 @@ class ShardSpec:
             the snapshot back for the parent to merge.
         cache_root: Artifact-cache root the worker should use, or None
             to let it fall back to its own default (remote hosts).
-        snapshot: Encoded run-state snapshot to resume the cell from
-            (incremental windows; requires a single-cell shard).  An
-            incompatible snapshot degrades to a full prefix run.
-        emit_snapshot: Ship the run's final safe point back on the
-            result (incremental windows; requires a single-cell shard).
         sharing: Sharing policy *name* -- explicit for the same reason
             ``policy`` is.  ``"off"`` (the default) is the bit-identical
             independent path.
-        cluster_state: Encoded cluster weight state to seed the shard's
-            runtime from (service windows resuming a cluster's journaled
-            learning; requires a single-cell shard).
-        emit_cluster_state: Ship the shard's final cluster state back on
-            the result (requires a single-cell shard).
         batch: Batching policy *name* -- explicit for the same reason
             ``policy`` is.  ``"off"`` (the default) is the bit-identical
             per-cell path.
-        snapshots: Per-cell resume snapshots for a *batched* multi-cell
-            shard (the service coalescing K co-windowed streams into one
-            shard); aligned with ``cells``, entries may be None.
-        emit_snapshots: Per-cell emit flags matching ``snapshots``.
     """
 
     key: str
-    cells: tuple
+    jobs: tuple
     indices: tuple[int, ...]
     policy: str
     profile: bool = False
     cache_root: str | None = None
-    snapshot: dict | None = None
-    emit_snapshot: bool = False
     sharing: str = "off"
-    cluster_state: dict | None = None
-    emit_cluster_state: bool = False
     batch: str = "off"
-    snapshots: tuple | None = None
-    emit_snapshots: tuple | None = None
+
+    @property
+    def cells(self) -> tuple:
+        """The jobs' cells, in order."""
+        return tuple(job.cell for job in self.jobs)
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """A completed shard: per-cell results, profile, and run snapshot.
+    """A completed shard: one :class:`CellOutcome` per job, plus context.
 
-    ``snapshots`` carries per-cell final snapshots for batched multi-cell
-    service shards (aligned with the spec's cells); ``wall_s`` is the
-    worker-observed execution wall time, which the scheduler feeds back
-    into the planner's cost weights.
+    ``profile`` is the worker's phase-profile snapshot (profiled specs
+    only); ``wall_s`` is the shard's execution wall time, which
+    :func:`~repro.exec.scheduler.execute_cells` feeds back into the
+    planner's cost weights.
     """
 
     key: str
-    results: tuple
+    outcomes: tuple
     profile: dict | None = None
-    snapshot: dict | None = None
-    cluster_state: dict | None = None
-    snapshots: tuple | None = None
     wall_s: float | None = None
+
+    @property
+    def results(self) -> tuple:
+        """The outcomes' run results, in job order."""
+        return tuple(outcome.result for outcome in self.outcomes)
 
 
 class ShardFailure(ExecutionError):
@@ -595,6 +595,26 @@ def shard_key(policy_name: str, cells: Sequence) -> str:
     return hasher.hexdigest()[:16]
 
 
+def checked_reply(
+    spec: ShardSpec, result: ShardResult, worker: str | None = None
+) -> ShardResult | ShardFailure:
+    """``result``, or a retriable failure if it does not answer every job.
+
+    Every transport that receives a reply from another process runs it
+    through here: a truncated reply must never be journaled as a completed
+    shard, so it becomes a failure the retry path recomputes whole.
+    """
+    if len(result.outcomes) == len(spec.jobs):
+        return result
+    return ShardFailure(
+        f"worker returned {len(result.outcomes)} results for a "
+        f"{len(spec.jobs)}-cell shard",
+        shard_key=spec.key,
+        cells=tuple(cell_label(cell) for cell in spec.cells),
+        worker=worker,
+    )
+
+
 def make_shard_specs(
     cells: Sequence,
     jobs: int,
@@ -602,26 +622,22 @@ def make_shard_specs(
     *,
     profile: bool = False,
     cache_root: str | None = None,
-    sharing: str | None = None,
-    batch: str | None = None,
 ) -> list[ShardSpec]:
     """Plan ``cells`` into :class:`ShardSpec`\\ s for ``jobs`` workers.
 
-    ``sharing`` and ``batch`` default to the ambient policies' names so
-    specs carry them explicitly to spawn-started and remote workers,
-    exactly like the numeric policy.
+    The specs carry the ambient sharing and batching policies' names --
+    the ones :func:`plan_shards` grouped under -- explicitly to
+    spawn-started and remote workers, exactly like the numeric policy.
     """
-    if sharing is None:
-        sharing = active_sharing().name
-    if batch is None:
-        batch = active_batching().name
+    sharing = active_sharing().name
+    batch = active_batching().name
     specs = []
     for shard in plan_shards(cells, jobs):
-        shard_cells = tuple(cell for _, cell in shard)
+        shard_jobs = tuple(job for _, job in shard)
         specs.append(
             ShardSpec(
-                key=shard_key(policy_name, shard_cells),
-                cells=shard_cells,
+                key=shard_key(policy_name, [job.cell for job in shard_jobs]),
+                jobs=shard_jobs,
                 indices=tuple(index for index, _ in shard),
                 policy=policy_name,
                 profile=profile,
@@ -633,197 +649,94 @@ def make_shard_specs(
     return specs
 
 
-def run_shard_cells(
-    cells: Sequence, policy_name: str, profile: bool
-) -> tuple[list[RunResult], dict | None]:
-    """Execute a shard's cells in order (the worker-side entry point).
+def _run_lane(jobs: Sequence[CellJob]) -> list[CellOutcome]:
+    """Run one lane's jobs in order, through its cluster runtime if sharing.
 
-    The numeric policy is re-installed explicitly -- a ``use_policy``
-    override in the parent is a contextvar and would not survive a
-    spawn-started or remote worker -- so shard results are policy-correct
-    on any transport.  The first cell materializes (or memmap-opens) the
-    shard's stream; the rest hit the artifact store's in-process LRU.
-    When ``profile`` is set, the shard runs under its own profiler and
-    returns the snapshot alongside the results so the parent can
-    aggregate worker phase times (``--profile`` composing with any
-    multi-process backend).
+    A job carrying cluster state restarts the lane's runtime from it;
+    otherwise the lane's first job founds a fresh one.  Either way the
+    runtime is named after the job's cluster, so emitted state always
+    names the cluster it belongs to, whatever an incoming state said.
     """
-    with use_policy(policy_name):
-        if not profile:
-            return [run_cell(cell) for cell in cells], None
-        profiler = profiling.enable()
-        try:
-            results = [run_cell(cell) for cell in cells]
-            return results, profiler.snapshot()
-        finally:
-            profiling.disable()
-
-
-def _run_cells_shared(
-    spec: ShardSpec, sharing
-) -> tuple[list[RunResult], dict | None, dict | None]:
-    """Execute a sharing-enabled spec's cells through cluster runtimes.
-
-    Sweep shards carry a whole cluster (the planner co-locates them) and
-    run its cells sequentially through one in-process runtime -- labels,
-    warm starts, and deltas all shared.  Service shards carry one window
-    cell plus the cluster's journaled weight state (``spec.cluster_state``)
-    and ship the updated state back on the result.
-
-    With batching also enabled and several clusters on the shard, each
-    cluster becomes one lockstep *lane*: its cells still run sequentially
-    through their own runtime (preserving the sharing digests' ordering),
-    while the clusters' numpy work batches against each other.
-    """
-    incremental = spec.snapshot is not None or spec.emit_snapshot
-    stateful = spec.cluster_state is not None or spec.emit_cluster_state
-    if (incremental or stateful) and len(spec.cells) != 1:
-        raise ConfigurationError(
-            f"incremental shard {spec.key} carries {len(spec.cells)} "
-            f"cells; snapshots resume exactly one"
-        )
-    assignment = cluster_cells(spec.cells, sharing)
-    runtimes: dict[str, ClusterRuntime] = {}
-    if spec.cluster_state is not None:
-        cid = assignment.cluster_of(spec.cells[0])
-        runtimes[cid] = decode_cluster_state(spec.cluster_state, sharing)
-
-    clustered: dict[str, list[tuple[int, object]]] = {}
-    for position, cell in enumerate(spec.cells):
-        clustered.setdefault(assignment.cluster_of(cell), []).append(
-            (position, cell)
-        )
-    batching = resolve_batching(spec.batch)
-    if batching.enabled and len(clustered) > 1 and not (
-        incremental or stateful
-    ):
-        from repro.exec.batched import run_lane_jobs
-
-        warm_model_caches(spec.cells)
-        for cid in clustered:
-            if cid not in runtimes:
-                runtimes[cid] = ClusterRuntime(sharing, cid)
-
-        def cluster_job(cid: str, members: list[tuple[int, object]]):
-            runtime = runtimes[cid]
-            out = []
-            for position, cell in members:
-                with runtime.activate(cell):
-                    out.append((position, run_cell(cell)))
-            return out
-
-        lane_results = run_lane_jobs(
-            [
-                (lambda cid=cid, members=members: cluster_job(cid, members))
-                for cid, members in clustered.items()
-            ]
-        )
-        results = [None] * len(spec.cells)
-        for lane in lane_results:
-            for position, result in lane:
-                results[position] = result
-        return results, None, None
-
-    results = []
-    run_snapshot: dict | None = None
-    for cell in spec.cells:
-        cid = assignment.cluster_of(cell)
-        runtime = runtimes.get(cid)
-        if runtime is None:
-            runtime = runtimes[cid] = ClusterRuntime(sharing, cid)
-        with runtime.activate(cell):
-            if incremental:
-                result, run_snapshot = run_cell_incremental(
-                    cell, spec.snapshot, spec.emit_snapshot
-                )
-            else:
-                result = run_cell(cell)
-        results.append(result)
-    cluster_state = None
-    if stateful:
-        only = runtimes[assignment.cluster_of(spec.cells[0])]
-        cluster_state = encode_cluster_state(only)
-    return results, run_snapshot, cluster_state
-
-
-def run_spec_cells(
-    spec: ShardSpec,
-) -> tuple[list[RunResult], dict | None, dict | None, dict | None]:
-    """Execute a spec's cells under the ambient policy/profiler.
-
-    Returns ``(results, run_snapshot, snapshots, cluster_state)`` --
-    ``run_snapshot`` for the single-cell incremental contract,
-    ``snapshots`` (per-cell, aligned with ``spec.cells``) for batched
-    multi-cell service shards.  Incremental specs (a resume snapshot
-    and/or ``emit_snapshot``) must carry exactly one cell -- a snapshot
-    names one run's state -- unless batching supplies the per-cell
-    ``spec.snapshots``/``spec.emit_snapshots`` carriers.  Sharing-enabled
-    specs route through per-cluster runtimes; the default off-path below
-    is byte-for-byte the historical independent execution.
-    """
-    sharing = resolve_sharing(spec.sharing)
-    if sharing.enabled:
-        results, run_snapshot, cluster_state = _run_cells_shared(
-            spec, sharing
-        )
-        return results, run_snapshot, None, cluster_state
-    batching = resolve_batching(spec.batch)
-    if batching.enabled and len(spec.cells) > 1:
-        from repro.exec.batched import run_cells_batched
-
-        pairs = run_cells_batched(
-            spec.cells,
-            snapshots=spec.snapshots,
-            emit_snapshots=spec.emit_snapshots,
-        )
-        results = [result for result, _ in pairs]
-        if spec.snapshots is None and spec.emit_snapshots is None:
-            return results, None, None, None
-        return results, None, tuple(snap for _, snap in pairs), None
-    if spec.snapshot is not None or spec.emit_snapshot:
-        if len(spec.cells) != 1:
-            raise ConfigurationError(
-                f"incremental shard {spec.key} carries {len(spec.cells)} "
-                f"cells; snapshots resume exactly one"
+    sharing = active_sharing()
+    if not sharing.enabled:
+        return [run_job(job) for job in jobs]
+    runtime = None
+    outcomes = []
+    for job in jobs:
+        if job.cluster_state is not None:
+            runtime = decode_cluster_state(job.cluster_state, sharing)
+            runtime.cluster_id = job.cluster
+        elif runtime is None:
+            runtime = ClusterRuntime(sharing, job.cluster)
+        with runtime.activate(job.cell):
+            outcome = run_job(job)
+        if job.emit_cluster_state:
+            outcome = replace(
+                outcome, cluster_state=encode_cluster_state(runtime)
             )
-        result, snapshot = run_cell_incremental(
-            spec.cells[0], spec.snapshot, spec.emit_snapshot
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _run_jobs(spec: ShardSpec) -> list[CellOutcome]:
+    """Group a spec's jobs into lanes and run them (policies installed)."""
+    shared = active_sharing().enabled
+    lanes: dict[object, list[int]] = {}
+    for position, job in enumerate(spec.jobs):
+        if shared and job.cluster is None:
+            raise ConfigurationError(
+                f"shard {spec.key} shares clusters but a job carries no "
+                f"cluster id ({cell_label(job.cell)})"
+            )
+        lane = job.cluster if shared else position
+        lanes.setdefault(lane, []).append(position)
+    groups = [
+        [spec.jobs[position] for position in positions]
+        for positions in lanes.values()
+    ]
+    if active_batching().enabled and len(groups) > 1:
+        # Fill the shared caches serially before the lanes race for them:
+        # model pretrains, and each distinct stream materialized once.
+        with profiling.scope(profiling.MATERIALIZE):
+            warm_model_caches(spec.cells)
+            streams = {stream_signature(cell): cell for cell in spec.cells}
+            for cell in streams.values():
+                _stream(cell).materialize(cell.seed)
+        produced = run_lane_jobs(
+            [partial(_run_lane, group) for group in groups]
         )
-        return [result], snapshot, None, None
-    return [run_cell(cell) for cell in spec.cells], None, None, None
+    else:
+        produced = [_run_lane(group) for group in groups]
+    outcomes: list = [None] * len(spec.jobs)
+    for positions, lane in zip(lanes.values(), produced):
+        for position, outcome in zip(positions, lane):
+            outcomes[position] = outcome
+    return outcomes
 
 
-def execute_shard(
-    spec: ShardSpec,
-) -> tuple[
-    list[RunResult], dict | None, dict | None, tuple | None, dict | None
-]:
-    """The worker-side entry point for one spec, on any transport.
+def execute_shard(spec: ShardSpec) -> ShardResult:
+    """Run one spec: the single entry point of every transport.
 
     Installs the spec's numeric, sharing, and batching policies, runs its
-    cells (honouring the incremental snapshot and cluster-state fields),
-    and profiles when asked.  Returns ``(results, profile_snapshot,
-    run_snapshot, snapshots, cluster_state)``.
+    jobs in lanes (see the module docstring), profiles when
+    ``spec.profile`` is set, and measures its own ``wall_s``.
     """
+    started = time.perf_counter()
     with use_policy(spec.policy), use_sharing(spec.sharing), use_batching(
         spec.batch
     ):
         if not spec.profile:
-            results, run_snapshot, snapshots, cluster_state = (
-                run_spec_cells(spec)
-            )
-            return results, None, run_snapshot, snapshots, cluster_state
-        profiler = profiling.enable()
-        try:
-            results, run_snapshot, snapshots, cluster_state = (
-                run_spec_cells(spec)
-            )
-            return (
-                results,
-                profiler.snapshot(),
-                run_snapshot,
-                snapshots,
-                cluster_state,
-            )
-        finally:
-            profiling.disable()
+            outcomes, profile = _run_jobs(spec), None
+        else:
+            profiler = profiling.enable()
+            try:
+                outcomes = _run_jobs(spec)
+                profile = profiler.snapshot()
+            finally:
+                profiling.disable()
+    return ShardResult(
+        key=spec.key,
+        outcomes=tuple(outcomes),
+        profile=profile,
+        wall_s=time.perf_counter() - started,
+    )

@@ -1,10 +1,11 @@
 """The shard worker: ``python -m repro worker``.
 
 A long-lived child serving the JSON-lines shard protocol over stdio: read
-a ``shard`` message, execute its cells under the policy (and cache root)
-the payload carries, reply with a bit-exact ``result`` message -- or an
-``error`` message if the shard raised, after which the worker keeps
-serving (a deterministic cell bug must not look like a dead worker).
+a ``shard`` message, run it through :func:`run_shard_message` -- the one
+worker-side step, shared with the queue worker -- and reply with a
+bit-exact ``result`` message, or an ``error`` message if the shard
+raised, after which the worker keeps serving (a deterministic cell bug
+must not look like a dead worker).
 
 The *real* stdout belongs to the protocol: its fd is duplicated at
 startup and ``sys.stdout`` is repointed at stderr, so a stray ``print``
@@ -25,7 +26,6 @@ import argparse
 import os
 import signal
 import sys
-import time
 import traceback
 
 from repro.cache import CACHE_ENV
@@ -33,7 +33,13 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import faults, protocol
 from repro.exec.shard import execute_shard
 
-__all__ = ["GracefulShutdown", "install_graceful_shutdown", "worker_main"]
+__all__ = [
+    "GracefulShutdown",
+    "error_message",
+    "install_graceful_shutdown",
+    "run_shard_message",
+    "worker_main",
+]
 
 
 class GracefulShutdown(BaseException):
@@ -61,6 +67,51 @@ def install_graceful_shutdown() -> None:
             signal.signal(signum, handler)
         except ValueError:
             return
+
+
+def error_message(message_id, error: str, trace: str | None = None) -> dict:
+    """The ``error`` reply for a shard that raised or could not be read."""
+    return {
+        "v": protocol.PROTOCOL_VERSION,
+        "kind": "error",
+        "id": message_id,
+        "error": error,
+        "traceback": trace,
+    }
+
+
+def run_shard_message(message: dict, baseline_cache_root: str | None) -> dict:
+    """Execute one ``shard`` message; returns the reply message.
+
+    The worker-side step both worker loops share: decode the spec, pin the
+    artifact-cache root it carries, run :func:`execute_shard`, and encode
+    the ``result`` (corrupted if a ``corrupt-result`` fault fires).  A
+    shard that raises yields an ``error`` reply instead.
+    """
+    try:
+        spec = protocol.decode_shard_spec(message)
+        # The payload pins the parent's artifact-cache root so a shared-FS
+        # fleet reads one content-addressed store; a cache_root-less shard
+        # falls back to the worker's own baseline rather than inheriting
+        # whatever the previous shard pinned.
+        if spec.cache_root is not None:
+            os.environ[CACHE_ENV] = spec.cache_root
+        elif baseline_cache_root is not None:
+            os.environ[CACHE_ENV] = baseline_cache_root
+        else:
+            os.environ.pop(CACHE_ENV, None)
+        result = execute_shard(spec)
+    except Exception as exc:
+        return error_message(
+            message.get("id"),
+            f"{type(exc).__name__}: {exc}",
+            traceback.format_exc(),
+        )
+    reply = protocol.encode_shard_result(result)
+    mode = faults.reply_fault(spec.key)
+    if mode is not None:
+        reply = faults.corrupt_reply(reply, mode)
+    return reply
 
 
 def worker_main(argv: list[str] | None = None) -> int:
@@ -97,19 +148,6 @@ def worker_main(argv: list[str] | None = None) -> int:
 
         return queue_worker_main(args.queue, drain=args.drain)
     install_graceful_shutdown()
-
-    def send_error(channel, message_id, error, trace=None):
-        protocol.write_message(
-            channel,
-            {
-                "v": protocol.PROTOCOL_VERSION,
-                "kind": "error",
-                "id": message_id,
-                "error": error,
-                "traceback": trace,
-            },
-        )
-
     channel = os.fdopen(os.dup(sys.stdout.fileno()), "w")
     # Nothing but the protocol may reach the parent's pipe: repoint the
     # Python-level stdout *and* file descriptor 1 at stderr, so fd-level
@@ -117,9 +155,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     # degrade to log noise instead of corrupting the message stream.
     sys.stdout = sys.stderr
     os.dup2(sys.stderr.fileno(), 1)
-    # Shards pin the cache root per-payload; remember the worker's own
-    # baseline so a cache_root-less shard falls back to it rather than
-    # inheriting whatever the previous shard pinned.
     baseline_cache_root = os.environ.get(CACHE_ENV)
     protocol.write_message(
         channel,
@@ -137,54 +172,24 @@ def worker_main(argv: list[str] | None = None) -> int:
             try:
                 message = protocol.decode_message(line)
             except ProtocolError as exc:
-                send_error(channel, None, str(exc))
+                protocol.write_message(channel, error_message(None, str(exc)))
                 continue
             kind = message.get("kind")
             if kind == "shutdown":
                 break
             if kind != "shard":
-                send_error(
-                    channel, message.get("id"),
-                    f"unexpected message kind {kind!r}",
+                protocol.write_message(
+                    channel,
+                    error_message(
+                        message.get("id"),
+                        f"unexpected message kind {kind!r}",
+                    ),
                 )
                 continue
             faults.on_claim(str(message.get("id") or ""))
-            try:
-                spec = protocol.decode_shard_spec(message)
-                if spec.cache_root is not None:
-                    # The payload pins the parent's artifact-cache root
-                    # so a shared-FS fleet reads one content-addressed
-                    # store.
-                    os.environ[CACHE_ENV] = spec.cache_root
-                elif baseline_cache_root is not None:
-                    os.environ[CACHE_ENV] = baseline_cache_root
-                else:
-                    os.environ.pop(CACHE_ENV, None)
-                started = time.perf_counter()
-                (
-                    results,
-                    profile_snapshot,
-                    run_snapshot,
-                    snapshots,
-                    cluster_state,
-                ) = execute_shard(spec)
-                wall_s = time.perf_counter() - started
-            except Exception as exc:
-                send_error(
-                    channel, message.get("id"),
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                )
-                continue
-            reply = protocol.encode_shard_result(
-                spec.key, results, profile_snapshot, run_snapshot,
-                cluster_state=cluster_state, snapshots=snapshots,
-                wall_s=wall_s,
+            protocol.write_message(
+                channel, run_shard_message(message, baseline_cache_root)
             )
-            mode = faults.reply_fault(spec.key)
-            if mode is not None:
-                reply = faults.corrupt_reply(reply, mode)
-            protocol.write_message(channel, reply)
     except GracefulShutdown:
         # SIGTERM/SIGINT: release the current shard (no reply -- the
         # parent's pipe-EOF handling re-dispatches it as a retriable

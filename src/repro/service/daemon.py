@@ -11,31 +11,26 @@ deaths, dispatch failures, deadline misses, SIGTERM, and SIGKILL without
 crashing or stalling.
 
 **The window unit.**  A stream of ``duration_s`` splits into windows of
-``window_s`` stream-seconds.  Window ``i``'s compute is a *prefix run*:
-the stream's cell truncated to the window's end (``duration_s = end_i``),
-executed by the ordinary stateless shard machinery.  A prefix run is a
-pure deterministic function of the cell -- no weight snapshots cross
-process boundaries, any worker can compute any window, a retried window
-is bit-identical, and the final window's result *is* the batch sweep's
-full-cell result.  The cost is recompute (window ``i`` re-simulates
-``[0, end_i)``, so serving a W-window stream costs O(W^2) total stream
-seconds), which buys the property everything else here stands on:
-SIGKILL the daemon anywhere and every completed window's journaled
+``window_s`` stream-seconds.  Window ``i``'s *result* is that of a
+*prefix run*: the stream's cell truncated to the window's end
+(``duration_s = end_i``).  A prefix run is a pure deterministic function
+of the cell -- any worker can compute any window, a retried window is
+bit-identical, and the final window's result *is* the batch sweep's
+full-cell result -- which buys the property everything else here stands
+on: SIGKILL the daemon anywhere and every completed window's journaled
 record is byte-identical to an uninterrupted run's.
 
-**Incremental windows.**  The default ``window_mode="incremental"``
-keeps the prefix run's *results* while dropping its recompute: window
-``i``'s shard carries the run-state snapshot emitted by window ``i-1``
-(:mod:`repro.core.snapshot` -- weights, buffer, RNG, clock, committed
-records) and resumes from it, executing only its own ``window_s`` of
-stream -- O(W) total.  Snapshots are journaled *before* their window
-record, so a crash anywhere restarts from the last journaled snapshot
-and recomputes at most one window.  The contract is bit-identity, never
-best-effort: a snapshot that fails validation (version bump, policy or
-seed mismatch, unaligned stream prefix) is discarded and the window
-falls back to a full prefix run -- identical output, just slower.
-``window_mode="prefix"`` (or ``REPRO_WINDOW_MODE=prefix``) disables
-snapshots entirely and restores the pure stateless dispatch.
+**Incremental windows.**  Windows keep the prefix run's results without
+its O(W^2) recompute: window ``i``'s job carries the run-state snapshot
+emitted by window ``i-1`` (:mod:`repro.core.snapshot` -- weights,
+buffer, RNG, clock, committed records) and resumes from it, executing
+only its own ``window_s`` of stream -- O(W) total.  Snapshots are
+journaled *before* their window record, so a crash anywhere restarts
+from the last journaled snapshot and recomputes at most one window.  The
+contract is bit-identity, never best-effort: the first window, a window
+ending off the stream's segment grid, and a snapshot that fails
+validation (version bump, policy or seed mismatch, unaligned stream
+prefix) all run the full prefix -- identical output, just slower.
 
 **Threads.**  The supervisor loop owns all state and runs in the calling
 thread.  A dispatcher thread feeds batches of window shards through the
@@ -60,14 +55,16 @@ an infrastructure failure degrades output, never liveness.
 :class:`~repro.share.policy.SharingPolicy` (``repro serve --sharing
 cluster``), streams are clustered by drift fingerprint as they are
 admitted (:class:`~repro.share.cluster.ClusterTracker`) and a cluster's
-windows route through a shared weight state: each window shard carries
-the cluster's newest encoded state, runs under a
-:class:`~repro.share.runtime.ClusterRuntime`, and returns the updated
+windows route through a shared weight state: each window job carries the
+tracker's cluster id and the cluster's newest encoded state, runs under
+a :class:`~repro.share.runtime.ClusterRuntime`, and returns the updated
 state, which is journaled as a ``cluster`` record so a resumed session
 keeps its accumulated reuse.  Because that state is read-modify-write,
 at most one window per *cluster* (not just per stream) is in flight at a
-time.  With sharing off -- the default -- none of this machinery runs
-and the journal is byte-identical to the historical format.
+time -- so a coalesced batched shard never holds two jobs of one
+cluster, and shared windows batch like any others.  With sharing off --
+the default -- none of this machinery runs and the journal is
+byte-identical to the historical format.
 
 **Admission control.**  Admitting a new stream while any live stream is
 shedding windows would only deepen the overload, so ``POST /admit``
@@ -100,7 +97,8 @@ from repro.exec import protocol
 from repro.exec.backends import resolve_backend
 from repro.exec.scheduler import Scheduler
 from repro.exec.shard import (
-    ShardResult,
+    CellJob,
+    CellOutcome,
     ShardSpec,
     batch_signature,
     cell_key,
@@ -123,18 +121,7 @@ from repro.batching import active_batching
 from repro.share.cluster import ClusterTracker
 from repro.share.policy import active_sharing
 
-__all__ = [
-    "FleetService",
-    "ServiceConfig",
-    "StreamState",
-    "WINDOW_MODE_ENV",
-    "WINDOW_MODES",
-]
-
-WINDOW_MODE_ENV = "REPRO_WINDOW_MODE"
-"""Environment default for :attr:`ServiceConfig.window_mode`."""
-
-WINDOW_MODES = ("incremental", "prefix")
+__all__ = ["FleetService", "ServiceConfig", "StreamState"]
 
 
 @dataclass
@@ -165,11 +152,6 @@ class ServiceConfig:
             unfinished across all streams (None = ``2 * workers``):
             admitting a thousand streams must queue windows, not
             swamp the dispatch layer.
-        window_mode: ``"incremental"`` (resume each window from its
-            predecessor's run-state snapshot; O(window) per window) or
-            ``"prefix"`` (stateless full-prefix recompute).  ``None``
-            reads ``$REPRO_WINDOW_MODE``, defaulting to incremental.
-            Both modes journal byte-identical window records.
     """
 
     out_dir: str | Path
@@ -184,21 +166,11 @@ class ServiceConfig:
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     max_inflight: int | None = None
-    window_mode: str | None = None
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ConfigurationError(
                 f"window_s must be positive, got {self.window_s!r}"
-            )
-        if self.window_mode is None:
-            self.window_mode = (
-                os.environ.get(WINDOW_MODE_ENV, "").strip() or "incremental"
-            )
-        if self.window_mode not in WINDOW_MODES:
-            raise ConfigurationError(
-                f"window_mode must be one of {', '.join(WINDOW_MODES)}; "
-                f"got {self.window_mode!r}"
             )
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
@@ -224,7 +196,7 @@ class StreamState:
             stale-served window reports).
         snapshot: Newest run-state snapshot for the stream (from the
             last fresh window, or replayed from the journal on resume);
-            None until one exists or in prefix mode.
+            None until one exists.
     """
 
     log: StreamLog
@@ -363,7 +335,6 @@ class FleetService:
             "policy": self.policy,
             "speedup": config.speedup,
             "window_s": config.window_s,
-            "window_mode": config.window_mode,
         }
         if self.sharing.enabled:
             start_detail["sharing"] = self.sharing.name
@@ -675,47 +646,45 @@ class FleetService:
     def _window_spec(self, state: StreamState, index: int) -> ShardSpec:
         _, end = state.pacer.span(index)
         end = float(end)
-        cell = replace(state.log.cell, duration_s=end)
-        cells = (cell,)
-        snapshot = None
-        emit = False
-        if self.config.window_mode == "incremental":
-            snap = state.snapshot
-            # Only resume a snapshot whose origin lies inside this
-            # window's prefix; anything newer (or malformed -- the
-            # worker re-validates) means a plain prefix run.
-            if (
-                snap is not None
-                and float(snap.get("origin_duration_s", 0.0)) <= end
-            ):
-                snapshot = snap
+        snapshot = state.snapshot
+        # Only resume a snapshot whose origin lies inside this window's
+        # prefix; anything newer (or malformed -- the worker
+        # re-validates) means a plain prefix run.
+        if (
+            snapshot is not None
+            and float(snapshot.get("origin_duration_s", 0.0)) > end
+        ):
+            snapshot = None
+        job = CellJob(
+            replace(state.log.cell, duration_s=end),
+            snapshot=snapshot,
             # The last window's snapshot would never be consumed, and an
             # unaligned boundary cannot be resumed bit-exactly (stream
             # segments re-seed every SEGMENT_S); skip the emit cost.
-            emit = (
+            emit_snapshot=(
                 index + 1 < state.log.total_windows
                 and stream_prefix_aligned(end)
-            )
-        sharing = "off"
-        cluster_state = None
-        emit_cluster = False
+            ),
+        )
         if self.sharing.enabled:
-            sharing = self.sharing.name
-            cid = self._stream_cluster.get(state.log.key)
-            cluster_state = self._cluster_states.get(cid)
-            emit_cluster = True
+            cid = self._stream_cluster[state.log.key]
+            job = replace(
+                job,
+                cluster=cid,
+                cluster_state=self._cluster_states.get(cid),
+                emit_cluster_state=True,
+            )
+        return self._spec([job])
+
+    def _spec(self, jobs: list[CellJob]) -> ShardSpec:
         return ShardSpec(
-            key=shard_key(self.policy, cells),
-            cells=cells,
-            indices=(0,),
+            key=shard_key(self.policy, [job.cell for job in jobs]),
+            jobs=tuple(jobs),
+            indices=tuple(range(len(jobs))),
             policy=self.policy,
-            profile=False,
             cache_root=os.environ.get(CACHE_ENV),
-            snapshot=snapshot,
-            emit_snapshot=emit,
-            sharing=sharing,
-            cluster_state=cluster_state,
-            emit_cluster_state=emit_cluster,
+            sharing=self.sharing.name,
+            batch=self.batching.name,
         )
 
     def _window_frames(self, state: StreamState, index: int) -> int:
@@ -738,16 +707,16 @@ class FleetService:
             if state is None or state.log.retired:
                 continue  # retired mid-flight: the result is discarded
             state.inflight = None
-            if isinstance(outcome, ShardResult):
+            if isinstance(outcome, CellOutcome):
                 self._on_fresh(state, w, outcome, now)
             else:
                 self._on_window_failure(state, w, outcome)
 
     def _on_fresh(
-        self, state: StreamState, w: int, outcome: ShardResult, now: float
+        self, state: StreamState, w: int, outcome: CellOutcome, now: float
     ) -> None:
         log = state.log
-        result = outcome.results[0]
+        result = outcome.result
         start, end = state.pacer.span(w)
         times = np.asarray(result.times)
         frames = int(np.count_nonzero((times >= start) & (times < end)))
@@ -769,14 +738,12 @@ class FleetService:
             dropped=0,
             result=protocol.encode_result(result),
         )
-        cluster_state = getattr(outcome, "cluster_state", None)
-        if cluster_state is not None:
+        if outcome.cluster_state is not None:
             # After the window record: losing this to a kill costs the
             # next window some reuse, never a window's provenance.
-            cid = self._stream_cluster.get(log.key)
-            if cid is not None:
-                self._cluster_states[cid] = cluster_state
-                self.journal.record_cluster(cid, cluster_state)
+            cid = self._stream_cluster[log.key]
+            self._cluster_states[cid] = outcome.cluster_state
+            self.journal.record_cluster(cid, outcome.cluster_state)
         state.last_fresh_accuracy = accuracy
         state.pacer.record_completion(w, now)
         if state.ladder.level == DegradeLevel.NORMAL:
@@ -842,7 +809,7 @@ class FleetService:
             # supervisor has released (bounded by max_inflight anyway) --
             # a serial backend then serves K streams per dispatch.
             limit = self._workers
-            if self.batching.enabled and not self.sharing.enabled:
+            if self.batching.enabled:
                 limit = max(limit, self._max_inflight)
             while len(batch) < limit:
                 try:
@@ -857,29 +824,13 @@ class FleetService:
             posted: set[tuple] = set()
 
             def on_complete(spec, result):
-                for i, (key, w, member) in enumerate(members[spec.key]):
-                    posted.add((key, w))
-                    if member is spec:
-                        self._results.put((key, w, result))
-                        continue
-                    # A coalesced shard fans back out: each member
-                    # window gets a synthetic single-cell result (its
-                    # slice is bit-identical to a singleton dispatch),
-                    # so _on_fresh and the journal never see batching.
-                    snapshot = None
-                    if result.snapshots is not None:
-                        snapshot = result.snapshots[i]
-                    self._results.put(
-                        (
-                            key,
-                            w,
-                            ShardResult(
-                                key=member.key,
-                                results=(result.results[i],),
-                                snapshot=snapshot,
-                            ),
-                        )
-                    )
+                # A coalesced shard fans back out: each member window
+                # gets its own job's outcome (bit-identical to a
+                # singleton dispatch), so _on_fresh and the journal never
+                # see batching.
+                for window, outcome in zip(members[spec.key], result.outcomes):
+                    posted.add(window)
+                    self._results.put((*window, outcome))
 
             scheduler.on_complete = on_complete
             try:
@@ -890,58 +841,44 @@ class FleetService:
                 # already posted via on_complete; the rest surface as
                 # per-window failures, never as a dead dispatcher.
                 for spec in specs:
-                    for key, w, _member in members[spec.key]:
+                    for key, w in members[spec.key]:
                         if (key, w) not in posted:
                             self._results.put((key, w, exc))
 
     def _coalesce(self, batch: list) -> tuple[list, dict]:
         """Merge batch-compatible window specs into batched shards.
 
-        The service-side leg of co-windowed batching: K same-geometry
-        single-cell window specs pulled in one dispatch round become one
-        K-cell batched spec -- advanced in lockstep by the batched
-        executor -- instead of K singleton dispatches.  Grouping is a
+        The service-side leg of co-windowed batching: with batching on,
+        K same-geometry single-job window specs pulled in one dispatch
+        round become one K-job spec -- advanced in lockstep by
+        :func:`~repro.exec.shard.execute_shard` -- instead of K singleton
+        dispatches.  Each job keeps its own snapshot, cluster id and
+        cluster state, so shared windows coalesce too: the
+        ``_cluster_inflight`` rule keeps two windows of one cluster out
+        of any round, so every job is its own lane.  Grouping is a
         performance decision only (the conductor stacks exactly the
         shape-matching calls and runs the rest serially), so every
-        member's result stays bit-identical to a singleton dispatch.
-        Sharing keeps its own cluster lanes; with it on (or batching
-        off) nothing is merged.  Returns ``(specs, members)`` where
-        ``members`` maps each dispatched spec key to its ``(stream key,
-        window, original spec)`` entries in result order.
+        member's outcome stays bit-identical to a singleton dispatch; a
+        lone window dispatches its own spec unchanged.  Returns
+        ``(specs, members)`` where ``members`` maps each dispatched spec
+        key to its ``(stream key, window)`` entries in job order.
         """
-        members: dict[str, list] = {}
-        specs: list[ShardSpec] = []
-        if not self.batching.enabled or self.sharing.enabled:
-            for key, w, spec in batch:
-                members[spec.key] = [(key, w, spec)]
-                specs.append(spec)
-            return specs, members
-        groups: dict[tuple, list] = {}
-        for key, w, spec in batch:
-            signature = batch_signature(spec.cells[0])
-            groups.setdefault(signature, []).append((key, w, spec))
-        for group in groups.values():
-            if len(group) == 1:
-                key, w, spec = group[0]
-                members[spec.key] = [(key, w, spec)]
-                specs.append(spec)
-                continue
-            cells = tuple(spec.cells[0] for _, _, spec in group)
-            merged = ShardSpec(
-                key=shard_key(self.policy, cells),
-                cells=cells,
-                indices=tuple(range(len(cells))),
-                policy=self.policy,
-                profile=False,
-                cache_root=os.environ.get(CACHE_ENV),
-                batch=self.batching.name,
-                snapshots=tuple(spec.snapshot for _, _, spec in group),
-                emit_snapshots=tuple(
-                    spec.emit_snapshot for _, _, spec in group
-                ),
+        groups: dict[object, list] = {}
+        for position, (key, w, spec) in enumerate(batch):
+            signature = (
+                batch_signature(spec.cells[0])
+                if self.batching.enabled
+                else position
             )
-            members[merged.key] = list(group)
-            specs.append(merged)
+            groups.setdefault(signature, []).append((key, w, spec))
+        specs: list[ShardSpec] = []
+        members: dict[str, list] = {}
+        for group in groups.values():
+            spec = group[0][2]
+            if len(group) > 1:
+                spec = self._spec([member.jobs[0] for _, _, member in group])
+            members[spec.key] = [(key, w) for key, w, _ in group]
+            specs.append(spec)
         return specs, members
 
     # -- snapshot / shutdown -------------------------------------------
@@ -985,7 +922,6 @@ class FleetService:
         snapshot = {
             "policy": self.policy,
             "window_s": self.config.window_s,
-            "window_mode": self.config.window_mode,
             "speedup": self.config.speedup,
             "eager": self.clock.eager,
             "backend": backend_info,

@@ -203,7 +203,7 @@ class SweepPlan:
 
         Uses the executor's own shard plan -- with a batch policy active,
         :func:`plan_shards` groups geometry-compatible cells -- so the
-        reported groups are exactly the shards ``run_cells_batched`` will
+        reported groups are exactly the shards ``execute_shard`` will
         advance in lockstep.  Per numpy call a K-cell group serves all K
         members, so dispatches drop from ~cells to ~groups; the realized
         ratio is measured by ``benchmarks/bench_batched.py``.
@@ -286,7 +286,8 @@ class SweepPlan:
                     if len(shard) < 2:
                         continue
                     signature = "/".join(
-                        str(part) for part in batch_signature(shard[0][1])
+                        str(part)
+                        for part in batch_signature(shard[0][1].cell)
                     )
                     lines.append(
                         f"  [{group.policy.name}] batch {signature}: "

@@ -97,7 +97,9 @@ class TestSharding:
         shards = plan_shards(cells, jobs=2)
         assert len(shards) == 2  # one per (scenario, seed, duration) stream
         for shard in shards:
-            signatures = {(cell.scenario, cell.seed) for _, cell in shard}
+            signatures = {
+                (job.cell.scenario, job.cell.seed) for _, job in shard
+            }
             assert len(signatures) == 1
         # every cell appears exactly once, with its original index
         indices = sorted(index for shard in shards for index, _ in shard)

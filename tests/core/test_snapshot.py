@@ -1,8 +1,8 @@
 """Run-state snapshots: bit-identical incremental execution.
 
-The contract under test: chaining ``run_cell_incremental`` window by
-window -- each window resuming the previous window's encoded snapshot --
-produces results byte-identical to full prefix runs, across every
+The contract under test: chaining ``run_job`` window by window -- each
+window resuming the previous window's encoded snapshot -- produces
+results byte-identical to full prefix runs, across every
 scheduler family; and any snapshot a run must *not* resume from (wrong
 version, policy, cell, seed, or an unaligned origin) is refused with
 :class:`SnapshotError` so callers fall back to the prefix run.
@@ -25,11 +25,19 @@ from repro.core.snapshot import (
 )
 from repro.data.scenarios import SEGMENT_S
 from repro.errors import ScheduleError, SnapshotError
-from repro.exec.shard import Fig2Cell, SystemCell, run_cell, run_cell_incremental
+from repro.exec.shard import CellJob, Fig2Cell, SystemCell, run_cell, run_job
 from repro.numeric import active_policy
 from repro.reference import run_digest
 
 PAIR = "resnet18_wrn50"
+
+
+def run_incremental(cell, snapshot=None, emit_snapshot=False):
+    """``(result, snapshot)`` of one resumable job."""
+    outcome = run_job(
+        CellJob(cell, snapshot=snapshot, emit_snapshot=emit_snapshot)
+    )
+    return outcome.result, outcome.snapshot
 
 
 def chain_windows(cell, window_s):
@@ -39,7 +47,7 @@ def chain_windows(cell, window_s):
     snapshot = None
     end = window_s
     while end <= total + 1e-9:
-        result, snapshot = run_cell_incremental(
+        result, snapshot = run_incremental(
             replace(cell, duration_s=float(end)),
             snapshot=snapshot,
             emit_snapshot=True,
@@ -121,7 +129,7 @@ class TestDecodeRejections:
     @pytest.fixture(scope="class")
     def snapshot(self):
         cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 60.0)
-        _, snapshot = run_cell_incremental(cell, emit_snapshot=True)
+        _, snapshot = run_incremental(cell, emit_snapshot=True)
         assert snapshot is not None
         return snapshot
 
@@ -208,34 +216,34 @@ class TestIncrementalBitIdentity:
 class TestIncrementalFallbacks:
     def test_unaligned_duration_emits_no_snapshot(self):
         cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 90.0)
-        result, snapshot = run_cell_incremental(cell, emit_snapshot=True)
+        result, snapshot = run_incremental(cell, emit_snapshot=True)
         assert snapshot is None
         assert run_digest(result) == run_digest(run_cell(cell))
 
     def test_bad_snapshot_falls_back_to_prefix(self):
         cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 60.0)
-        _, snapshot = run_cell_incremental(cell, emit_snapshot=True)
+        _, snapshot = run_incremental(cell, emit_snapshot=True)
         longer = replace(cell, duration_s=120.0)
         stale = dict(snapshot, v=SNAPSHOT_VERSION + 1)
-        result, _ = run_cell_incremental(longer, snapshot=stale)
+        result, _ = run_incremental(longer, snapshot=stale)
         assert run_digest(result) == run_digest(run_cell(longer))
 
     def test_corrupt_weights_fall_back_to_prefix(self):
         # Decode succeeds but restore blows up mid-way: the run must be
         # rebuilt fresh, not resumed from half-restored state.
         cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 60.0)
-        _, snapshot = run_cell_incremental(cell, emit_snapshot=True)
+        _, snapshot = run_incremental(cell, emit_snapshot=True)
         longer = replace(cell, duration_s=120.0)
         corrupt = json.loads(json.dumps(snapshot))
         corrupt["correct"] = encode_array(np.zeros(3, dtype=bool))
-        result, _ = run_cell_incremental(longer, snapshot=corrupt)
+        result, _ = run_incremental(longer, snapshot=corrupt)
         assert run_digest(result) == run_digest(run_cell(longer))
 
 
 class TestEncodeIdentity:
     def test_payload_names_its_run(self):
         cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 3, 60.0)
-        _, snapshot = run_cell_incremental(cell, emit_snapshot=True)
+        _, snapshot = run_incremental(cell, emit_snapshot=True)
         assert snapshot["v"] == SNAPSHOT_VERSION
         assert snapshot["system"] == "DaCapo-Ekya"
         assert snapshot["scenario"] == "S1"

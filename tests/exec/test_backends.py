@@ -9,7 +9,9 @@ from repro.core.parallel import run_cells
 from repro.errors import ConfigurationError
 from repro.exec import (
     BACKEND_ENV,
-    FAULT_TOKEN_ENV,
+    FAULT_PLAN_ENV,
+    FaultEntry,
+    FaultPlan,
     ProcessPoolBackend,
     SerialBackend,
     ShardFailure,
@@ -18,8 +20,10 @@ from repro.exec import (
     active_backend_spec,
     make_backend,
     parse_backend,
+    save_plan,
     use_backend,
 )
+from repro.exec.faults import tokens_dir
 from repro.numeric import active_policy
 from repro.reference import reference_path, run_digest
 
@@ -135,16 +139,24 @@ class TestSmokeGridDigests:
             assert reference[key]["digest"] == run_digest(result), key
 
 
+def arm_one_death(tmp_path, monkeypatch):
+    """Arm a one-entry ``die-once`` plan; returns its token directory."""
+    plan = save_plan(
+        FaultPlan((FaultEntry("die-once"),)), tmp_path / "die.json"
+    )
+    monkeypatch.setenv(FAULT_PLAN_ENV, str(plan))
+    return tokens_dir(plan)
+
+
 class TestWorkerDeath:
     def test_subprocess_worker_death_retries_identically(
         self, tmp_path, monkeypatch
     ):
-        token = tmp_path / "die"
-        token.touch()
-        monkeypatch.setenv(FAULT_TOKEN_ENV, str(token))
+        tokens = arm_one_death(tmp_path, monkeypatch)
         dispatched = run_cells(CELLS, backend="subprocess:2")
-        assert not token.exists()  # exactly one worker claimed it and died
-        monkeypatch.delenv(FAULT_TOKEN_ENV)
+        # Exactly one worker claimed the token and died.
+        assert not any(tokens.iterdir())
+        monkeypatch.delenv(FAULT_PLAN_ENV)
         serial = run_cells(CELLS, jobs=1)
         assert [run_digest(a) for a in dispatched] == [
             run_digest(b) for b in serial
@@ -156,12 +168,10 @@ class TestWorkerDeath:
         # The satellite fix: a dying pool worker used to surface as an
         # opaque BrokenProcessPool traceback; now the scheduler retries
         # on a fresh pool and the results stay identical.
-        token = tmp_path / "die"
-        token.touch()
-        monkeypatch.setenv(FAULT_TOKEN_ENV, str(token))
+        tokens = arm_one_death(tmp_path, monkeypatch)
         dispatched = run_cells(CELLS, jobs=2, backend="process:2")
-        assert not token.exists()
-        monkeypatch.delenv(FAULT_TOKEN_ENV)
+        assert not any(tokens.iterdir())
+        monkeypatch.delenv(FAULT_PLAN_ENV)
         serial = run_cells(CELLS, jobs=1)
         assert [run_digest(a) for a in dispatched] == [
             run_digest(b) for b in serial

@@ -2,16 +2,15 @@
 
 The contract under test, at every layer:
 
-- cell level: ``run_cells_batched`` reproduces the serial per-cell
-  digests exactly, K=1 degenerates to the serial code path, and the
-  frozen ``digests_batched.json`` pins the batched smoke digests to the
-  (pre-batching) float64 reference;
+- cell level: a batched shard through ``execute_shard`` reproduces the
+  serial per-cell digests exactly, one lane degenerates to the serial
+  code path, and the frozen ``digests_batched.json`` pins the batched
+  smoke digests to the (pre-batching) float64 reference;
 - planner level: batching groups by geometry signature, mixed numeric
-  policies never share a batch key, observed shard walls re-weight the
+  policies never share a batch shard, observed shard walls re-weight the
   split loop, and the off-path plan is byte-identical to history;
-- protocol level: the additive shard fields round-trip;
-- composition: sharing clusters batch against each other bit-identically,
-  and the service's coalesced dispatch fans back out per window.
+- protocol level: the per-cell job and outcome fields round-trip;
+- composition: sharing clusters batch against each other bit-identically.
 """
 
 import json
@@ -22,16 +21,19 @@ import pytest
 
 from repro import profiling
 from repro.batching import ON, use_batching
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import protocol
-from repro.exec.batched import BatchConductor, run_cells_batched
+from repro.exec.batched import BatchConductor
 from repro.exec.shard import (
+    CellJob,
+    CellOutcome,
+    ShardResult,
     ShardSpec,
     SystemCell,
     batch_signature,
-    cell_batch_key,
     cell_key,
     execute_shard,
+    make_shard_specs,
     note_shard_observation,
     observed_cost,
     plan_shards,
@@ -52,6 +54,17 @@ CELLS = [
 ]
 
 
+def spec_of(cells, batch="on") -> ShardSpec:
+    """A one-job-per-cell spec over ``cells``."""
+    return ShardSpec(
+        key=shard_key(POLICY, cells),
+        jobs=tuple(CellJob(cell) for cell in cells),
+        indices=tuple(range(len(cells))),
+        policy=POLICY,
+        batch=batch,
+    )
+
+
 def batched_reference_path() -> Path:
     return Path(__file__).resolve().parents[1] / "reference" / (
         "digests_batched.json"
@@ -68,26 +81,27 @@ def _clean_costs():
 class TestBitIdentity:
     def test_batched_matches_serial_digests(self):
         serial = [run_digest(run_cell(cell)) for cell in CELLS]
-        with use_batching(ON):
-            pairs = run_cells_batched(CELLS)
-        assert [run_digest(result) for result, _ in pairs] == serial
-        assert all(snapshot is None for _, snapshot in pairs)
+        result = execute_shard(spec_of(CELLS))
+        assert [run_digest(run) for run in result.results] == serial
 
     def test_k1_is_the_serial_code_path(self, monkeypatch):
-        # A single cell must not spin up lanes or a conductor at all.
-        import repro.exec.batched as batched
+        # A single lane must not spin up lane threads or a conductor.
+        import repro.exec.shard as shard
 
         def boom(jobs):
-            raise AssertionError("lane driver engaged for K=1")
+            raise AssertionError("lane threads engaged for one lane")
 
-        monkeypatch.setattr(batched, "run_lane_jobs", boom)
-        with use_batching(ON):
-            pairs = run_cells_batched(CELLS[:1])
-        assert run_digest(pairs[0][0]) == run_digest(run_cell(CELLS[0]))
+        monkeypatch.setattr(shard, "run_lane_jobs", boom)
+        (run,) = execute_shard(spec_of(CELLS[:1])).results
+        assert run_digest(run) == run_digest(run_cell(CELLS[0]))
 
     def test_snapshot_alignment_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_cells_batched(CELLS, snapshots=[None])
+        # Per-cell snapshots travel in the jobs list, which must line up
+        # with the cells it describes.
+        request = protocol.encode_shard_request(spec_of(CELLS))
+        request["jobs"] = [{"snapshot": {"origin_duration_s": 30.0}}]
+        with pytest.raises(ProtocolError, match="one valid entry per cell"):
+            protocol.decode_shard_spec(request)
 
     def test_conductor_needs_a_lane(self):
         with pytest.raises(ConfigurationError):
@@ -122,19 +136,21 @@ class TestPlanner:
         assert batch_signature(CELLS[0]) == batch_signature(CELLS[2])
 
     def test_mixed_policies_never_share_a_batch_key(self):
-        assert cell_batch_key("float64", CELLS[0]) != cell_batch_key(
-            "float32", CELLS[0]
-        )
-        assert cell_batch_key("float64", CELLS[0]) == cell_batch_key(
-            "float64", CELLS[1]
-        )
+        # A spec carries one numeric policy and its key folds the policy
+        # in: cells under different policies never co-batch.
+        with use_batching(ON):
+            (f64,) = make_shard_specs(CELLS, 1, "float64")
+            (f32,) = make_shard_specs(CELLS, 1, "float32")
+        assert f64.cells == f32.cells == tuple(CELLS)
+        assert (f64.policy, f32.policy) == ("float64", "float32")
+        assert f64.key != f32.key
 
     def test_off_path_plan_is_historical(self):
         shards = plan_shards(CELLS, 1)
         # Without batching, cells group by stream signature: the two S4
         # seeds share one stream-signature family, S1 is its own.
         signatures = {
-            stream_signature(shard[0][1]) for shard in shards
+            stream_signature(shard[0][1].cell) for shard in shards
         }
         assert len(shards) == len(signatures)
 
@@ -160,7 +176,7 @@ class TestPlanner:
         policy = active_policy().name
         spec = ShardSpec(
             key=shard_key(policy, heavy),
-            cells=tuple(heavy),
+            jobs=tuple(CellJob(cell) for cell in heavy),
             indices=(0, 1),
             policy=policy,
         )
@@ -171,17 +187,12 @@ class TestPlanner:
         assert len(shards) == 3
         split = [
             shard for shard in shards
-            if len(shard) == 1 and shard[0][1].scenario == "S4"
+            if len(shard) == 1 and shard[0][1].cell.scenario == "S4"
         ]
         assert len(split) == 2, "the observed-heavy group did not split"
 
     def test_observation_guards(self):
-        spec = ShardSpec(
-            key=shard_key(POLICY, CELLS[:1]),
-            cells=tuple(CELLS[:1]),
-            indices=(0,),
-            policy=POLICY,
-        )
+        spec = spec_of(CELLS[:1], batch="off")
         note_shard_observation(spec, None)
         note_shard_observation(spec, 0.0)
         assert observed_cost(cell_key(POLICY, CELLS[0])) == 1.0
@@ -191,44 +202,53 @@ class TestProtocol:
     def test_shard_request_round_trip(self):
         spec = ShardSpec(
             key=shard_key(POLICY, CELLS[:2]),
-            cells=tuple(CELLS[:2]),
+            jobs=(
+                CellJob(CELLS[0], emit_snapshot=True),
+                CellJob(CELLS[1], snapshot={"origin_duration_s": 30.0}),
+            ),
             indices=(0, 1),
             policy=POLICY,
             batch="on",
-            snapshots=(None, {"origin_duration_s": 30.0}),
-            emit_snapshots=(True, False),
         )
         decoded = protocol.decode_shard_spec(
             protocol.decode_message(
                 protocol.encode_message(protocol.encode_shard_request(spec))
             )
         )
-        assert decoded.batch == "on"
-        assert decoded.snapshots == (None, {"origin_duration_s": 30.0})
-        assert decoded.emit_snapshots == (True, False)
+        assert decoded == spec
 
     def test_off_path_request_bytes_unchanged(self):
-        spec = ShardSpec(
-            key=shard_key(POLICY, CELLS[:1]),
-            cells=tuple(CELLS[:1]),
-            indices=(0,),
-            policy=POLICY,
+        # A plain sweep shard carries no per-cell fields: its message is
+        # the historical one under the new version number.
+        message = protocol.encode_shard_request(
+            spec_of(CELLS[:1], batch="off")
         )
-        message = protocol.encode_shard_request(spec)
-        for field in ("batch", "snapshots", "emit_snapshots"):
-            assert field not in message
+        assert set(message) == {
+            "v", "kind", "id", "cells", "policy", "profile", "cache_root",
+        }
 
     def test_result_round_trip_carries_wall_and_snapshots(self):
-        result = run_cell(CELLS[2])
-        message = protocol.encode_shard_result(
-            "k", [result], None, snapshots=(None,), wall_s=1.25
+        run = run_cell(CELLS[2])
+        result = ShardResult(
+            key="k",
+            outcomes=(
+                CellOutcome(run),
+                CellOutcome(run, snapshot={"origin_duration_s": 60.0}),
+            ),
+            wall_s=1.25,
         )
+        message = protocol.encode_shard_result(result)
+        assert message["outcomes"] == [
+            {}, {"snapshot": {"origin_duration_s": 60.0}}
+        ]
         decoded = protocol.decode_shard_result(
             protocol.decode_message(protocol.encode_message(message))
         )
         assert decoded.wall_s == 1.25
-        assert decoded.snapshots == (None,)
-        assert run_digest(decoded.results[0]) == run_digest(result)
+        assert [o.snapshot for o in decoded.outcomes] == [
+            None, {"origin_duration_s": 60.0}
+        ]
+        assert run_digest(decoded.results[0]) == run_digest(run)
 
 
 class TestProfileReconciliation:
@@ -242,8 +262,7 @@ class TestProfileReconciliation:
         profiler = profiling.enable()
         try:
             started = time.perf_counter()
-            with use_batching(ON):
-                run_cells_batched(CELLS)
+            execute_shard(spec_of(CELLS))
             wall = time.perf_counter() - started
         finally:
             profiling.disable()
@@ -262,27 +281,23 @@ class TestSharingComposition:
         # sharing-only (sequential) execution.
         fleet = [
             SystemCell(
-                "DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", s, 120.0
+                "DaCapo-Spatiotemporal", "resnet18_wrn50", scenario, s, 120.0
             )
-            for s in range(2)
-        ] + [
-            SystemCell(
-                "DaCapo-Spatiotemporal", "resnet18_wrn50", "S1", s, 120.0
-            )
+            for scenario in ("S4", "S1")
             for s in range(2)
         ]
 
         def digests(batch):
             spec = ShardSpec(
                 key=shard_key(POLICY, fleet),
-                cells=tuple(fleet),
+                jobs=tuple(
+                    CellJob(cell, cluster=cell.scenario) for cell in fleet
+                ),
                 indices=tuple(range(len(fleet))),
                 policy=POLICY,
                 sharing="cluster",
                 batch=batch,
             )
-            results, _, _, snapshots, _ = execute_shard(spec)
-            assert snapshots is None
-            return [run_digest(result) for result in results]
+            return [run_digest(run) for run in execute_shard(spec).results]
 
         assert digests("on") == digests("off")

@@ -164,13 +164,3 @@ class TestCorruptReply:
     def test_empty_results_still_invalidated(self):
         out = faults.corrupt_reply({"results": []}, "garble")
         assert out["results"] == [{"corrupt": True}]
-
-
-class TestLegacyDieToken:
-    def test_unarmed_token_is_a_no_op(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(
-            faults.FAULT_TOKEN_ENV, str(tmp_path / "absent")
-        )
-        faults.consume_die_token()  # must not exit: file does not exist
-        monkeypatch.delenv(faults.FAULT_TOKEN_ENV)
-        faults.consume_die_token()

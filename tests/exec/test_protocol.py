@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.exec import Fig2Cell, ShardSpec, SystemCell
+from repro.exec import (
+    CellJob,
+    CellOutcome,
+    Fig2Cell,
+    ShardResult,
+    ShardSpec,
+    SystemCell,
+)
 from repro.exec import protocol
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
@@ -123,8 +130,12 @@ class TestShardMessages:
     def spec(self):
         return ShardSpec(
             key="abc123",
-            cells=(
-                SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", 0, 60.0),
+            jobs=(
+                CellJob(
+                    SystemCell(
+                        "OrinHigh-Ekya", "resnet18_wrn50", "S1", 0, 60.0
+                    )
+                ),
             ),
             indices=(5,),
             policy="float32",
@@ -148,7 +159,11 @@ class TestShardMessages:
     def test_result_message_round_trip(self):
         result = synthetic_result()
         message = protocol.encode_shard_result(
-            "abc123", [result], {"retrain": {"total_s": 1.0, "count": 2}}
+            ShardResult(
+                key="abc123",
+                outcomes=(CellOutcome(result),),
+                profile={"retrain": {"total_s": 1.0, "count": 2}},
+            )
         )
         decoded = protocol.decode_shard_result(
             protocol.decode_message(protocol.encode_message(message))
@@ -162,11 +177,27 @@ class TestShardMessages:
             protocol.decode_shard_result({"id": "k", "results": 5})
         with pytest.raises(ProtocolError, match="must be an object"):
             protocol.decode_shard_spec({"id": "k", "cells": ["x"]})
-        # Per-cell lists must line up with the cells they describe.
-        request = protocol.encode_shard_request(self.spec())
-        request["emit_snapshots"] = [True, False]
+        # Per-cell lists must line up with the cells they describe, and
+        # hold only known fields of their JSON types.
+        for jobs in (
+            [{"emit_snapshot": True}, {}],
+            [{"emit_snapshot": 1}],
+            [{"cluster": None}],
+            [{"window": 3}],
+            ["c0"],
+        ):
+            request = protocol.encode_shard_request(self.spec())
+            request["jobs"] = jobs
+            with pytest.raises(
+                ProtocolError, match="one valid entry per cell"
+            ):
+                protocol.decode_shard_spec(request)
+        message = protocol.encode_shard_result(
+            ShardResult(key="k", outcomes=(CellOutcome(synthetic_result()),))
+        )
+        message["outcomes"] = [{"snapshot": []}]
         with pytest.raises(ProtocolError, match="one valid entry per cell"):
-            protocol.decode_shard_spec(request)
+            protocol.decode_shard_result(message)
 
     def test_messages_are_single_lines(self):
         request = protocol.encode_shard_request(self.spec())
@@ -174,37 +205,45 @@ class TestShardMessages:
 
     def test_snapshot_fields_round_trip(self):
         snap = {"v": 1, "origin_duration_s": 60.0, "clock": 42.5}
-        spec = replace(self.spec(), snapshot=snap, emit_snapshot=True)
+        (job,) = self.spec().jobs
+        spec = replace(
+            self.spec(),
+            jobs=(replace(job, snapshot=snap, emit_snapshot=True),),
+        )
         request = protocol.encode_shard_request(spec)
+        # One per-cell entry, holding only the fields the job sets.
+        assert request["jobs"] == [{"snapshot": snap, "emit_snapshot": True}]
         decoded = protocol.decode_shard_spec(
             protocol.decode_message(protocol.encode_message(request))
         )
-        assert decoded.snapshot == snap
-        assert decoded.emit_snapshot is True
+        assert decoded.jobs == spec.jobs
 
-        result = synthetic_result()
-        message = protocol.encode_shard_result(
-            "abc123", [result], None, snap
+        result = ShardResult(
+            key="abc123",
+            outcomes=(CellOutcome(synthetic_result(), snapshot=snap),),
         )
+        message = protocol.encode_shard_result(result)
+        assert message["outcomes"] == [{"snapshot": snap}]
         back = protocol.decode_shard_result(
             protocol.decode_message(protocol.encode_message(message))
         )
-        assert back.snapshot == snap
+        assert back.outcomes[0].snapshot == snap
+        assert back.outcomes[0].cluster_state is None
 
     def test_snapshot_fields_absent_by_default(self):
-        # Batch shards keep their historical byte shape: no snapshot keys
-        # unless the spec carries them.
+        # Plain sweep shards keep their historical byte shape: no
+        # per-cell lists unless some job or outcome sets a field.
         request = protocol.encode_shard_request(self.spec())
-        assert "snapshot" not in request
-        assert "emit_snapshot" not in request
+        assert "jobs" not in request
         decoded = protocol.decode_shard_spec(
             protocol.decode_message(protocol.encode_message(request))
         )
-        assert decoded.snapshot is None
-        assert decoded.emit_snapshot is False
-        message = protocol.encode_shard_result("abc123", [], None)
-        assert "snapshot" not in message
-        assert protocol.decode_shard_result(message).snapshot is None
+        assert decoded.jobs == self.spec().jobs
+        message = protocol.encode_shard_result(
+            ShardResult(key="abc123", outcomes=())
+        )
+        assert "outcomes" not in message
+        assert protocol.decode_shard_result(message).outcomes == ()
 
     def test_numpy_scalars_in_profile_snapshots(self):
         message = {
@@ -226,9 +265,11 @@ class TestShardMessages:
 
 class TestFraming:
     def test_version_mismatch_rejected(self):
-        line = json.dumps({"v": 999, "kind": "hello"})
-        with pytest.raises(ProtocolError, match="version mismatch"):
-            protocol.decode_message(line)
+        # Version 1 peers (singular and plural snapshot fields) included.
+        for version in (999, 1):
+            line = json.dumps({"v": version, "kind": "hello"})
+            with pytest.raises(ProtocolError, match="version mismatch"):
+                protocol.decode_message(line)
 
     def test_undecodable_line_rejected(self):
         with pytest.raises(ProtocolError):

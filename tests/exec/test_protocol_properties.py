@@ -6,8 +6,6 @@ either decode or raise :class:`ProtocolError` -- never a raw exception,
 which would escape the transports' retry handling as a traceback.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,17 +13,25 @@ from hypothesis import strategies as st
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
 from repro.errors import ProtocolError
-from repro.exec import Fig2Cell, ShardResult, ShardSpec, SystemCell, protocol
+from repro.exec import (
+    CellJob,
+    CellOutcome,
+    Fig2Cell,
+    ShardResult,
+    ShardSpec,
+    SystemCell,
+    protocol,
+)
 from repro.reference import run_digest
 
 SPEC_FIELDS = (
     "v", "kind", "id", "cells", "policy", "profile", "cache_root",
-    "snapshot", "emit_snapshot", "sharing", "cluster_state",
-    "emit_cluster_state", "batch", "snapshots", "emit_snapshots",
+    "sharing", "batch", "jobs",
 )
-RESULT_FIELDS = (
-    "v", "kind", "id", "results", "profile", "snapshot", "cluster_state",
-    "snapshots", "wall_s",
+RESULT_FIELDS = ("v", "kind", "id", "results", "profile", "outcomes", "wall_s")
+JOB_FIELDS = (
+    "cluster", "snapshot", "emit_snapshot", "cluster_state",
+    "emit_cluster_state", "unknown",
 )
 
 json_values = st.recursive(
@@ -62,28 +68,29 @@ cells = st.one_of(
 )
 
 
+jobs = st.builds(
+    CellJob,
+    cells,
+    cluster=st.none() | names,
+    snapshot=st.none() | objects,
+    emit_snapshot=st.booleans(),
+    cluster_state=st.none() | objects,
+    emit_cluster_state=st.booleans(),
+)
+
+
 @st.composite
 def shard_specs(draw):
-    spec_cells = tuple(draw(st.lists(cells, max_size=4)))
-    count = len(spec_cells)
-    per_cell = st.none() | st.tuples(*[st.none() | objects] * count)
+    spec_jobs = tuple(draw(st.lists(jobs, max_size=4)))
     return ShardSpec(
         key=draw(names),
-        cells=spec_cells,
-        indices=tuple(range(count)),
+        jobs=spec_jobs,
+        indices=tuple(range(len(spec_jobs))),
         policy=draw(names),
         profile=draw(st.booleans()),
         cache_root=draw(st.none() | names),
-        snapshot=draw(st.none() | objects),
-        emit_snapshot=draw(st.booleans()),
         sharing=draw(names),
-        cluster_state=draw(st.none() | objects),
-        emit_cluster_state=draw(st.booleans()),
         batch=draw(names),
-        snapshots=draw(per_cell),
-        emit_snapshots=draw(
-            st.none() | st.tuples(*[st.booleans()] * count)
-        ),
     )
 
 
@@ -117,14 +124,17 @@ def shard_results(draw):
             )
         )
     )
-    count = len(results)
     return ShardResult(
         key=draw(names),
-        results=results,
+        outcomes=tuple(
+            CellOutcome(
+                result,
+                snapshot=draw(st.none() | objects),
+                cluster_state=draw(st.none() | objects),
+            )
+            for result in results
+        ),
         profile=draw(st.none() | objects),
-        snapshot=draw(st.none() | objects),
-        cluster_state=draw(st.none() | objects),
-        snapshots=draw(st.none() | st.tuples(*[st.none() | objects] * count)),
         wall_s=draw(
             st.none() | st.floats(min_value=0.0, allow_infinity=False)
         ),
@@ -148,16 +158,18 @@ def test_shard_spec_round_trips(spec):
 @given(shard_results())
 @settings(max_examples=50, deadline=None)
 def test_shard_result_round_trips(result):
-    message = protocol.encode_shard_result(
-        result.key, result.results, result.profile, result.snapshot,
-        cluster_state=result.cluster_state, snapshots=result.snapshots,
-        wall_s=result.wall_s,
+    decoded = protocol.decode_shard_result(
+        wire(protocol.encode_shard_result(result))
     )
-    decoded = protocol.decode_shard_result(wire(message))
     assert [run_digest(r) for r in decoded.results] == [
         run_digest(r) for r in result.results
     ]
-    assert replace(decoded, results=result.results) == result
+    assert [(o.snapshot, o.cluster_state) for o in decoded.outcomes] == [
+        (o.snapshot, o.cluster_state) for o in result.outcomes
+    ]
+    assert (decoded.key, decoded.profile, decoded.wall_s) == (
+        result.key, result.profile, result.wall_s
+    )
 
 
 def decodes_or_refuses(decode, message: dict) -> None:
@@ -175,15 +187,28 @@ def test_spec_with_any_field_replaced_decodes_or_refuses(spec, field, value):
     decodes_or_refuses(protocol.decode_shard_spec, message)
 
 
+@given(
+    shard_specs().filter(lambda spec: spec.jobs),
+    st.data(),
+    st.sampled_from(JOB_FIELDS),
+    json_values,
+)
+@settings(max_examples=200, deadline=None)
+def test_job_entry_with_any_field_replaced_decodes_or_refuses(
+    spec, data, field, value
+):
+    message = protocol.encode_shard_request(spec)
+    entries = message.setdefault("jobs", [{} for _ in spec.jobs])
+    index = data.draw(st.integers(0, len(entries) - 1))
+    entries[index][field] = value
+    decodes_or_refuses(protocol.decode_shard_spec, message)
+
+
 @given(shard_results(), st.sampled_from(RESULT_FIELDS), json_values)
 @settings(max_examples=200, deadline=None)
 def test_result_with_any_field_replaced_decodes_or_refuses(
     result, field, value
 ):
-    message = protocol.encode_shard_result(
-        result.key, result.results, result.profile, result.snapshot,
-        cluster_state=result.cluster_state, snapshots=result.snapshots,
-        wall_s=result.wall_s,
-    )
+    message = protocol.encode_shard_result(result)
     message[field] = value
     decodes_or_refuses(protocol.decode_shard_result, message)

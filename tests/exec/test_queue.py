@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.exec import (
     QueueBackend,
     ShardFailure,
+    ShardResult,
     SystemCell,
     execute_cells,
     faults,
@@ -163,7 +164,7 @@ class TestQueueExecution:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("results", 5), ("results", ["x"]), ("snapshots", "abc"),
+        [("results", 5), ("results", ["x"]), ("outcomes", "abc"),
          ("wall_s", "slow")],
     )
     def test_mis_shaped_result_is_a_retriable_failure(
@@ -174,7 +175,9 @@ class TestQueueExecution:
         backend = QueueBackend(1, directory=tmp_path / "q", spawn=False)
         try:
             spec, = make_shard_specs(CELLS[:1], 1, "float64")
-            message = protocol.encode_shard_result(spec.key, [], None)
+            message = protocol.encode_shard_result(
+                ShardResult(key=spec.key, outcomes=())
+            )
             message[field] = value
             path = backend.layout.results / backend.layout.message_name(
                 spec.key

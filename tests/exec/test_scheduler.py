@@ -10,6 +10,7 @@ from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.exec import (
+    CellOutcome,
     Scheduler,
     ShardFailure,
     ShardQuarantined,
@@ -78,8 +79,9 @@ class FlakyBackend:
                 outcomes.append(
                     ShardResult(
                         key=spec.key,
-                        results=tuple(
-                            tiny_result(cell.seed) for cell in spec.cells
+                        outcomes=tuple(
+                            CellOutcome(tiny_result(cell.seed))
+                            for cell in spec.cells
                         ),
                     )
                 )
@@ -202,8 +204,9 @@ class TestScheduler:
                     if spec.key == poison_key
                     else ShardResult(
                         key=spec.key,
-                        results=tuple(
-                            tiny_result(c.seed) for c in spec.cells
+                        outcomes=tuple(
+                            CellOutcome(tiny_result(c.seed))
+                            for c in spec.cells
                         ),
                     )
                     for spec in inner
@@ -306,7 +309,7 @@ class TestSweepJournal:
         cell = SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", seed, 60.0)
         spec = make_shard_specs([cell], 1, "float64")[0]
         result = ShardResult(
-            key=spec.key, results=(tiny_result(seed),)
+            key=spec.key, outcomes=(CellOutcome(tiny_result(seed)),)
         )
         return cell, spec, result
 

@@ -2,19 +2,29 @@
 
 The daemon's batching leg has two halves with different testability:
 ``_coalesce`` is a pure function of the pulled dispatch batch, so its
-merge/passthrough rules are pinned directly on constructed specs; the
-live coalescing in ``_dispatch_loop`` is opportunistic (it merges
-whatever happens to be co-due in one pull), so the end-to-end test
-asserts the only thing that must hold regardless of timing -- every
-journaled window digest is bit-identical to an unbatched serve.
+merge/passthrough rules are pinned directly on constructed specs (and
+driven once through the dispatcher with a stub backend, to show each
+stream getting its own outcome back); the live coalescing in
+``_dispatch_loop`` is opportunistic (it merges whatever happens to be
+co-due in one pull), so the end-to-end test asserts the only thing that
+must hold regardless of timing -- every journaled window digest is
+bit-identical to an unbatched serve.
 """
 
 import json
+import queue
 
 from repro.batching import OFF as BATCH_OFF
 from repro.batching import ON as BATCH_ON
 from repro.batching import use_batching
-from repro.exec.shard import ShardSpec, SystemCell, shard_key
+from repro.exec.shard import (
+    CellJob,
+    CellOutcome,
+    ShardResult,
+    ShardSpec,
+    SystemCell,
+    shard_key,
+)
 from repro.service import FleetService, ServiceConfig
 from repro.share.policy import CLUSTER
 from repro.share.policy import OFF as SHARE_OFF
@@ -47,16 +57,41 @@ def make_service(batching, sharing=SHARE_OFF):
     return service
 
 
-def window_spec(cell, w, snapshot=None, emit_snapshot=False):
+def window_spec(cell, w, **job_fields):
     spec = ShardSpec(
         key=f"{shard_key(POLICY, [cell])}|w{w}",
-        cells=(cell,),
+        jobs=(CellJob(cell, **job_fields),),
         indices=(0,),
         policy=POLICY,
-        snapshot=snapshot,
-        emit_snapshot=emit_snapshot,
     )
     return (f"stream-{cell.scenario}-{cell.seed}", w, spec)
+
+
+class StubBackend:
+    """Answers each job with an outcome naming the job it answers."""
+
+    name = "serial"
+    workers = 1
+
+    def __init__(self):
+        self.specs = []
+
+    def run(self, specs, excluded=frozenset()):
+        self.specs.extend(specs)
+        return [
+            ShardResult(
+                key=spec.key,
+                outcomes=tuple(
+                    CellOutcome(
+                        result=job.cell,
+                        snapshot={"for": job.cell.scenario},
+                        cluster_state={"cluster": job.cluster},
+                    )
+                    for job in spec.jobs
+                ),
+            )
+            for spec in specs
+        ]
 
 
 class TestCoalesce:
@@ -67,15 +102,7 @@ class TestCoalesce:
             spec.key for _, _, spec in batch
         ]
         for key, w, spec in batch:
-            assert members[spec.key] == [(key, w, spec)]
-
-    def test_sharing_on_passes_through(self):
-        # Sharing keeps cluster-granular dispatch; coalescing stands down.
-        batch = [window_spec(cell, 0) for cell in CELLS]
-        specs, _ = make_service(BATCH_ON, sharing=CLUSTER)._coalesce(batch)
-        assert [spec.key for spec in specs] == [
-            spec.key for _, _, spec in batch
-        ]
+            assert members[spec.key] == [(key, w)]
 
     def test_same_geometry_windows_merge(self):
         batch = [
@@ -88,13 +115,12 @@ class TestCoalesce:
         merged = specs[0]
         assert merged.cells == (CELLS[0], CELLS[1], CELLS[2])
         assert merged.batch == "on"
-        assert merged.snapshots == ({"origin_duration_s": 20.0}, None, None)
-        assert merged.emit_snapshots == (False, True, False)
-        assert members[merged.key] == batch
+        assert merged.jobs == tuple(spec.jobs[0] for _, _, spec in batch)
+        assert members[merged.key] == [(key, w) for key, w, _ in batch]
 
     def test_singletons_keep_their_original_spec(self):
         # A lone window must dispatch exactly as it would unbatched --
-        # same spec object, no batched fields minted.
+        # same spec object, nothing re-minted.
         lone = SystemCell("DaCapo-Ekya", "other_pair", "S1", 0, 30.0)
         batch = [
             window_spec(CELLS[0], 0),
@@ -105,7 +131,45 @@ class TestCoalesce:
         assert len(specs) == 2
         passthrough = [spec for spec in specs if len(spec.cells) == 1]
         assert passthrough == [batch[2][2]]
-        assert members[passthrough[0].key] == [batch[2]]
+        assert members[passthrough[0].key] == [batch[2][:2]]
+
+    def test_shared_windows_of_two_clusters_merge(self, tmp_path):
+        # Co-due windows of two clusters merge into one shard whose jobs
+        # keep each member's snapshot, cluster id and cluster state; the
+        # dispatcher then hands each stream its own job's outcome.
+        service = make_service(BATCH_ON, sharing=CLUSTER)
+        service.config = ServiceConfig(out_dir=tmp_path)
+        service._backend = StubBackend()
+        service._workers = 1
+        service._max_inflight = 4
+        service._jobs = queue.Queue()
+        service._results = queue.Queue()
+        first = window_spec(
+            CELLS[0], 1, cluster="c0",
+            snapshot={"origin_duration_s": 10.0},
+            cluster_state={"cluster": "c0", "n": 1},
+            emit_cluster_state=True,
+        )
+        second = window_spec(
+            CELLS[1], 0, cluster="c1", emit_cluster_state=True
+        )
+        for item in (first, second, None):
+            service._jobs.put(item)
+        service._dispatch_loop()
+
+        (merged,) = service._backend.specs
+        assert merged.jobs == (first[2].jobs[0], second[2].jobs[0])
+        assert (merged.sharing, merged.batch) == ("cluster", "on")
+        posted = []
+        while not service._results.empty():
+            posted.append(service._results.get())
+        assert [(key, w) for key, w, _ in posted] == [
+            first[:2], second[:2]
+        ]
+        for (_, _, outcome), (_, _, spec) in zip(posted, (first, second)):
+            (job,) = spec.jobs
+            assert outcome.result == job.cell
+            assert outcome.cluster_state == {"cluster": job.cluster}
 
 
 class TestLiveSession:

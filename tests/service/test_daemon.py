@@ -6,12 +6,15 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.exec import protocol
 from repro.exec.faults import DIE_EXIT_CODE, FaultEntry, FaultPlan, save_plan
-from repro.exec.shard import SystemCell
+from repro.exec.shard import SystemCell, cell_key, run_cell
+from repro.reference import run_digest
 from repro.service import FleetService, ServiceConfig
 from repro.service.control import control_request
 from repro.service.reference import (
@@ -91,15 +94,23 @@ def window_records(out):
 
 
 class TestEagerSession:
-    @pytest.mark.parametrize("window_mode", ["incremental", "prefix"])
+    @pytest.mark.parametrize("window_path", ["incremental", "prefix"])
     def test_session_matches_frozen_window_digests(
-        self, tmp_path, window_mode
+        self, tmp_path, monkeypatch, window_path
     ):
+        # "incremental" resumes each window from its predecessor's
+        # snapshot; "prefix" makes every boundary look off the segment
+        # grid, so no snapshot is emitted and each window runs its full
+        # prefix (the daemon's fallback path). Both must hit the freeze.
+        if window_path == "prefix":
+            from repro.service import daemon
+
+            monkeypatch.setattr(
+                daemon, "stream_prefix_aligned", lambda end: False
+            )
         frozen = json.loads(service_reference_path().read_text())
         config = ServiceConfig(
-            out_dir=tmp_path,
-            window_s=SERVICE_REFERENCE_WINDOW_S,
-            window_mode=window_mode,
+            out_dir=tmp_path, window_s=SERVICE_REFERENCE_WINDOW_S
         )
         assert FleetService(config, service_reference_cells()).run() == 0
         records = window_records(tmp_path)
@@ -107,10 +118,15 @@ class TestEagerSession:
         for (stream, index), record in records.items():
             assert record["mode"] == "fresh"
             assert record["digest"] == frozen["windows"][f"{stream}|w{index}"]
+        snapshots = [
+            line
+            for line in session_path(tmp_path).read_text().splitlines()
+            if json.loads(line).get("kind") == "snapshot"
+        ]
+        assert bool(snapshots) is (window_path == "incremental")
         state = json.loads((tmp_path / "state.json").read_text())
         assert all(s["retired"] for s in state["streams"].values())
         assert state["inflight"] == 0
-        assert state["window_mode"] == window_mode
 
     def test_admit_is_idempotent_and_duration_resolves(self, tmp_path):
         config = ServiceConfig(out_dir=tmp_path, window_s=10.0)
@@ -118,11 +134,16 @@ class TestEagerSession:
         assert service.run() == 0
         assert len(service.streams) == 1
 
-    def test_rejects_unknown_window_mode(self, tmp_path):
-        from repro.errors import ConfigurationError
+    def test_serving_leaves_the_planner_cost_table_alone(self, tmp_path):
+        # Every window has its own duration, hence its own cell key; the
+        # service never plans, so it must not grow the planner's table.
+        from repro.exec import shard
 
-        with pytest.raises(ConfigurationError, match="window_mode"):
-            ServiceConfig(out_dir=tmp_path, window_mode="both")
+        before = dict(shard._observed_costs)
+        config = ServiceConfig(out_dir=tmp_path, window_s=10.0)
+        assert FleetService(config, CELLS).run() == 0
+        assert len(window_records(tmp_path)) == 6
+        assert shard._observed_costs == before
 
 
 class TestIncrementalWindows:
@@ -133,51 +154,50 @@ class TestIncrementalWindows:
 
     @pytest.mark.parametrize("backend", ["serial", "queue:2"])
     def test_modes_journal_identical_window_records(self, tmp_path, backend):
-        records = {}
-        for mode in ("incremental", "prefix"):
-            out = tmp_path / mode
-            config = ServiceConfig(
-                out_dir=out, window_s=60.0, backend=backend, window_mode=mode
+        # Incremental windows (each resuming its predecessor's snapshot)
+        # journal exactly what a plain prefix run of the window computes.
+        config = ServiceConfig(
+            out_dir=tmp_path, window_s=60.0, backend=backend
+        )
+        service = FleetService(config, self.ALIGNED)
+        assert service.run() == 0
+        records = window_records(tmp_path)
+        assert len(records) == 6
+        streams = {
+            cell_key(service.policy, cell): cell for cell in self.ALIGNED
+        }
+        for (stream, index), record in records.items():
+            prefix = run_cell(
+                replace(streams[stream], duration_s=60.0 * (index + 1))
             )
-            assert FleetService(config, self.ALIGNED).run() == 0
-            records[mode] = window_records(out)
-
-        assert sorted(records["incremental"]) == sorted(records["prefix"])
-        for key in records["prefix"]:
-            assert json.dumps(records["incremental"][key], sort_keys=True) == (
-                json.dumps(records["prefix"][key], sort_keys=True)
-            ), key
+            assert record["mode"] == "fresh"
+            assert record["digest"] == run_digest(prefix), (stream, index)
+            assert record["result"] == protocol.encode_result(prefix)
 
     def test_snapshots_journaled_incremental_only(self, tmp_path):
-        for mode, expected in (("incremental", True), ("prefix", False)):
-            out = tmp_path / mode
-            config = ServiceConfig(out_dir=out, window_s=60.0,
-                                   window_mode=mode)
-            assert FleetService(config, self.ALIGNED[:1]).run() == 0
-            lines = [
-                json.loads(line)
-                for line in session_path(out).read_text().splitlines()
-            ]
-            snapshots = [r for r in lines if r.get("kind") == "snapshot"]
-            assert bool(snapshots) is expected
-            if expected:
-                # One per window except the last (it has no consumer),
-                # each journaled before its own window record.
-                assert [s["index"] for s in snapshots] == [0, 1]
-                positions = {
-                    (r.get("kind"), r.get("index")): pos
-                    for pos, r in enumerate(lines)
-                }
-                for s in snapshots:
-                    assert positions[("snapshot", s["index"])] < (
-                        positions[("window", s["index"])]
-                    )
+        config = ServiceConfig(out_dir=tmp_path, window_s=60.0)
+        assert FleetService(config, self.ALIGNED[:1]).run() == 0
+        lines = [
+            json.loads(line)
+            for line in session_path(tmp_path).read_text().splitlines()
+        ]
+        snapshots = [r for r in lines if r.get("kind") == "snapshot"]
+        # One per window except the last (it has no consumer), each
+        # journaled before its own window record.
+        assert [s["index"] for s in snapshots] == [0, 1]
+        positions = {
+            (r.get("kind"), r.get("index")): pos
+            for pos, r in enumerate(lines)
+        }
+        for s in snapshots:
+            assert positions[("snapshot", s["index"])] < (
+                positions[("window", s["index"])]
+            )
 
     def test_unaligned_windows_fall_back_to_prefix(self, tmp_path):
         # window_s=10 never lands on a segment boundary: no snapshots are
         # emitted, every window is a plain prefix run, digests unchanged.
-        config = ServiceConfig(out_dir=tmp_path, window_s=10.0,
-                               window_mode="incremental")
+        config = ServiceConfig(out_dir=tmp_path, window_s=10.0)
         assert FleetService(config, CELLS[:1]).run() == 0
         lines = [
             json.loads(line)
@@ -240,9 +260,8 @@ class TestCrashRecovery:
     def test_incremental_kill_restart_resumes_from_snapshot(
         self, tmp_path, backend
     ):
-        env = {"REPRO_WINDOW_MODE": "incremental"}
         clean = tmp_path / "clean"
-        r = serve_child(clean, extra_env=env, script=CHILD_ALIGNED)
+        r = serve_child(clean, script=CHILD_ALIGNED)
         assert r.returncode == 0, r.stderr
 
         chaos = tmp_path / "chaos"
@@ -251,7 +270,7 @@ class TestCrashRecovery:
             FaultPlan(entries=(FaultEntry(kind="daemon-kill", match="|w1"),)),
             plan_path,
         )
-        chaos_env = dict(env, REPRO_FAULT_PLAN=str(plan_path))
+        chaos_env = {"REPRO_FAULT_PLAN": str(plan_path)}
         first = serve_child(chaos, backend, chaos_env, script=CHILD_ALIGNED)
         assert first.returncode == DIE_EXIT_CODE, first.stderr
         pre = [
@@ -282,9 +301,6 @@ class TestCrashRecovery:
             if r.get("kind") == "event" and r.get("name") == "start"
         ]
         assert [s["detail"]["resumed"] for s in starts] == [False, True]
-        assert all(
-            s["detail"]["window_mode"] == "incremental" for s in starts
-        )
         # The restarted session kept serving incrementally: windows it
         # computed fresh journaled their own snapshots after the resume.
         post_resume = lines[lines.index(starts[1]):]
@@ -493,6 +509,24 @@ class TestSharedService:
         )
         assert all(s["retired"] for s in state["streams"].values())
         assert service.journal.clusters.keys() == {"c0"}
+
+    def test_cluster_records_name_their_own_cluster(self, tmp_path):
+        # S1 and S4 cluster apart: each window job carries the tracker's
+        # id, so each journaled state names the cluster it belongs to.
+        from repro.share.policy import CLUSTER, use_sharing
+
+        config = ServiceConfig(
+            out_dir=tmp_path, window_s=SERVICE_REFERENCE_WINDOW_S
+        )
+        with use_sharing(CLUSTER):
+            assert FleetService(config, service_reference_cells()).run() == 0
+        clusters = [
+            json.loads(line)
+            for line in session_path(tmp_path).read_text().splitlines()
+            if json.loads(line).get("kind") == "cluster"
+        ]
+        assert {r["cluster"] for r in clusters} == {"c0", "c1"}
+        assert all(r["state"]["cluster"] == r["cluster"] for r in clusters)
 
     def test_resume_replays_clusters_without_recompute(self, tmp_path):
         self.serve(tmp_path)

@@ -14,12 +14,15 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.exec import execute_cells
 from repro.exec.backends import resolve_backend
 from repro.exec.shard import (
+    CellJob,
     ShardSpec,
     cell_key,
-    run_spec_cells,
+    execute_shard,
+    make_shard_specs,
     shard_key,
 )
 from repro.reference import run_digest
@@ -101,33 +104,41 @@ class TestSharedPath:
     def test_shard_spec_path_matches(self, frozen, fleet):
         # The worker-side entry point (what every backend executes) must
         # produce the same frozen digests as the direct runtime path.
+        with use_sharing(CLUSTER):
+            (spec,) = make_shard_specs(fleet, 1, POLICY)
+        assert {job.cluster for job in spec.jobs} == {"c0"}
+        computed = {
+            cell_key(POLICY, cell): run_digest(result)
+            for cell, result in zip(fleet, execute_shard(spec).results)
+        }
+        assert computed == frozen["shared"]
+
+    def test_unstamped_job_is_refused(self, fleet):
+        # Workers never re-cluster: a shared shard must say which cluster
+        # each job belongs to.
         spec = ShardSpec(
-            key=shard_key(POLICY, fleet),
-            cells=tuple(fleet),
-            indices=tuple(range(len(fleet))),
+            key=shard_key(POLICY, fleet[:1]),
+            jobs=(CellJob(fleet[0]),),
+            indices=(0,),
             policy=POLICY,
             sharing="cluster",
         )
-        with use_sharing(CLUSTER):
-            results, run_snapshot, _, cluster_state = run_spec_cells(spec)
-        assert run_snapshot is None and cluster_state is None
-        computed = {
-            cell_key(POLICY, cell): run_digest(result)
-            for cell, result in zip(fleet, results)
-        }
-        assert computed == frozen["shared"]
+        with pytest.raises(ConfigurationError, match="no cluster id"):
+            execute_shard(spec)
 
     def test_cluster_state_emitted_for_single_cell(self, fleet):
         spec = ShardSpec(
             key=shard_key(POLICY, fleet[:1]),
-            cells=tuple(fleet[:1]),
+            jobs=(
+                CellJob(fleet[0], cluster="c3", emit_cluster_state=True),
+            ),
             indices=(0,),
             policy=POLICY,
             sharing="cluster",
-            emit_cluster_state=True,
         )
-        with use_sharing(CLUSTER):
-            _, _, _, cluster_state = run_spec_cells(spec)
+        (outcome,) = execute_shard(spec).outcomes
+        cluster_state = outcome.cluster_state
         assert cluster_state is not None
-        assert cluster_state["cluster"] == "c0"
+        # The state names the cluster the job was stamped with.
+        assert cluster_state["cluster"] == "c3"
         assert cluster_state["counters"]["retrains_run"] > 0
