@@ -31,9 +31,11 @@ import os
 import time
 from pathlib import Path
 
+from repro.batching import ON
 from repro.data.scenarios import build_scenario
 from repro.exec.shard import (
     CellJob,
+    PolicySet,
     ShardSpec,
     SystemCell,
     cell_key,
@@ -76,13 +78,12 @@ def timed_serial(cells):
 
 
 def timed_batched(cells):
-    policy = active_policy().name
+    policy = active_policy()
     spec = ShardSpec(
-        key=shard_key(policy, cells),
+        key=shard_key(policy.name, cells),
         jobs=tuple(CellJob(cell) for cell in cells),
         indices=tuple(range(len(cells))),
-        policy=policy,
-        batch="on",
+        policies=PolicySet(policy, batch=ON),
     )
     reset_dispatch()
     start = time.perf_counter()

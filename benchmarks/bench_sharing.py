@@ -71,7 +71,7 @@ def run_independent_cells(cells, sharing):
     results = []
     with use_sharing(sharing):
         for index, cell in enumerate(cells):
-            runtime = ClusterRuntime(sharing, f"i{index}")
+            runtime = ClusterRuntime(f"i{index}")
             runtimes[f"i{index}"] = runtime
             with runtime.activate(cell):
                 results.append(run_cell(cell))
@@ -97,7 +97,7 @@ def test_sharing_cost_and_accuracy():
     ind_results, ind_runtimes = run_independent_cells(cells, sharing)
     ind_wall = time.perf_counter() - start
     start = time.perf_counter()
-    shr_results, shr_runtimes = run_shared_cells(cells, sharing)
+    shr_results, shr_runtimes = run_shared_cells(cells)
     shr_wall = time.perf_counter() - start
 
     ind_digests = {

@@ -41,9 +41,10 @@ after the report.  It composes with ``--jobs N``: worker shards profile
 themselves and the parent merges their snapshots, so the totals are CPU
 seconds across every process.
 
-The numeric policy comes from ``REPRO_DTYPE`` (default ``float64``;
-``float32`` opts into the single-precision fast path with its own frozen
-reference digests -- see README "Numeric policy").
+The run-wide policies -- numeric dtype (``REPRO_DTYPE``), sharing
+(``--sharing``), batching (``--batch``) and backend (``--backend``) --
+each resolve CLI flag > spec key > environment variable > default; see
+README "Policies".
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 
 from repro import profiling
+from repro.batching import use_batching
 from repro.core import (
     SYSTEM_BUILDERS,
     build_system,
@@ -72,6 +74,7 @@ from repro.experiments import (
     supports_jobs,
 )
 from repro.models import MODEL_PAIRS
+from repro.share.policy import use_sharing
 from repro.sweep import compile_plan, load_spec, run_sweep, write_outputs
 
 
@@ -136,35 +139,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sharing_context(cli_value: str | None, spec_value: str | None):
-    """The sharing override a command runs under.
+@contextmanager
+def _policy_overrides(args: argparse.Namespace, spec_sharing: str | None):
+    """Install the sharing and batching overrides a command runs under.
 
-    Precedence: explicit ``--sharing`` > the spec's ``[sweep] sharing`` >
-    ambient (``$REPRO_SHARING`` / off, which needs no override installed).
+    Precedence, per knob: the CLI flag (``--sharing`` / ``--batch``) > the
+    spec's ``[sweep] sharing`` key > the environment > the default (the
+    last two need no override installed).
     """
-    from contextlib import nullcontext
-
-    from repro.share.policy import resolve_sharing, use_sharing
-
-    chosen = cli_value if cli_value is not None else spec_value
-    if chosen is None:
-        return nullcontext()
-    return use_sharing(resolve_sharing(chosen))
-
-
-def _batch_context(cli_value: str | None):
-    """The batching override a command runs under.
-
-    Precedence: explicit ``--batch`` > ambient (``$REPRO_BATCH`` / off,
-    which needs no override installed).
-    """
-    from contextlib import nullcontext
-
-    from repro.batching import resolve_batching, use_batching
-
-    if cli_value is None:
-        return nullcontext()
-    return use_batching(resolve_batching(cli_value))
+    sharing = args.sharing if args.sharing is not None else spec_sharing
+    with ExitStack() as stack:
+        if sharing is not None:
+            stack.enter_context(use_sharing(sharing))
+        if args.batch is not None:
+            stack.enter_context(use_batching(args.batch))
+        yield
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -175,9 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Same contract as run_cells; checked here so --plan rejects an
         # invalid --jobs too instead of silently pricing at one worker.
         raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    with _sharing_context(args.sharing, spec.sharing), _batch_context(
-        args.batch
-    ):
+    with _policy_overrides(args, spec.sharing):
         if args.plan:
             # Price the plan through the same backend resolution the real
             # run uses (explicit --backend > ambient REPRO_BACKEND >
@@ -248,9 +235,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"speedup={args.speedup:g} window={args.window:g}s",
         flush=True,
     )
-    with use_policy(group.policy), _sharing_context(
-        args.sharing, spec.sharing
-    ), _batch_context(args.batch):
+    with use_policy(group.policy), _policy_overrides(args, spec.sharing):
         service = FleetService(config, cells)
         code = service.run()
     print(f"session journal: {args.out}/session.jsonl")

@@ -3,22 +3,19 @@
 Batching changes *how* the numpy work of co-sharded cells is dispatched
 (K same-geometry cells advance per stacked call) without changing a single
 output bit -- the batched primitives are verified slice-for-slice identical
-to the serial ones.  It still follows the same opt-in discipline as
-:mod:`repro.numeric` and :mod:`repro.share.policy`, because an off-path
-that is byte-identical to the pre-batching tree is part of the contract:
+to the serial ones.  It is still an opt-in, because an off-path that is
+byte-identical to the pre-batching tree is part of the contract.  The
+policy is one :class:`~repro.knobs.Knob`, :data:`BATCH` (``REPRO_BATCH``,
+``--batch``; README "Policies"), with two values:
 
 - :data:`OFF` -- the default.  Every cell runs its own serial phase loop;
   no batching code executes at all.
-- :data:`ON` -- the opt-in (``REPRO_BATCH=on``, ``--batch on``).  The shard
-  planner groups geometry-compatible cells, and the batched driver
-  (:mod:`repro.exec.batched`) runs each group's cells in lockstep lanes,
-  stacking identically-shaped forward/train requests into one numpy call.
-  Per-cell results are bit-identical to the serial path and pinned in
+- :data:`ON` -- the opt-in.  The shard planner groups geometry-compatible
+  cells, and the batched driver (:mod:`repro.exec.batched`) runs each
+  group's cells in lockstep lanes, stacking identically-shaped
+  forward/train requests into one numpy call.  Per-cell results are
+  bit-identical to the serial path and pinned in
   ``tests/reference/digests_batched.json``.
-
-Resolution order: :func:`use_batching` override > ``$REPRO_BATCH`` >
-:data:`OFF` -- the same contextvar discipline as ``use_policy`` /
-``use_sharing``, so it is thread/async-safe and nests.
 
 This module also owns the *lane* plumbing the batched driver uses to
 intercept model compute: each cell of a batch group runs on its own lane
@@ -30,15 +27,13 @@ and the serial code runs unchanged.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.knobs import Knob, Switch
 
 __all__ = [
+    "BATCH",
     "BATCH_ENV",
     "BATCH_POLICIES",
     "BatchPolicy",
@@ -55,89 +50,42 @@ __all__ = [
 #: Environment variable selecting the process-wide batching policy.
 BATCH_ENV = "REPRO_BATCH"
 
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """The batched-execution switch, as one frozen value.
-
-    Attributes:
-        name: Canonical name (``"off"`` / ``"on"``) -- the value
-            ``REPRO_BATCH`` takes and shard specs carry over the wire.
-        enabled: Master switch.  When False no batching code runs and the
-            execution path is byte-for-byte the per-cell one.
-    """
-
-    name: str
-    enabled: bool
-
-    def __str__(self) -> str:
-        return self.name
-
+#: A batching policy: its canonical name (the value ``REPRO_BATCH`` takes
+#: and shard specs carry over the wire) and whether batching is on.
+BatchPolicy = Switch
 
 OFF = BatchPolicy(name="off", enabled=False)
 
 ON = BatchPolicy(name="on", enabled=True)
 
-#: Supported policies by canonical name.
-BATCH_POLICIES: dict[str, BatchPolicy] = {
-    OFF.name: OFF,
-    ON.name: ON,
-}
-
-#: Accepted spellings (environment values, CLI args).
-_ALIASES: dict[str, BatchPolicy] = {
-    "": OFF,
-    "off": OFF,
-    "0": OFF,
-    "no": OFF,
-    "none": OFF,
-    "false": OFF,
-    "on": ON,
-    "1": ON,
-    "yes": ON,
-    "true": ON,
-    "batch": ON,
-    "batched": ON,
-}
-
-_override: ContextVar[BatchPolicy | None] = ContextVar(
-    "repro_batch_policy", default=None
+#: The batching knob, with its accepted spellings (environment values, CLI
+#: args).
+BATCH = Knob(
+    BATCH_ENV,
+    OFF,
+    label="batching policy",
+    aliases={
+        "": OFF,
+        "off": OFF,
+        "0": OFF,
+        "no": OFF,
+        "none": OFF,
+        "false": OFF,
+        "on": ON,
+        "1": ON,
+        "yes": ON,
+        "true": ON,
+        "batch": ON,
+        "batched": ON,
+    },
 )
 
+#: Supported policies by canonical name.
+BATCH_POLICIES: dict[str, BatchPolicy] = BATCH.by_name
 
-def resolve_batching(spec: "str | BatchPolicy | None") -> BatchPolicy:
-    """A policy from a name/alias, an existing policy, or None (default)."""
-    if spec is None:
-        return OFF
-    if isinstance(spec, BatchPolicy):
-        return spec
-    try:
-        return _ALIASES[spec.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(BATCH_POLICIES))
-        raise ConfigurationError(
-            f"unknown batching policy {spec!r} "
-            f"(set {BATCH_ENV} to one of: {known})"
-        )
-
-
-def active_batching() -> BatchPolicy:
-    """The policy in effect: override > ``$REPRO_BATCH`` > off."""
-    override = _override.get()
-    if override is not None:
-        return override
-    return resolve_batching(os.environ.get(BATCH_ENV))
-
-
-@contextmanager
-def use_batching(spec: "str | BatchPolicy"):
-    """Force a batching policy for the dynamic extent of the ``with`` block."""
-    policy = resolve_batching(spec)
-    token = _override.set(policy)
-    try:
-        yield policy
-    finally:
-        _override.reset(token)
+resolve_batching = BATCH.resolve
+active_batching = BATCH.active
+use_batching = BATCH.use
 
 
 # -- lane plumbing --------------------------------------------------------

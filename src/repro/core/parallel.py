@@ -13,10 +13,10 @@ Backend selection, in precedence order:
 1. an explicit ``backend=`` argument (``"serial"``, ``"process[:N]"``,
    ``"subprocess[:N]"``, or a constructed
    :class:`~repro.exec.backends.ExecutionBackend`);
-2. an ambient override installed with :func:`repro.exec.use_backend`
-   (what the CLI's ``--backend`` flag does);
-3. the ``REPRO_BACKEND`` environment variable;
-4. the historical default -- serial when ``jobs <= 1`` or the grid has a
+2. the :data:`~repro.exec.backends.BACKEND` knob: an override installed
+   with :func:`repro.exec.use_backend` (what the CLI's ``--backend`` flag
+   does), then the ``REPRO_BACKEND`` environment variable;
+3. the historical default -- serial when ``jobs <= 1`` or the grid has a
    single cell, the process pool otherwise.
 
 Whatever the transport, results are **identical** to the serial path:
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 
-# NOTE: only repro.exec.shard may be imported at module scope here.
+# NOTE: of repro.exec, only repro.exec.shard may be imported up here.
 # ``repro.core.__init__`` imports this module, and every ``repro.exec``
 # module imports some ``repro.core`` submodule -- so on a cold
 # ``import repro.exec`` this module executes while ``repro.exec.backends``
@@ -42,13 +42,14 @@ from repro.errors import ConfigurationError
 # happen lazily inside the functions that need them.
 from repro.exec.shard import (
     Fig2Cell,
+    PolicySet,
     SystemCell,
     plan_shards,
     run_cell as _run_cell,  # noqa: F401  (compat: tests/callers import it)
     stream_signature,
     warm_model_caches,
 )
-from repro.numeric import active_policy, use_policy
+from repro.knobs import positive_int_env
 
 __all__ = [
     "Fig2Cell",
@@ -57,7 +58,6 @@ __all__ = [
     "default_jobs",
     "parallel_map",
     "plan_shards",
-    "positive_int_env",
     "run_cells",
     "stream_signature",
     "warm_model_caches",
@@ -66,29 +66,6 @@ __all__ = [
 #: Environment variable pinning the default worker count (CI, remote
 #: workers) without per-command ``--jobs`` flags.
 JOBS_ENV = "REPRO_JOBS"
-
-
-def positive_int_env(name: str) -> int | None:
-    """``$name`` as a validated positive int; None when unset/empty.
-
-    The shared parser behind every count-like knob (``REPRO_JOBS``, the
-    sweep abort injector): garbage raises :class:`ConfigurationError`
-    with a uniform message instead of silently defaulting.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a positive integer, got {raw!r}"
-        )
-    if value < 1:
-        raise ConfigurationError(
-            f"{name} must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def default_jobs() -> int:
@@ -152,9 +129,9 @@ def run_cells(
 
 
 def _policy_call(payload: tuple) -> object:
-    """Run one mapped call under the parent's numeric policy (worker side)."""
-    policy_name, fn, item = payload
-    with use_policy(policy_name):
+    """Run one mapped call under the parent's policies (worker side)."""
+    policies, fn, item = payload
+    with policies.use():
         return fn(item)
 
 
@@ -175,9 +152,9 @@ def parallel_map(
     protocol, so ``subprocess`` and ``queue`` degrade to the local
     process pool here (``serial`` forces in-process, and a ``:N`` pins
     the worker count).
-    The parent's active numeric policy is re-installed around every
-    mapped call, so policy overrides survive into spawn-started workers
-    exactly as they do for ``run_cells``.
+    The parent's active :class:`~repro.exec.shard.PolicySet` is
+    re-installed around every mapped call, so policy overrides survive
+    into spawn-started workers exactly as they do for ``run_cells``.
     """
     from repro.exec.backends import active_backend_spec, parse_backend
 
@@ -195,7 +172,7 @@ def parallel_map(
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    policy_name = active_policy().name
-    payloads = [(policy_name, fn, item) for item in items]
+    policies = PolicySet.active()
+    payloads = [(policies, fn, item) for item in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(_policy_call, payloads, chunksize=1))

@@ -23,8 +23,9 @@ layer (:mod:`repro.exec.faults`) exercises every one of those paths in
 tests and CI against the frozen reference digests.
 
 Every backend is bit-identical at any worker count: cells seed their own
-RNGs and shard payloads carry the numeric, sharing and batching policies
-and the cache root explicitly, so *where* a shard runs never changes
+RNGs and shard payloads carry their :class:`~repro.exec.shard.PolicySet`
+(numeric, sharing and batching policies) and the cache root explicitly,
+so *where* a shard runs never changes
 *what* it computes -- the frozen reference digests are checked across
 every transport.
 
@@ -76,6 +77,7 @@ from repro.exec.shard import (
     CellJob,
     CellOutcome,
     Fig2Cell,
+    PolicySet,
     ShardFailure,
     ShardQuarantined,
     ShardResult,
@@ -113,6 +115,7 @@ __all__ = [
     "FaultPlan",
     "Fig2Cell",
     "LEASE_TTL_ENV",
+    "PolicySet",
     "ProcessPoolBackend",
     "QueueBackend",
     "SHARD_TIMEOUT_ENV",

@@ -27,12 +27,12 @@ Four transports:
   workers it did not spawn, and the one external workers can attach to
   mid-sweep.
 
-Backend selection is ambient, mirroring the numeric policy: an explicit
-argument wins, then a :func:`use_backend` override, then ``$REPRO_BACKEND``,
-then the historical default (serial at ``jobs <= 1``, the process pool
-above).  Every backend produces bit-identical results at any worker count
--- cells seed their own RNGs, so *where* a shard runs can never change
-*what* it computes.
+Backend selection is ambient: an explicit argument wins, then the
+:data:`BACKEND` knob (a :func:`use_backend` override, then
+``$REPRO_BACKEND``; README "Policies"), then the historical default
+(serial at ``jobs <= 1``, the process pool above).  Every backend
+produces bit-identical results at any worker count -- cells seed their
+own RNGs, so *where* a shard runs can never change *what* it computes.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import replace
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
@@ -61,8 +59,10 @@ from repro.exec.shard import (
     checked_reply,
     execute_shard,
 )
+from repro.knobs import Knob, positive_float_env
 
 __all__ = [
+    "BACKEND",
     "BACKEND_ENV",
     "BACKEND_KINDS",
     "WORKER_CMD_ENV",
@@ -253,25 +253,6 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-def _shard_timeout_from_env() -> float | None:
-    raw = os.environ.get(SHARD_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SHARD_TIMEOUT_ENV} must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    if timeout <= 0:
-        raise ConfigurationError(
-            f"{SHARD_TIMEOUT_ENV} must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    return timeout
-
-
 class _WorkerHandle:
     """One live worker child plus its protocol channel."""
 
@@ -454,7 +435,7 @@ class SubprocessWorkerBackend:
         self.shard_timeout_s = (
             shard_timeout_s
             if shard_timeout_s is not None
-            else _shard_timeout_from_env()
+            else positive_float_env(SHARD_TIMEOUT_ENV)
         )
         self._handles: dict[int, _WorkerHandle] = {}
         self._spawned = 0
@@ -593,6 +574,17 @@ def parse_backend(spec: str) -> tuple[str, int | None]:
     return kind, workers
 
 
+#: The backend knob: a ``kind[:N]`` spec string, or None for the
+#: historical default.  The CLI's ``--backend`` flag installs a
+#: :func:`use_backend` override around the whole command, so experiment
+#: runners that simply call ``run_cells(cells, jobs=...)`` pick the
+#: transport up ambiently -- no per-runner plumbing.
+BACKEND = Knob(BACKEND_ENV, None, parse=parse_backend)
+
+active_backend_spec = BACKEND.active
+use_backend = BACKEND.use
+
+
 def make_backend(
     spec: str,
     default_workers: int = 1,
@@ -622,8 +614,8 @@ def make_backend(
 def resolve_backend(backend, jobs: int, num_cells: int, queue_dir: str | None = None):
     """Apply the selection precedence once, for every entry point.
 
-    Precedence: explicit ``backend`` (spec string or instance) >
-    :func:`use_backend` override > ``$REPRO_BACKEND`` > the historical
+    Precedence: explicit ``backend`` (spec string or instance) > the
+    :data:`BACKEND` knob (override > ``$REPRO_BACKEND``) > the historical
     default (serial at ``jobs <= 1`` or a single-cell grid, the local
     process pool above).  Returns ``(instance, planning worker count,
     owned)`` -- ``owned`` tells the caller whether it must ``close()``
@@ -643,40 +635,3 @@ def resolve_backend(backend, jobs: int, num_cells: int, queue_dir: str | None = 
         owned = False
     workers = getattr(instance, "workers", 1)
     return instance, max(1, workers), owned
-
-
-_override: ContextVar[str | None] = ContextVar(
-    "repro_exec_backend", default=None
-)
-
-
-def active_backend_spec() -> str | None:
-    """The ambient backend spec: override > ``$REPRO_BACKEND`` > None.
-
-    None means "no preference": ``run_cells`` keeps its historical rule
-    (serial at ``jobs <= 1``, the process pool above).
-    """
-    override = _override.get()
-    if override is not None:
-        return override
-    env = os.environ.get(BACKEND_ENV, "").strip()
-    if env:
-        parse_backend(env)  # fail fast on garbage in the environment
-        return env
-    return None
-
-
-@contextmanager
-def use_backend(spec: str):
-    """Force a backend spec for the dynamic extent of the ``with`` block.
-
-    The CLI's ``--backend`` flag installs one of these around the whole
-    command, so experiment runners that simply call ``run_cells(cells,
-    jobs=...)`` pick the transport up ambiently -- no per-runner plumbing.
-    """
-    parse_backend(spec)
-    token = _override.set(spec)
-    try:
-        yield spec
-    finally:
-        _override.reset(token)

@@ -2,7 +2,7 @@
 
 One message per line, UTF-8 JSON, over any byte-stream transport -- the
 :class:`~repro.exec.backends.SubprocessWorkerBackend` uses local pipes, and
-because shard payloads carry their numeric policy and cache root explicitly
+because shard payloads carry their policies and cache root explicitly
 (and the artifact store's content-addressed disk tier makes streams
 location-transparent on a shared filesystem), the identical byte stream
 works over ``ssh host python -m repro worker``.
@@ -22,7 +22,8 @@ Message kinds (every message carries ``"v": PROTOCOL_VERSION``):
 - ``hello``    worker -> parent, once at startup: ``{pid}``.  The parent
   rejects a version mismatch before dispatching anything.
 - ``shard``    parent -> worker: ``{id, cells, policy, profile,
-  cache_root}``, plus ``sharing`` / ``batch`` when not ``"off"``, plus a
+  cache_root}``, plus ``sharing`` / ``batch`` when not ``"off"`` (the
+  spec's :class:`~repro.exec.shard.PolicySet` by canonical names), plus a
   per-cell ``jobs`` list aligned with ``cells`` whose entries hold the
   set fields of each :class:`~repro.exec.shard.CellJob` (``cluster``,
   ``snapshot``, ``emit_snapshot``, ``cluster_state``,
@@ -71,9 +72,11 @@ from repro.core.results import RunResult
 from repro.core.snapshot import decode_array, encode_array
 from repro.errors import ProtocolError, ScheduleError
 from repro.exec.shard import (
+    POLICY_KNOBS,
     CellJob,
     CellOutcome,
     Fig2Cell,
+    PolicySet,
     ShardResult,
     ShardSpec,
     SystemCell,
@@ -278,21 +281,48 @@ def _per_cell_entries(items, fields: dict) -> list[dict] | None:
     return entries if any(entries) else None
 
 
+#: Each :class:`PolicySet` field's message key.  ``policy`` is always sent,
+#: the others only when not at their default: the off path keeps its bytes.
+_POLICY_KEYS = {"numeric": "policy", "sharing": "sharing", "batch": "batch"}
+
+
+def _encode_policies(policies: PolicySet) -> dict:
+    wire = {}
+    for name, key in _POLICY_KEYS.items():
+        value = getattr(policies, name)
+        if key == "policy" or value != POLICY_KNOBS[name].default:
+            wire[key] = value.name
+    return wire
+
+
+def _decode_policies(message: dict) -> PolicySet:
+    """Canonical names only (no aliases); an absent key is the default."""
+    values = {}
+    for name, key in _POLICY_KEYS.items():
+        knob = POLICY_KNOBS[name]
+        wanted = message.get(key, knob.default.name)
+        if not isinstance(wanted, str) or wanted not in knob.by_name:
+            raise ProtocolError(
+                f"malformed message: {key} must be one of "
+                f"{', '.join(knob.by_name)}, not {wanted!r}"
+            )
+        values[name] = knob.by_name[wanted]
+    return PolicySet(**values)
+
+
 def encode_shard_request(spec: ShardSpec) -> dict:
     """The ``shard`` message dispatching one :class:`ShardSpec`."""
+    policies = _encode_policies(spec.policies)
     message = {
         "v": PROTOCOL_VERSION,
         "kind": "shard",
         "id": spec.key,
         "cells": [encode_cell(cell) for cell in spec.cells],
-        "policy": spec.policy,
+        "policy": policies.pop("policy"),
         "profile": bool(spec.profile),
         "cache_root": spec.cache_root,
+        **policies,
     }
-    if spec.sharing != "off":
-        message["sharing"] = spec.sharing
-    if spec.batch != "off":
-        message["batch"] = spec.batch
     jobs = _per_cell_entries(spec.jobs, _JOB_FIELDS)
     if jobs is not None:
         message["jobs"] = jobs
@@ -305,6 +335,17 @@ def _list(message: dict, name: str) -> list:
     if not isinstance(value, list):
         raise ProtocolError(
             f"malformed message: {name} must be a list, "
+            f"not {_type_name(value)}"
+        )
+    return value
+
+
+def _field(message: dict, name: str, kind: type, default):
+    """A message field of JSON type ``kind``; absent means ``default``."""
+    value = message.get(name, default)
+    if not isinstance(value, kind):
+        raise ProtocolError(
+            f"malformed message: {name} must be {kind.__name__}, "
             f"not {_type_name(value)}"
         )
     return value
@@ -349,22 +390,21 @@ def decode_shard_spec(message: dict) -> ShardSpec:
 
     Worker-side indices are synthetic (the parent keeps the real grid
     positions); only identity, jobs, and execution context cross the
-    wire.  A field of the wrong JSON type, or a per-cell list that does
-    not match the cells, raises :class:`ProtocolError`.
+    wire.  A field of the wrong JSON type, a policy that is not a
+    canonical name, or a per-cell list that does not match the cells
+    raises :class:`ProtocolError` -- nothing is coerced.
     """
     cells = tuple(decode_cell(entry) for entry in _list(message, "cells"))
     entries = _per_cell(message, "jobs", len(cells), _JOB_FIELDS)
     return ShardSpec(
-        key=str(message.get("id", "")),
+        key=_field(message, "id", str, ""),
         jobs=tuple(
             CellJob(cell, **entry) for cell, entry in zip(cells, entries)
         ),
         indices=tuple(range(len(cells))),
-        policy=str(message.get("policy", "")),
-        profile=bool(message.get("profile", False)),
+        policies=_decode_policies(message),
+        profile=_field(message, "profile", bool, False),
         cache_root=_optional(message, "cache_root", str),
-        sharing=str(message.get("sharing", "off")),
-        batch=str(message.get("batch", "off")),
     )
 
 
@@ -388,9 +428,9 @@ def encode_shard_result(result: ShardResult) -> dict:
 def decode_shard_result(message: dict) -> ShardResult:
     """A parent-side :class:`ShardResult` from a ``result`` message.
 
-    A field of the wrong JSON type, per-cell outcomes that do not match
-    the results, or a ``wall_s`` that is not a finite float >= 0 raises
-    :class:`ProtocolError`.
+    A field of the wrong JSON type (``id`` included), per-cell outcomes
+    that do not match the results, or a ``wall_s`` that is not a finite
+    float >= 0 raises :class:`ProtocolError`.
     """
     results = tuple(
         decode_result(entry) for entry in _list(message, "results")
@@ -405,7 +445,7 @@ def decode_shard_result(message: dict) -> ShardResult:
             "malformed message: wall_s must be a finite float >= 0"
         )
     return ShardResult(
-        key=str(message.get("id", "")),
+        key=_field(message, "id", str, ""),
         outcomes=tuple(
             CellOutcome(run, **entry) for run, entry in zip(results, entries)
         ),

@@ -57,12 +57,18 @@ from typing import Sequence
 from repro.cache import CACHE_ENV
 from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import faults, protocol
+from repro.exec.backends import (
+    SHARD_TIMEOUT_ENV,
+    _worker_env,
+    default_worker_command,
+)
 from repro.exec.shard import (
     ShardFailure,
     ShardSpec,
     cell_label,
     checked_reply,
 )
+from repro.knobs import positive_float_env
 
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
@@ -103,23 +109,6 @@ QUEUE_LAYOUT_VERSION = 1
 #: that *spawned* the lease holder can notice its exit immediately
 #: instead of waiting out the heartbeat TTL.
 _WORKER_PID_RE = re.compile(r"^q(\d+)-")
-
-
-def _float_env(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a positive number of seconds, got {raw!r}"
-        )
-    if value <= 0:
-        raise ConfigurationError(
-            f"{name} must be a positive number of seconds, got {raw!r}"
-        )
-    return value
 
 
 class QueueLayout:
@@ -265,12 +254,12 @@ def queue_worker_main(
         )
     config = layout.read_config()
     lease_ttl_s = (
-        _float_env(LEASE_TTL_ENV)
+        positive_float_env(LEASE_TTL_ENV)
         or config.get("lease_ttl_s")
         or DEFAULT_LEASE_TTL_S
     )
     poll_s = (
-        _float_env(POLL_ENV) or config.get("poll_s") or DEFAULT_POLL_S
+        positive_float_env(POLL_ENV) or config.get("poll_s") or DEFAULT_POLL_S
     )
     parent_pid: int | None = None
     raw_parent = os.environ.get(PARENT_PID_ENV, "").strip()
@@ -443,18 +432,17 @@ class QueueBackend:
         self.lease_ttl_s = (
             lease_ttl_s
             if lease_ttl_s is not None
-            else _float_env(LEASE_TTL_ENV) or DEFAULT_LEASE_TTL_S
+            else positive_float_env(LEASE_TTL_ENV) or DEFAULT_LEASE_TTL_S
         )
         self.poll_s = (
             poll_s if poll_s is not None
-            else _float_env(POLL_ENV) or DEFAULT_POLL_S
+            else positive_float_env(POLL_ENV) or DEFAULT_POLL_S
         )
-        if shard_timeout_s is not None:
-            self.shard_timeout_s = shard_timeout_s
-        else:
-            from repro.exec.backends import _shard_timeout_from_env
-
-            self.shard_timeout_s = _shard_timeout_from_env()
+        self.shard_timeout_s = (
+            shard_timeout_s
+            if shard_timeout_s is not None
+            else positive_float_env(SHARD_TIMEOUT_ENV)
+        )
         self.max_respawns = (
             max_respawns if max_respawns is not None else workers + 4
         )
@@ -475,8 +463,6 @@ class QueueBackend:
     # -- local worker management ------------------------------------
 
     def _worker_command(self) -> list[str]:
-        from repro.exec.backends import default_worker_command
-
         base = self.command or default_worker_command()
         return base + ["--queue", str(self.layout.root)]
 
@@ -485,8 +471,6 @@ class QueueBackend:
         if not self.spawn:
             return
         self._procs = [p for p in self._procs if p.poll() is None]
-        from repro.exec.backends import _worker_env
-
         while (
             len(self._procs) < self.workers
             and self._spawned < self.workers + self.max_respawns

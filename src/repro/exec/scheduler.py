@@ -72,7 +72,6 @@ from repro.exec.shard import (
     note_shard_observation,
     warm_model_caches,
 )
-from repro.numeric import active_policy
 
 __all__ = [
     "DEFAULT_BACKOFF_BASE_S",
@@ -395,7 +394,7 @@ class SweepJournal:
         before returning), so a kill immediately after never loses it."""
         entries = [
             {
-                "key": cell_key(spec.policy, cell),
+                "key": cell_key(spec.policies.numeric.name, cell),
                 "result": protocol.encode_result(run),
             }
             for cell, run in zip(spec.cells, result.results)
@@ -461,7 +460,6 @@ def execute_cells(
     specs = make_shard_specs(
         cells,
         workers if multiprocess else 1,
-        active_policy().name,
         # Serial shards run under the parent profiler directly; only
         # other-process shards profile themselves and ship snapshots.
         profile=multiprocess and profiler is not None,

@@ -5,11 +5,12 @@ emits: a run-state snapshot (incremental service windows) and a cluster id
 and weight state (cross-camera sharing).  A *shard* is a tuple of jobs --
 the stream- or cluster-sharing groups :func:`plan_shards` produces --
 packaged in a :class:`ShardSpec` with the parent context a worker cannot
-inherit ambiently: the numeric, sharing and batching policy names and the
-artifact-cache root.  That makes the unit transport-agnostic: the same
-spec runs in-process (:class:`~repro.exec.backends.SerialBackend`), in a
-forked pool worker, or JSON-encoded over a pipe or a queue file to a
-``python -m repro worker`` child on another host.
+inherit ambiently: its :class:`PolicySet` (the numeric, sharing and
+batching policies) and the artifact-cache root.  That makes the unit
+transport-agnostic: the same spec runs in-process
+(:class:`~repro.exec.backends.SerialBackend`), in a forked pool worker,
+or JSON-encoded over a pipe or a queue file to a ``python -m repro
+worker`` child on another host.
 
 :func:`execute_shard` is the one call every transport makes.  It runs a
 spec's jobs in *lanes*: with sharing off each job is its own lane; with
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
 from repro import profiling
-from repro.batching import active_batching, use_batching
+from repro.batching import BATCH, BatchPolicy, active_batching
 from repro.core.results import RunResult
 from repro.core.runner import build_fig2_system, build_system
 from repro.core.snapshot import (
@@ -59,9 +61,9 @@ from repro.exec.batched import run_lane_jobs
 from repro.learn.student import make_student
 from repro.learn.teacher import make_teacher
 from repro.models.zoo import get_pair
-from repro.numeric import active_policy, use_policy
+from repro.numeric import NUMERIC, NumericPolicy, active_policy
 from repro.share.cluster import cluster_cells
-from repro.share.policy import active_sharing, use_sharing
+from repro.share.policy import SHARING, SharingPolicy, active_sharing
 from repro.share.runtime import (
     ClusterRuntime,
     decode_cluster_state,
@@ -72,6 +74,8 @@ __all__ = [
     "CellJob",
     "CellOutcome",
     "Fig2Cell",
+    "POLICY_KNOBS",
+    "PolicySet",
     "ShardFailure",
     "ShardQuarantined",
     "ShardResult",
@@ -327,7 +331,7 @@ def note_shard_observation(spec: "ShardSpec", wall_s: float | None) -> None:
         return
     per_cell = wall_s / len(spec.cells)
     for cell in spec.cells:
-        _observed_costs[cell_key(spec.policy, cell)] = per_cell
+        _observed_costs[cell_key(spec.policies.numeric.name, cell)] = per_cell
 
 
 def observed_cost(key: str) -> float:
@@ -385,7 +389,7 @@ def plan_shards(
     sharing = active_sharing()
     batching = active_batching()
     if sharing.enabled:
-        assignment = cluster_cells(cells, sharing)
+        assignment = cluster_cells(cells)
         clustered: dict[str, list[tuple[int, CellJob]]] = {}
         for index, cell in enumerate(cells):
             cid = assignment.cluster_of(cell)
@@ -437,6 +441,49 @@ def warm_model_caches(cells: Iterable) -> None:
         make_teacher(pair.teacher, seed=model_seed)
 
 
+#: The knobs a :class:`PolicySet` carries, by field name.
+POLICY_KNOBS = {"numeric": NUMERIC, "sharing": SHARING, "batch": BATCH}
+
+
+@dataclass(frozen=True)
+class PolicySet:
+    """The policies a shard carries to its worker, as one value.
+
+    Overrides do not survive spawn-started or remote workers, so a shard
+    carries the policies it was planned under (:meth:`active`) and its
+    worker installs them (:meth:`use`).  The backend is not carried:
+    *where* a shard runs never changes *what* it computes.
+    """
+
+    numeric: NumericPolicy = NUMERIC.default
+    sharing: SharingPolicy = SHARING.default
+    batch: BatchPolicy = BATCH.default
+
+    @classmethod
+    def active(cls) -> "PolicySet":
+        """The policies in effect here and now."""
+        return cls(
+            **{name: knob.active() for name, knob in POLICY_KNOBS.items()}
+        )
+
+    @contextmanager
+    def use(self):
+        """Install every policy for the dynamic extent of the block."""
+        with ExitStack() as stack:
+            for name, knob in POLICY_KNOBS.items():
+                stack.enter_context(knob.use(getattr(self, name)))
+            yield self
+
+    def fingerprint(self) -> str:
+        """What these policies add to a journal fingerprint.
+
+        Only an enabled sharing policy: the dtype is in every cell key and
+        batching never changes a bit.  The off path adds nothing, so its
+        fingerprints stay the historical byte strings.
+        """
+        return f"|sharing={self.sharing.name}" if self.sharing.enabled else ""
+
+
 @dataclass(frozen=True)
 class ShardSpec:
     """One dispatchable unit of work, carrying its own execution context.
@@ -447,28 +494,20 @@ class ShardSpec:
         jobs: The :class:`CellJob`\\ s to run, in order.
         indices: Each job's position in the originating grid (restores
             submission order after unordered completion).
-        policy: Numeric policy *name* -- explicit because contextvar
-            overrides do not survive spawn-started or remote workers.
+        policies: The policies the shard was planned under, installed by
+            :func:`execute_shard`.
         profile: Whether the worker should profile its phases and ship
             the snapshot back for the parent to merge.
         cache_root: Artifact-cache root the worker should use, or None
             to let it fall back to its own default (remote hosts).
-        sharing: Sharing policy *name* -- explicit for the same reason
-            ``policy`` is.  ``"off"`` (the default) is the bit-identical
-            independent path.
-        batch: Batching policy *name* -- explicit for the same reason
-            ``policy`` is.  ``"off"`` (the default) is the bit-identical
-            per-cell path.
     """
 
     key: str
     jobs: tuple
     indices: tuple[int, ...]
-    policy: str
+    policies: PolicySet
     profile: bool = False
     cache_root: str | None = None
-    sharing: str = "off"
-    batch: str = "off"
 
     @property
     def cells(self) -> tuple:
@@ -618,32 +657,29 @@ def checked_reply(
 def make_shard_specs(
     cells: Sequence,
     jobs: int,
-    policy_name: str,
     *,
     profile: bool = False,
     cache_root: str | None = None,
 ) -> list[ShardSpec]:
     """Plan ``cells`` into :class:`ShardSpec`\\ s for ``jobs`` workers.
 
-    The specs carry the ambient sharing and batching policies' names --
-    the ones :func:`plan_shards` grouped under -- explicitly to
-    spawn-started and remote workers, exactly like the numeric policy.
+    The specs carry the ambient policies -- the ones :func:`plan_shards`
+    grouped under -- explicitly to spawn-started and remote workers.
     """
-    sharing = active_sharing().name
-    batch = active_batching().name
+    policies = PolicySet.active()
     specs = []
     for shard in plan_shards(cells, jobs):
         shard_jobs = tuple(job for _, job in shard)
         specs.append(
             ShardSpec(
-                key=shard_key(policy_name, [job.cell for job in shard_jobs]),
+                key=shard_key(
+                    policies.numeric.name, [job.cell for job in shard_jobs]
+                ),
                 jobs=shard_jobs,
                 indices=tuple(index for index, _ in shard),
-                policy=policy_name,
+                policies=policies,
                 profile=profile,
                 cache_root=cache_root,
-                sharing=sharing,
-                batch=batch,
             )
         )
     return specs
@@ -657,17 +693,16 @@ def _run_lane(jobs: Sequence[CellJob]) -> list[CellOutcome]:
     runtime is named after the job's cluster, so emitted state always
     names the cluster it belongs to, whatever an incoming state said.
     """
-    sharing = active_sharing()
-    if not sharing.enabled:
+    if not active_sharing().enabled:
         return [run_job(job) for job in jobs]
     runtime = None
     outcomes = []
     for job in jobs:
         if job.cluster_state is not None:
-            runtime = decode_cluster_state(job.cluster_state, sharing)
+            runtime = decode_cluster_state(job.cluster_state)
             runtime.cluster_id = job.cluster
         elif runtime is None:
-            runtime = ClusterRuntime(sharing, job.cluster)
+            runtime = ClusterRuntime(job.cluster)
         with runtime.activate(job.cell):
             outcome = run_job(job)
         if job.emit_cluster_state:
@@ -680,7 +715,7 @@ def _run_lane(jobs: Sequence[CellJob]) -> list[CellOutcome]:
 
 def _run_jobs(spec: ShardSpec) -> list[CellOutcome]:
     """Group a spec's jobs into lanes and run them (policies installed)."""
-    shared = active_sharing().enabled
+    shared = spec.policies.sharing.enabled
     lanes: dict[object, list[int]] = {}
     for position, job in enumerate(spec.jobs):
         if shared and job.cluster is None:
@@ -694,7 +729,7 @@ def _run_jobs(spec: ShardSpec) -> list[CellOutcome]:
         [spec.jobs[position] for position in positions]
         for positions in lanes.values()
     ]
-    if active_batching().enabled and len(groups) > 1:
+    if spec.policies.batch.enabled and len(groups) > 1:
         # Fill the shared caches serially before the lanes race for them:
         # model pretrains, and each distinct stream materialized once.
         with profiling.scope(profiling.MATERIALIZE):
@@ -717,14 +752,12 @@ def _run_jobs(spec: ShardSpec) -> list[CellOutcome]:
 def execute_shard(spec: ShardSpec) -> ShardResult:
     """Run one spec: the single entry point of every transport.
 
-    Installs the spec's numeric, sharing, and batching policies, runs its
-    jobs in lanes (see the module docstring), profiles when
-    ``spec.profile`` is set, and measures its own ``wall_s``.
+    Installs the spec's policies, runs its jobs in lanes (see the module
+    docstring), profiles when ``spec.profile`` is set, and measures its
+    own ``wall_s``.
     """
     started = time.perf_counter()
-    with use_policy(spec.policy), use_sharing(spec.sharing), use_batching(
-        spec.batch
-    ):
+    with spec.policies.use():
         if not spec.profile:
             outcomes, profile = _run_jobs(spec), None
         else:

@@ -14,14 +14,9 @@ built around).  This module makes the dtype an explicit *policy* object:
   float32; it has its *own* frozen reference digests and accuracy-delta
   bounds against float64.
 
-Resolution order for the active policy:
-
-1. an ambient override installed with :func:`use_policy` (a
-   :class:`contextvars.ContextVar`, so it nests and is async/thread-safe);
-2. the ``REPRO_DTYPE`` environment variable (re-read per call so tests can
-   repoint it with a plain ``monkeypatch.setenv``; parsing is one dict
-   lookup);
-3. :data:`FLOAT64`.
+The policy is one :class:`~repro.knobs.Knob`, :data:`NUMERIC`
+(``REPRO_DTYPE``, default float64); README "Policies" gives its sweep-spec
+key and the resolution order every knob shares.
 
 Layering contract: the *data-producing* layers (streams, proxy models,
 buffers, caches) consult :func:`active_policy` when they allocate, and from
@@ -35,19 +30,17 @@ each such site is documented where it lives.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.knobs import Knob
 
 __all__ = [
     "DTYPE_ENV",
     "FLOAT32",
     "FLOAT64",
+    "NUMERIC",
     "POLICIES",
     "NumericPolicy",
     "active_policy",
@@ -72,11 +65,8 @@ class NumericPolicy:
         name: Canonical policy name (``"float64"`` / ``"float32"``) -- the
             value ``REPRO_DTYPE`` takes and the token cache keys embed.
         dtype: The numpy dtype streams, weights, and activations carry.
-        eps: Machine epsilon of :attr:`dtype`.
         atol: Absolute tolerance for closeness assertions at this precision.
         rtol: Relative tolerance for closeness assertions at this precision.
-        loss_floor: Clip floor under probabilities before ``log`` (exactly
-            representable in both dtypes, so it is policy-invariant).
         digest_namespace: Short token namespacing content-addressed cache
             keys and reference-digest files, so float32 and float64
             artifacts can never collide.
@@ -84,10 +74,8 @@ class NumericPolicy:
 
     name: str
     dtype: np.dtype
-    eps: float
     atol: float
     rtol: float
-    loss_floor: float
     digest_namespace: str
 
     def asarray(self, values) -> np.ndarray:
@@ -109,87 +97,46 @@ class NumericPolicy:
 FLOAT64 = NumericPolicy(
     name="float64",
     dtype=np.dtype(np.float64),
-    eps=float(np.finfo(np.float64).eps),
     atol=1e-9,
     rtol=1e-9,
-    loss_floor=1e-12,
     digest_namespace="f64",
 )
 
 FLOAT32 = NumericPolicy(
     name="float32",
     dtype=np.dtype(np.float32),
-    eps=float(np.finfo(np.float32).eps),
     atol=1e-4,
     rtol=1e-4,
-    loss_floor=1e-12,
     digest_namespace="f32",
 )
 
-#: Supported policies by canonical name.
-POLICIES: dict[str, NumericPolicy] = {
-    FLOAT64.name: FLOAT64,
-    FLOAT32.name: FLOAT32,
-}
-
-#: Accepted spellings for each policy (environment values, CLI args).
-_ALIASES: dict[str, NumericPolicy] = {
-    "": FLOAT64,
-    "float64": FLOAT64,
-    "fp64": FLOAT64,
-    "f64": FLOAT64,
-    "64": FLOAT64,
-    "double": FLOAT64,
-    "float32": FLOAT32,
-    "fp32": FLOAT32,
-    "f32": FLOAT32,
-    "32": FLOAT32,
-    "single": FLOAT32,
-}
-
-_override: ContextVar[NumericPolicy | None] = ContextVar(
-    "repro_numeric_policy", default=None
+#: The numeric knob, with its accepted spellings (environment values, CLI
+#: args, spec entries).
+NUMERIC = Knob(
+    DTYPE_ENV,
+    FLOAT64,
+    label="numeric policy",
+    aliases={
+        "": FLOAT64,
+        "float64": FLOAT64,
+        "fp64": FLOAT64,
+        "f64": FLOAT64,
+        "64": FLOAT64,
+        "double": FLOAT64,
+        "float32": FLOAT32,
+        "fp32": FLOAT32,
+        "f32": FLOAT32,
+        "32": FLOAT32,
+        "single": FLOAT32,
+    },
 )
 
+#: Supported policies by canonical name.
+POLICIES: dict[str, NumericPolicy] = NUMERIC.by_name
 
-def resolve_policy(spec: "str | NumericPolicy | None") -> NumericPolicy:
-    """A policy from a name/alias, an existing policy, or None (default)."""
-    if spec is None:
-        return FLOAT64
-    if isinstance(spec, NumericPolicy):
-        return spec
-    try:
-        return _ALIASES[spec.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(POLICIES))
-        raise ConfigurationError(
-            f"unknown numeric policy {spec!r} "
-            f"(set {DTYPE_ENV} to one of: {known})"
-        )
-
-
-def active_policy() -> NumericPolicy:
-    """The policy in effect: override > ``$REPRO_DTYPE`` > float64."""
-    override = _override.get()
-    if override is not None:
-        return override
-    return resolve_policy(os.environ.get(DTYPE_ENV))
-
-
-@contextmanager
-def use_policy(spec: "str | NumericPolicy"):
-    """Force a policy for the dynamic extent of the ``with`` block.
-
-    Nests (the previous override is restored on exit) and takes precedence
-    over the environment.  Benchmarks use this for the float64/float32 A/B;
-    tests use it to parametrize over both policies in one process.
-    """
-    policy = resolve_policy(spec)
-    token = _override.set(policy)
-    try:
-        yield policy
-    finally:
-        _override.reset(token)
+resolve_policy = NUMERIC.resolve
+active_policy = NUMERIC.active
+use_policy = NUMERIC.use
 
 
 def ensure_float(values) -> np.ndarray:

@@ -99,6 +99,7 @@ from repro.exec.scheduler import Scheduler
 from repro.exec.shard import (
     CellJob,
     CellOutcome,
+    PolicySet,
     ShardSpec,
     batch_signature,
     cell_key,
@@ -106,7 +107,6 @@ from repro.exec.shard import (
     shard_key,
 )
 from repro.models.zoo import MODEL_PAIRS
-from repro.numeric import active_policy
 from repro.reference import run_digest
 from repro.service.control import ControlServer
 from repro.service.degrade import DegradationLadder, DegradeLevel
@@ -117,9 +117,7 @@ from repro.service.session import (
     session_fingerprint,
     session_path,
 )
-from repro.batching import active_batching
 from repro.share.cluster import ClusterTracker
-from repro.share.policy import active_sharing
 
 __all__ = ["FleetService", "ServiceConfig", "StreamState"]
 
@@ -228,11 +226,9 @@ class FleetService:
         clock: Callable[[], float] | None = None,
     ) -> None:
         self.config = config
-        self.policy = active_policy().name
-        self.sharing = active_sharing()
-        self.batching = active_batching()
+        self.policies = PolicySet.active()
         self._clusters = (
-            ClusterTracker(self.sharing) if self.sharing.enabled else None
+            ClusterTracker() if self.policies.sharing.enabled else None
         )
         self._stream_cluster: dict[str, str] = {}
         self._cluster_states: dict[str, dict] = {}
@@ -307,16 +303,10 @@ class FleetService:
         path = session_path(out)
         self.journal = SessionJournal(
             path,
-            session_fingerprint(
-                self.policy,
-                config.window_s,
-                sharing=(
-                    self.sharing.name if self.sharing.enabled else None
-                ),
-            ),
+            session_fingerprint(self.policies, config.window_s),
             resume=path.exists(),
         )
-        if self.sharing.enabled:
+        if self.policies.sharing.enabled:
             # Resumed sessions pick their accumulated cluster state
             # back up; fresh ones start empty.
             self._cluster_states = dict(self.journal.clusters)
@@ -332,14 +322,14 @@ class FleetService:
             "resumed": self.journal.resumed,
             "backend": self._backend.name,
             "workers": self._workers,
-            "policy": self.policy,
+            "policy": self.policies.numeric.name,
             "speedup": config.speedup,
             "window_s": config.window_s,
         }
-        if self.sharing.enabled:
-            start_detail["sharing"] = self.sharing.name
-        if self.batching.enabled:
-            start_detail["batching"] = self.batching.name
+        if self.policies.sharing.enabled:
+            start_detail["sharing"] = self.policies.sharing.name
+        if self.policies.batch.enabled:
+            start_detail["batching"] = self.policies.batch.name
         self.journal.record_event("start", start_detail)
         for log in self.journal.active_streams():
             self._attach(log)
@@ -468,7 +458,7 @@ class FleetService:
         into many.  Known keys (idempotent re-admits and journal
         re-attaches) pass -- they add no new load.
         """
-        key = cell_key(self.policy, self._resolve_cell(cell))
+        key = cell_key(self.policies.numeric.name, self._resolve_cell(cell))
         if key in self.streams or key in self.journal.streams:
             return
         shedding = [
@@ -527,7 +517,7 @@ class FleetService:
 
     def _admit_cell(self, cell) -> StreamState:
         cell = self._resolve_cell(cell)
-        key = cell_key(self.policy, cell)
+        key = cell_key(self.policies.numeric.name, cell)
         existing = self.streams.get(key)
         if existing is not None:
             return existing  # idempotent: admitting twice is a no-op
@@ -543,7 +533,11 @@ class FleetService:
                 "service is draining and not admitting new streams"
             )
         log = self.journal.record_admit(
-            key, cell, self.policy, cell.duration_s, self.config.window_s
+            key,
+            cell,
+            self.policies.numeric.name,
+            cell.duration_s,
+            self.config.window_s,
         )
         return self._attach(log)
 
@@ -666,7 +660,7 @@ class FleetService:
                 and stream_prefix_aligned(end)
             ),
         )
-        if self.sharing.enabled:
+        if self.policies.sharing.enabled:
             cid = self._stream_cluster[state.log.key]
             job = replace(
                 job,
@@ -678,13 +672,13 @@ class FleetService:
 
     def _spec(self, jobs: list[CellJob]) -> ShardSpec:
         return ShardSpec(
-            key=shard_key(self.policy, [job.cell for job in jobs]),
+            key=shard_key(
+                self.policies.numeric.name, [job.cell for job in jobs]
+            ),
             jobs=tuple(jobs),
             indices=tuple(range(len(jobs))),
-            policy=self.policy,
+            policies=self.policies,
             cache_root=os.environ.get(CACHE_ENV),
-            sharing=self.sharing.name,
-            batch=self.batching.name,
         )
 
     def _window_frames(self, state: StreamState, index: int) -> int:
@@ -809,7 +803,7 @@ class FleetService:
             # supervisor has released (bounded by max_inflight anyway) --
             # a serial backend then serves K streams per dispatch.
             limit = self._workers
-            if self.batching.enabled:
+            if self.policies.batch.enabled:
                 limit = max(limit, self._max_inflight)
             while len(batch) < limit:
                 try:
@@ -867,7 +861,7 @@ class FleetService:
         for position, (key, w, spec) in enumerate(batch):
             signature = (
                 batch_signature(spec.cells[0])
-                if self.batching.enabled
+                if self.policies.batch.enabled
                 else position
             )
             groups.setdefault(signature, []).append((key, w, spec))
@@ -911,7 +905,7 @@ class FleetService:
                 "retired": log.retired,
                 "retire_reason": log.retire_reason,
             }
-            if self.sharing.enabled:
+            if self.policies.sharing.enabled:
                 streams[key]["cluster"] = self._stream_cluster.get(key)
         backend_info = {"name": self._backend.name, "workers": self._workers}
         procs = getattr(self._backend, "_procs", None)
@@ -920,7 +914,7 @@ class FleetService:
                 1 for proc in procs if proc.poll() is None
             )
         snapshot = {
-            "policy": self.policy,
+            "policy": self.policies.numeric.name,
             "window_s": self.config.window_s,
             "speedup": self.config.speedup,
             "eager": self.clock.eager,
@@ -933,9 +927,9 @@ class FleetService:
             "events": len(self.journal.events),
             "streams": streams,
         }
-        if self.sharing.enabled:
+        if self.policies.sharing.enabled:
             snapshot["sharing"] = {
-                "policy": self.sharing.name,
+                "policy": self.policies.sharing.name,
                 "clusters": sorted(set(self._stream_cluster.values())),
                 "inflight_clusters": sorted(self._cluster_inflight),
             }

@@ -59,6 +59,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 from repro.exec import faults, protocol
 from repro.exec.scheduler import _fsync_dir
+from repro.exec.shard import PolicySet
 from repro.service.degrade import Transition
 from repro.service.pacing import window_count
 
@@ -87,23 +88,23 @@ def session_path(out_dir: str | Path) -> Path:
     return Path(out_dir) / "session.jsonl"
 
 
-def session_fingerprint(
-    policy: str, window_s: float, sharing: str | None = None
-) -> str:
+def session_fingerprint(policies: PolicySet, window_s: float) -> str:
     """Content fingerprint pinning a journal to its session parameters.
 
     Streams are admitted at runtime, so -- unlike a sweep journal, whose
     fingerprint covers the whole compiled plan -- only the parameters
     that would silently change the meaning of *every* record are pinned:
     the numeric policy (digests are policy-scoped), the window length
-    (window indices are meaningless across a different split), and -- only
-    when enabled -- the sharing policy (shared-path window results differ
-    from independent ones, so the journals must never mix; the off-path
-    fingerprint stays the historical byte string).
+    (window indices are meaningless across a different split), and
+    whatever :meth:`PolicySet.fingerprint` folds in (an enabled sharing
+    policy: shared-path window results differ from independent ones, so
+    the journals must never mix; the off-path fingerprint stays the
+    historical byte string).
     """
-    text = f"service|v{SESSION_VERSION}|{policy}|{window_s:g}"
-    if sharing is not None:
-        text += f"|sharing={sharing}"
+    text = (
+        f"service|v{SESSION_VERSION}|{policies.numeric.name}|{window_s:g}"
+        f"{policies.fingerprint()}"
+    )
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -4,9 +4,9 @@ A fleet of correlated cameras (same scenario schedule, different sensor
 seeds) currently pays N full label+retrain bills for N cameras.  This
 package makes that cost sublinear, ECCO-style:
 
-- :mod:`repro.share.policy` -- the explicit opt-in :class:`SharingPolicy`
-  (mirrors :class:`repro.numeric.NumericPolicy`; default :data:`OFF` keeps
-  the bit-identical reference path).
+- :mod:`repro.share.policy` -- the explicit opt-in :data:`SHARING` knob
+  (default :data:`OFF` keeps the bit-identical reference path) and the
+  clustering and merge constants of its one enabled value.
 - :mod:`repro.share.fingerprint` -- cheap, deterministic drift signatures
   per stream (domain schedule tokens, with a feature-statistics fallback).
 - :mod:`repro.share.cluster` -- threshold clustering of fingerprints into

@@ -6,11 +6,11 @@ shared between cells running the same models.  Within a partition, the
 distinct stream keys (scenario, duration) are fingerprinted and greedily
 clustered: keys are visited in sorted order (so the result is independent
 of camera order in the spec) and each joins the first existing cluster
-whose representative fingerprint is within the policy threshold, else
-founds a new one.  Cluster ids ``c0, c1, ...`` are assigned over the
-sorted representatives, making the whole assignment a pure function of the
-cell *set* and the policy -- stable across processes, jobs counts, numeric
-policies, and permutations.
+whose representative fingerprint is within
+:data:`~repro.share.policy.THRESHOLD`, else founds a new one.  Cluster ids
+``c0, c1, ...`` are assigned over the sorted representatives, making the
+whole assignment a pure function of the cell *set* -- stable across
+processes, jobs counts, numeric policies, and permutations.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.share.fingerprint import (
     fingerprint_distance,
     schedule_fingerprint,
 )
-from repro.share.policy import SharingPolicy
+from repro.share.policy import THRESHOLD
 
 __all__ = [
     "ClusterAssignment",
@@ -52,7 +52,6 @@ class ClusterAssignment:
     """The result of clustering a cell list.
 
     Attributes:
-        policy: The sharing policy the clustering ran under.
         clusters: Cluster id -> tuple of member keys, where a member key is
             ``partition_key + stream_key``.  Insertion order of the dict is
             the sorted-representative order the ids were assigned in.
@@ -60,7 +59,6 @@ class ClusterAssignment:
         fingerprints: Member key -> fingerprint (for describe/debug).
     """
 
-    policy: SharingPolicy
     clusters: dict[str, tuple[tuple, ...]]
     members: dict[tuple, str]
     fingerprints: dict[tuple, StreamFingerprint]
@@ -77,8 +75,8 @@ class ClusterAssignment:
         return grouped
 
 
-def cluster_cells(cells, policy: SharingPolicy) -> ClusterAssignment:
-    """Cluster a cell list's distinct streams under a sharing policy."""
+def cluster_cells(cells) -> ClusterAssignment:
+    """Cluster a cell list's distinct streams."""
     keys: dict[tuple, tuple[str, str]] = {}
     for cell in cells:
         member = _partition_key(cell) + _stream_key(cell)
@@ -98,7 +96,7 @@ def cluster_cells(cells, policy: SharingPolicy) -> ClusterAssignment:
         for rep_member, rep_fp in reps:
             if rep_member[:3] != member[:3]:  # different work profile
                 continue
-            if fingerprint_distance(fp, rep_fp) <= policy.threshold:
+            if fingerprint_distance(fp, rep_fp) <= THRESHOLD:
                 home = rep_member
                 break
         if home is None:
@@ -114,7 +112,6 @@ def cluster_cells(cells, policy: SharingPolicy) -> ClusterAssignment:
         for member in groups[rep_member]:
             members[member] = cid
     return ClusterAssignment(
-        policy=policy,
         clusters=clusters,
         members=members,
         fingerprints=fingerprints,
@@ -129,13 +126,12 @@ class ClusterTracker:
     does not fit.  The tracker applies the same greedy threshold rule
     *in admission order*: each new stream joins the first existing
     cluster whose founder shares its work profile and is within the
-    policy threshold, else founds cluster ``c<n>``.  Ids are therefore a
+    threshold, else founds cluster ``c<n>``.  Ids are therefore a
     pure function of the admission sequence -- and a resumed session
     replays admits in journal order, reproducing the same ids.
     """
 
-    def __init__(self, policy: SharingPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._reps: list[tuple[tuple, StreamFingerprint, str]] = []
         self._members: dict[tuple, str] = {}
 
@@ -149,7 +145,7 @@ class ClusterTracker:
         for rep_member, rep_fp, cid in self._reps:
             if rep_member[:3] != member[:3]:  # different work profile
                 continue
-            if fingerprint_distance(fp, rep_fp) <= self.policy.threshold:
+            if fingerprint_distance(fp, rep_fp) <= THRESHOLD:
                 self._members[member] = cid
                 return cid
         cid = f"c{len(self._reps)}"

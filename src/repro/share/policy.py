@@ -3,39 +3,39 @@
 Sharing changes *what work runs* (which teacher labelings and student
 retrains actually execute), so unlike the numeric policy it can never be a
 silent default: the frozen reference digests were all taken with every cell
-independent.  This module mirrors :mod:`repro.numeric` exactly --
+independent.  The policy is one :class:`~repro.knobs.Knob`,
+:data:`SHARING` (``REPRO_SHARING``, ``--sharing``, or ``sharing = ...`` in a
+sweep spec's ``[sweep]`` table; README "Policies"), with two values:
 
 - :data:`OFF` -- the default.  Every (scenario, seed) cell is executed
   independently; the path is bit-identical to the frozen reference digests
   (no sharing code runs at all, the hooks see no active runtime).
-- :data:`CLUSTER` -- the opt-in (``REPRO_SHARING=cluster``, ``--sharing
-  cluster``, or ``sharing = "cluster"`` in a sweep spec's ``[sweep]``
-  table).  Streams are fingerprinted and clustered; within a cluster,
+- :data:`CLUSTER` -- the opt-in.  Streams are fingerprinted and clustered
+  (fingerprint distance at most :data:`THRESHOLD`); within a cluster,
   teacher labels are computed once and shared, retrains warm-start from the
   cluster's freshest student weights or substitute a neighbor's per-domain
-  weight delta, and diverged deltas are merged DAM-style.  This path
-  freezes its *own* digests (``tests/reference/digests_sharing.json``).
+  weight delta, and diverged deltas are merged DAM-style
+  (:data:`MERGE_ALPHA`).  This path freezes its *own* digests
+  (``tests/reference/digests_sharing.json``).
 
-Resolution order: :func:`use_sharing` override > ``$REPRO_SHARING`` >
-:data:`OFF` -- the same contextvar discipline as ``use_policy``, so it is
-thread/async-safe and nests.
+``CLUSTER`` is the only enabled value, so the reuse machinery
+(:mod:`repro.share.cluster`, :mod:`repro.share.runtime`) reads its
+constants from here rather than from the policy value.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
+from repro.knobs import Knob, Switch
 
 __all__ = [
     "CLUSTER",
+    "MERGE_ALPHA",
     "OFF",
+    "SHARING",
     "SHARING_ENV",
     "SHARING_POLICIES",
     "SharingPolicy",
+    "THRESHOLD",
     "active_sharing",
     "resolve_sharing",
     "use_sharing",
@@ -44,124 +44,48 @@ __all__ = [
 #: Environment variable selecting the process-wide sharing policy.
 SHARING_ENV = "REPRO_SHARING"
 
+#: Maximum fingerprint distance (fraction of mismatching domain-schedule
+#: segments, in [0, 1]) for two streams to join the same cluster.
+THRESHOLD = 0.35
 
-@dataclass(frozen=True)
-class SharingPolicy:
-    """Every knob of the cross-camera reuse machinery, as one frozen value.
+#: Blend weight of the *newer* delta when two members publish diverging
+#: per-domain deltas.
+MERGE_ALPHA = 0.5
 
-    Attributes:
-        name: Canonical name (``"off"`` / ``"cluster"``) -- the value
-            ``REPRO_SHARING`` takes and shard specs carry over the wire.
-        enabled: Master switch.  When False no sharing code runs and the
-            execution path is byte-for-byte the independent one.
-        threshold: Maximum fingerprint distance (fraction of mismatching
-            domain-schedule segments, in [0, 1]) for two streams to join
-            the same cluster.  0 means only identical schedules cluster.
-        share_labels: Reuse a cluster neighbor's teacher labels for the
-            same (domain, time-slot) instead of running the teacher again.
-        warm_start: New cluster members start from the cluster's freshest
-            student weights instead of their own pretrain.
-        merge: Substitute a neighbor's per-domain weight delta for a
-            retrain when one is available, and blend deltas DAM-style when
-            two members publish diverging deltas for the same domain.
-        merge_alpha: Blend weight of the *newer* delta in a merge.
-        digest_namespace: Token namespacing sharing-path artifacts so they
-            can never collide with independent-path caches or digests.
-    """
+#: A sharing policy: its canonical name (the value ``REPRO_SHARING`` takes
+#: and shard specs carry over the wire) and whether reuse is on.
+SharingPolicy = Switch
 
-    name: str
-    enabled: bool
-    threshold: float
-    share_labels: bool
-    warm_start: bool
-    merge: bool
-    merge_alpha: float
-    digest_namespace: str
+OFF = SharingPolicy(name="off", enabled=False)
 
-    def __str__(self) -> str:
-        return self.name
+CLUSTER = SharingPolicy(name="cluster", enabled=True)
 
-
-OFF = SharingPolicy(
-    name="off",
-    enabled=False,
-    threshold=0.0,
-    share_labels=False,
-    warm_start=False,
-    merge=False,
-    merge_alpha=0.5,
-    digest_namespace="ind",
-)
-
-CLUSTER = SharingPolicy(
-    name="cluster",
-    enabled=True,
-    threshold=0.35,
-    share_labels=True,
-    warm_start=True,
-    merge=True,
-    merge_alpha=0.5,
-    digest_namespace="shr",
+#: The sharing knob, with its accepted spellings (environment values, CLI
+#: args, spec keys).
+SHARING = Knob(
+    SHARING_ENV,
+    OFF,
+    label="sharing policy",
+    aliases={
+        "": OFF,
+        "off": OFF,
+        "0": OFF,
+        "no": OFF,
+        "none": OFF,
+        "false": OFF,
+        "independent": OFF,
+        "cluster": CLUSTER,
+        "on": CLUSTER,
+        "1": CLUSTER,
+        "yes": CLUSTER,
+        "true": CLUSTER,
+        "shared": CLUSTER,
+    },
 )
 
 #: Supported policies by canonical name.
-SHARING_POLICIES: dict[str, SharingPolicy] = {
-    OFF.name: OFF,
-    CLUSTER.name: CLUSTER,
-}
+SHARING_POLICIES: dict[str, SharingPolicy] = SHARING.by_name
 
-#: Accepted spellings (environment values, CLI args, spec keys).
-_ALIASES: dict[str, SharingPolicy] = {
-    "": OFF,
-    "off": OFF,
-    "0": OFF,
-    "no": OFF,
-    "none": OFF,
-    "false": OFF,
-    "independent": OFF,
-    "cluster": CLUSTER,
-    "on": CLUSTER,
-    "1": CLUSTER,
-    "yes": CLUSTER,
-    "true": CLUSTER,
-    "shared": CLUSTER,
-}
-
-_override: ContextVar[SharingPolicy | None] = ContextVar(
-    "repro_sharing_policy", default=None
-)
-
-
-def resolve_sharing(spec: "str | SharingPolicy | None") -> SharingPolicy:
-    """A policy from a name/alias, an existing policy, or None (default)."""
-    if spec is None:
-        return OFF
-    if isinstance(spec, SharingPolicy):
-        return spec
-    try:
-        return _ALIASES[spec.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(SHARING_POLICIES))
-        raise ConfigurationError(
-            f"unknown sharing policy {spec!r} "
-            f"(set {SHARING_ENV} to one of: {known})"
-        )
-
-
-def active_sharing() -> SharingPolicy:
-    """The policy in effect: override > ``$REPRO_SHARING`` > off."""
-    override = _override.get()
-    if override is not None:
-        return override
-    return resolve_sharing(os.environ.get(SHARING_ENV))
-
-
-@contextmanager
-def use_sharing(spec: "str | SharingPolicy"):
-    """Force a sharing policy for the dynamic extent of the ``with`` block."""
-    policy = resolve_sharing(spec)
-    token = _override.set(policy)
-    try:
-        yield policy
-    finally:
-        _override.reset(token)
+resolve_sharing = SHARING.resolve
+active_sharing = SHARING.active
+use_sharing = SHARING.use

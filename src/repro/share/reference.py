@@ -50,7 +50,7 @@ def sharing_reference_cells():
     ]
 
 
-def run_shared_cells(cells, sharing=None):
+def run_shared_cells(cells):
     """Execute ``cells`` through the sharing path on one in-process shard.
 
     Returns ``(results, runtimes)`` where ``runtimes`` maps cluster id to
@@ -61,21 +61,18 @@ def run_shared_cells(cells, sharing=None):
     """
     from repro.exec.shard import run_cell
     from repro.share.cluster import cluster_cells
-    from repro.share.policy import resolve_sharing, use_sharing
+    from repro.share.policy import use_sharing
     from repro.share.runtime import ClusterRuntime
 
-    sharing = resolve_sharing(
-        SHARING_REFERENCE_POLICY if sharing is None else sharing
-    )
-    assignment = cluster_cells(cells, sharing)
+    assignment = cluster_cells(cells)
     runtimes: dict[str, ClusterRuntime] = {}
     results = []
-    with use_sharing(sharing):
+    with use_sharing(SHARING_REFERENCE_POLICY):
         for cell in cells:
             cid = assignment.cluster_of(cell)
             runtime = runtimes.get(cid)
             if runtime is None:
-                runtime = runtimes[cid] = ClusterRuntime(sharing, cid)
+                runtime = runtimes[cid] = ClusterRuntime(cid)
             with runtime.activate(cell):
                 results.append(run_cell(cell))
     return results, runtimes

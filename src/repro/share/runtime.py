@@ -13,8 +13,12 @@ One :class:`ClusterRuntime` holds everything a cluster's members reuse:
   retrained in.  A neighbor entering the same domain substitutes
   ``base + delta`` for its own retrain (DAM's adapter reuse); when two
   members publish diverging deltas for one domain, they are blended
-  ``(1 - alpha) * old + alpha * new`` (DAM's merge rule) instead of either
-  winning outright.
+  ``(1 - alpha) * old + alpha * new`` (DAM's merge rule, ``alpha`` =
+  :data:`~repro.share.policy.MERGE_ALPHA`) instead of either winning
+  outright.
+
+A runtime exists only under :data:`~repro.share.policy.CLUSTER`, the one
+enabled sharing policy, so all three reuse paths are always on.
 
 The runtime is installed with :meth:`ClusterRuntime.activate` around one
 cell's execution; the hooks in ``core/system.py`` and ``learn/student.py``
@@ -38,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import SnapshotError
+from repro.errors import ConfigurationError, SnapshotError
 from repro.share.fingerprint import cell_fingerprint
-from repro.share.policy import SharingPolicy, resolve_sharing
+from repro.share.policy import CLUSTER, MERGE_ALPHA, resolve_sharing
 
 __all__ = [
     "ClusterRuntime",
@@ -141,7 +145,6 @@ class ClusterRuntime:
     run sequentially on one shard by construction.
     """
 
-    policy: SharingPolicy
     cluster_id: str
     segment_s: float = 60.0
     base_model: str | None = None
@@ -185,8 +188,6 @@ class ClusterRuntime:
 
     def shared_labels(self, t0: float):
         """A neighbor's (features, labels) for this (domain, slot), or None."""
-        if not self.policy.share_labels:
-            return None
         domain = self._token_at(t0)
         if domain is None:
             return None
@@ -200,8 +201,6 @@ class ClusterRuntime:
     def publish_labels(self, t0: float, x, y) -> None:
         """Record a freshly computed teacher labeling for neighbors."""
         self.counters["labels_computed"] += len(x)
-        if not self.policy.share_labels:
-            return
         domain = self._token_at(t0)
         if domain is None:
             return
@@ -222,9 +221,7 @@ class ClusterRuntime:
             self.base = mlp.snapshot()
             self.base_model = model_name
             return
-        if not self.policy.warm_start or model_name != self.base_model:
-            return
-        if self.freshest is None:
+        if model_name != self.base_model or self.freshest is None:
             return
         if _state_shapes(self.freshest) != _state_shapes(mlp.snapshot()):
             return
@@ -237,7 +234,7 @@ class ClusterRuntime:
         Returns ``base + delta`` for the current domain token when a
         neighbor has published one -- the DAM adapter substitution.
         """
-        if not self.policy.merge or self.base is None:
+        if self.base is None:
             return None
         domain = self._token_at(t0)
         if domain is None:
@@ -264,14 +261,8 @@ class ClusterRuntime:
             return
         delta = _state_delta(state, self.base)
         existing = self.deltas.get(domain)
-        if (
-            existing is not None
-            and existing.member != self._member
-            and self.policy.merge
-        ):
-            delta = _state_blend(
-                existing.delta, delta, self.policy.merge_alpha
-            )
+        if existing is not None and existing.member != self._member:
+            delta = _state_blend(existing.delta, delta, MERGE_ALPHA)
             self.counters["merges"] += 1
         self.deltas[domain] = _DeltaEntry(
             member=self._member or "?", slot=self._slot(t0), delta=delta
@@ -282,7 +273,7 @@ def encode_cluster_state(runtime: ClusterRuntime) -> dict:
     """The journal-able weight state of a cluster (labels excluded)."""
     payload: dict = {
         "version": CLUSTER_STATE_VERSION,
-        "policy": runtime.policy.name,
+        "policy": CLUSTER.name,
         "cluster": runtime.cluster_id,
         "segment_s": runtime.segment_s,
         "base_model": runtime.base_model,
@@ -303,16 +294,20 @@ def encode_cluster_state(runtime: ClusterRuntime) -> dict:
     return payload
 
 
-def decode_cluster_state(payload: dict, policy: SharingPolicy) -> ClusterRuntime:
-    """Rebuild a cluster runtime from a journaled state payload."""
+def decode_cluster_state(payload: dict) -> ClusterRuntime:
+    """Rebuild a cluster runtime from a journaled state payload.
+
+    A state journaled under a policy that shares nothing is refused.
+    """
     try:
         version = payload["version"]
         if version != CLUSTER_STATE_VERSION:
             raise SnapshotError(
                 f"cluster state version {version} != {CLUSTER_STATE_VERSION}"
             )
+        if not resolve_sharing(payload["policy"]).enabled:
+            raise SnapshotError(f"cluster state under {payload['policy']!r}")
         runtime = ClusterRuntime(
-            policy=resolve_sharing(payload.get("policy", policy)),
             cluster_id=payload["cluster"],
             segment_s=float(payload.get("segment_s", 60.0)),
             base_model=payload.get("base_model"),
@@ -331,5 +326,5 @@ def decode_cluster_state(payload: dict, policy: SharingPolicy) -> ClusterRuntime
         counters.update(payload.get("counters", {}))
         runtime.counters = counters
         return runtime
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SnapshotError(f"malformed cluster state: {exc}") from exc

@@ -35,7 +35,7 @@ from repro.data.stream import DEFAULT_DURATION_S
 from repro.exec.shard import batch_signature
 from repro.numeric import NumericPolicy, POLICIES, active_policy
 from repro.share.cluster import cluster_cells, describe_clusters
-from repro.share.policy import active_sharing
+from repro.share.policy import THRESHOLD, active_sharing
 from repro.sweep.spec import SweepSpec
 
 __all__ = ["CostEstimate", "PolicyPlan", "SweepPlan", "compile_plan"]
@@ -175,7 +175,7 @@ class SweepPlan:
         shared_seconds = 0.0
         shared_pretrains = 0
         for group in self.groups:
-            assignment = cluster_cells(group.cells, sharing)
+            assignment = cluster_cells(group.cells)
             grouped = assignment.cluster_cells_of(group.cells)
             clusters += len(grouped)
             shared_pretrains += len(grouped)
@@ -191,7 +191,7 @@ class SweepPlan:
                 )
         return {
             "policy": sharing.name,
-            "threshold": sharing.threshold,
+            "threshold": THRESHOLD,
             "clusters": clusters,
             "largest_cluster_cells": largest_cluster,
             "label_stream_seconds_shared": shared_seconds,
@@ -267,7 +267,7 @@ class SweepPlan:
                 f"{est.pretrained_models} independent",
             ]
             for group in self.groups:
-                assignment = cluster_cells(group.cells, active_sharing())
+                assignment = cluster_cells(group.cells)
                 for line in describe_clusters(assignment, group.cells):
                     lines.append(f"  [{group.policy.name}] {line}")
         if est.batching is not None:

@@ -25,9 +25,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from repro.core.parallel import default_jobs, positive_int_env
+from repro.core.parallel import default_jobs
 from repro.errors import ConfigurationError
 from repro.exec import (
+    PolicySet,
     ShardFailure,
     SweepJournal,
     cell_key,
@@ -35,6 +36,7 @@ from repro.exec import (
 )
 from repro.exec.backends import resolve_backend
 from repro.experiments.reporting import ExperimentResult, format_table
+from repro.knobs import positive_int_env
 from repro.numeric import use_policy
 from repro.share.cluster import cluster_cells
 from repro.share.policy import active_sharing
@@ -67,16 +69,15 @@ def plan_fingerprint(plan: SweepPlan) -> str:
     Covers the spec name, cell kind, and every (policy, cell) in
     expansion order -- but *not* jobs or backend, so a journal written at
     ``--jobs 8`` over subprocess workers resumes at ``--jobs 1`` serial.
-    An enabled sharing policy is folded in (its results differ from
-    independent ones), so a sharing journal can never resume an
-    independent sweep or vice versa; the off-path fingerprint is the
-    historical byte string.
+    The active policies fold in through :meth:`PolicySet.fingerprint`, so
+    a sharing journal can never resume an independent sweep or vice
+    versa; the off-path fingerprint is the historical byte string.
     """
     hasher = hashlib.sha256()
-    hasher.update(f"{plan.spec.name}|{plan.spec.cell}".encode())
-    sharing = active_sharing()
-    if sharing.enabled:
-        hasher.update(f"|sharing={sharing.name}".encode())
+    hasher.update(
+        f"{plan.spec.name}|{plan.spec.cell}"
+        f"{PolicySet.active().fingerprint()}".encode()
+    )
     for group in plan.groups:
         for cell in group.cells:
             hasher.update(cell_key(group.policy.name, cell).encode())
@@ -171,20 +172,20 @@ def run_sweep(
     triples = []
     resumed = 0
     try:
-        sharing = active_sharing()
+        shared = active_sharing().enabled
         for group in plan.groups:
             cells = list(group.cells)
             results: list = [None] * len(cells)
             remaining = []
             whole_clusters: set[str] | None = None
-            if sharing.enabled and journal is not None and resume:
+            if shared and journal is not None and resume:
                 # Sharing makes a cluster's cells interdependent: a cell
                 # journaled mid-cluster cannot be skipped alone, because
                 # re-running only its neighbors would see different
                 # cluster state.  Skip at cluster granularity -- partial
                 # clusters recompute whole (deterministically identical,
                 # so re-journaled records are bit-equal to the originals).
-                assignment = cluster_cells(cells, sharing)
+                assignment = cluster_cells(cells)
                 whole_clusters = {
                     cid
                     for cid, members in assignment.cluster_cells_of(

@@ -294,10 +294,9 @@ class TestWorkerExclusion:
         # and the retried shard is served by a fresh replacement -- never
         # by the excluded worker.
         from repro.exec import make_shard_specs
-        from repro.numeric import active_policy
 
         backend = SubprocessWorkerBackend(1)
-        specs = make_shard_specs(CELLS[:1], 1, active_policy().name)
+        specs = make_shard_specs(CELLS[:1], 1)
         try:
             [first] = backend.run(specs)
             (old,) = backend._handles.values()

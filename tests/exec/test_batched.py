@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 from repro import profiling
-from repro.batching import ON, use_batching
+from repro.batching import ON, resolve_batching, use_batching
 from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import protocol
 from repro.exec.batched import BatchConductor
 from repro.exec.shard import (
     CellJob,
     CellOutcome,
+    PolicySet,
     ShardResult,
     ShardSpec,
     SystemCell,
@@ -44,6 +45,7 @@ from repro.exec.shard import (
 )
 from repro.numeric import active_policy, use_policy
 from repro.reference import compute_section, reference_path, run_digest
+from repro.share.policy import CLUSTER
 
 POLICY = "float64"
 
@@ -60,8 +62,7 @@ def spec_of(cells, batch="on") -> ShardSpec:
         key=shard_key(POLICY, cells),
         jobs=tuple(CellJob(cell) for cell in cells),
         indices=tuple(range(len(cells))),
-        policy=POLICY,
-        batch=batch,
+        policies=PolicySet(batch=resolve_batching(batch)),
     )
 
 
@@ -139,10 +140,14 @@ class TestPlanner:
         # A spec carries one numeric policy and its key folds the policy
         # in: cells under different policies never co-batch.
         with use_batching(ON):
-            (f64,) = make_shard_specs(CELLS, 1, "float64")
-            (f32,) = make_shard_specs(CELLS, 1, "float32")
+            with use_policy("float64"):
+                (f64,) = make_shard_specs(CELLS, 1)
+            with use_policy("float32"):
+                (f32,) = make_shard_specs(CELLS, 1)
         assert f64.cells == f32.cells == tuple(CELLS)
-        assert (f64.policy, f32.policy) == ("float64", "float32")
+        assert (f64.policies.numeric.name, f32.policies.numeric.name) == (
+            "float64", "float32"
+        )
         assert f64.key != f32.key
 
     def test_off_path_plan_is_historical(self):
@@ -178,7 +183,7 @@ class TestPlanner:
             key=shard_key(policy, heavy),
             jobs=tuple(CellJob(cell) for cell in heavy),
             indices=(0, 1),
-            policy=policy,
+            policies=PolicySet(active_policy()),
         )
         note_shard_observation(spec, 20.0)
         assert observed_cost(cell_key(policy, heavy[0])) == 10.0
@@ -207,8 +212,7 @@ class TestProtocol:
                 CellJob(CELLS[1], snapshot={"origin_duration_s": 30.0}),
             ),
             indices=(0, 1),
-            policy=POLICY,
-            batch="on",
+            policies=PolicySet(batch=ON),
         )
         decoded = protocol.decode_shard_spec(
             protocol.decode_message(
@@ -294,9 +298,9 @@ class TestSharingComposition:
                     CellJob(cell, cluster=cell.scenario) for cell in fleet
                 ),
                 indices=tuple(range(len(fleet))),
-                policy=POLICY,
-                sharing="cluster",
-                batch=batch,
+                policies=PolicySet(
+                    sharing=CLUSTER, batch=resolve_batching(batch)
+                ),
             )
             return [run_digest(run) for run in execute_shard(spec).results]
 

@@ -11,6 +11,7 @@ from repro.exec import (
     CellJob,
     CellOutcome,
     Fig2Cell,
+    PolicySet,
     ShardResult,
     ShardSpec,
     SystemCell,
@@ -18,6 +19,7 @@ from repro.exec import (
 from repro.exec import protocol
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
+from repro.numeric import FLOAT32
 from repro.reference import run_digest
 
 
@@ -138,7 +140,7 @@ class TestShardMessages:
                 ),
             ),
             indices=(5,),
-            policy="float32",
+            policies=PolicySet(FLOAT32),
             profile=True,
             cache_root="/tmp/cache",
         )
@@ -150,7 +152,7 @@ class TestShardMessages:
         )
         assert decoded.key == "abc123"
         assert decoded.cells == self.spec().cells
-        assert decoded.policy == "float32"
+        assert decoded.policies == PolicySet(FLOAT32)
         assert decoded.profile is True
         assert decoded.cache_root == "/tmp/cache"
         # Worker-side indices are synthetic; the parent keeps the real ones.
@@ -197,6 +199,37 @@ class TestShardMessages:
         )
         message["outcomes"] = [{"snapshot": []}]
         with pytest.raises(ProtocolError, match="one valid entry per cell"):
+            protocol.decode_shard_result(message)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("profile", "no"),
+            ("profile", 1),
+            ("id", 7),
+            ("policy", 5),
+            ("policy", "f32"),
+            ("policy", None),
+            ("sharing", ["x"]),
+            ("sharing", "on"),
+            ("batch", True),
+        ],
+    )
+    def test_scalar_fields_are_refused_not_coerced(self, field, value):
+        # A wrong-typed scalar or a policy alias is a malformed message:
+        # the decoder never repairs it into something the parent did not
+        # send.
+        request = protocol.encode_shard_request(self.spec())
+        request[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            protocol.decode_shard_spec(request)
+
+    def test_result_id_must_be_a_string(self):
+        message = protocol.encode_shard_result(
+            ShardResult(key="k", outcomes=())
+        )
+        message["id"] = 7
+        with pytest.raises(ProtocolError, match="id"):
             protocol.decode_shard_result(message)
 
     def test_messages_are_single_lines(self):

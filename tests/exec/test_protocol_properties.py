@@ -3,7 +3,9 @@
 Every encoded shard request and shard result must round-trip exactly, and
 a message with any one field replaced by an arbitrary JSON value must
 either decode or raise :class:`ProtocolError` -- never a raw exception,
-which would escape the transports' retry handling as a traceback.
+which would escape the transports' retry handling as a traceback.  A
+replaced *scalar* field must moreover never be coerced: it decodes to
+exactly the value sent, or is refused.
 """
 
 import numpy as np
@@ -17,11 +19,13 @@ from repro.exec import (
     CellJob,
     CellOutcome,
     Fig2Cell,
+    PolicySet,
     ShardResult,
     ShardSpec,
     SystemCell,
     protocol,
 )
+from repro.exec.shard import POLICY_KNOBS
 from repro.reference import run_digest
 
 SPEC_FIELDS = (
@@ -79,6 +83,15 @@ jobs = st.builds(
 )
 
 
+policy_sets = st.builds(
+    PolicySet,
+    **{
+        name: st.sampled_from(knob.values)
+        for name, knob in POLICY_KNOBS.items()
+    },
+)
+
+
 @st.composite
 def shard_specs(draw):
     spec_jobs = tuple(draw(st.lists(jobs, max_size=4)))
@@ -86,11 +99,9 @@ def shard_specs(draw):
         key=draw(names),
         jobs=spec_jobs,
         indices=tuple(range(len(spec_jobs))),
-        policy=draw(names),
+        policies=draw(policy_sets),
         profile=draw(st.booleans()),
         cache_root=draw(st.none() | names),
-        sharing=draw(names),
-        batch=draw(names),
     )
 
 
@@ -185,6 +196,38 @@ def test_spec_with_any_field_replaced_decodes_or_refuses(spec, field, value):
     message = protocol.encode_shard_request(spec)
     message[field] = value
     decodes_or_refuses(protocol.decode_shard_spec, message)
+
+
+#: How each scalar field of a ``shard`` message reads back off a decoded
+#: spec.
+SCALAR_FIELDS = {
+    "id": lambda spec: spec.key,
+    "policy": lambda spec: spec.policies.numeric.name,
+    "profile": lambda spec: spec.profile,
+    "cache_root": lambda spec: spec.cache_root,
+    "sharing": lambda spec: spec.policies.sharing.name,
+    "batch": lambda spec: spec.policies.batch.name,
+}
+
+
+@given(
+    shard_specs(),
+    st.sampled_from(sorted(SCALAR_FIELDS)),
+    json_values | st.sampled_from(
+        [value.name for knob in POLICY_KNOBS.values() for value in knob.values]
+        + ["f32", "on", "yes", "FLOAT32"]
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_field_decodes_exactly_or_refuses(spec, field, value):
+    message = protocol.encode_shard_request(spec)
+    message[field] = value
+    try:
+        decoded = protocol.decode_shard_spec(wire(message))
+    except ProtocolError:
+        return
+    got = SCALAR_FIELDS[field](decoded)
+    assert type(got) is type(value) and got == value
 
 
 @given(

@@ -13,9 +13,11 @@ import pytest
 from repro.core.parallel import run_cells
 from repro.errors import ConfigurationError
 from repro.exec import (
+    DEFAULT_LEASE_TTL_S,
     QueueBackend,
     ShardFailure,
     ShardResult,
+    SubprocessWorkerBackend,
     SystemCell,
     execute_cells,
     faults,
@@ -25,7 +27,7 @@ from repro.exec import (
     protocol,
     use_backend,
 )
-from repro.exec.queue import QueueLayout, queue_worker_main
+from repro.exec.queue import DEFAULT_POLL_S, QueueLayout, queue_worker_main
 from repro.reference import run_digest
 
 DURATION = 60.0
@@ -75,6 +77,59 @@ class TestParseAndMake:
     def test_worker_refuses_a_non_queue_directory(self, tmp_path):
         with pytest.raises(ConfigurationError):
             queue_worker_main(tmp_path / "not-a-queue", drain=True)
+
+
+#: The duration variables a queue backend reads, each with the attribute
+#: it sets and that attribute's default.
+DURATION_VARIABLES = {
+    "REPRO_LEASE_TTL": ("lease_ttl_s", DEFAULT_LEASE_TTL_S),
+    "REPRO_QUEUE_POLL": ("poll_s", DEFAULT_POLL_S),
+    "REPRO_SHARD_TIMEOUT": ("shard_timeout_s", None),
+}
+
+
+class TestDurationVariables:
+    """Only a finite number of seconds above 0 is a duration.
+
+    A NaN lease TTL never expires and spins the heartbeat, an infinite
+    one overflows the heartbeat's timed wait, a NaN poll interval breaks
+    ``time.sleep``, and a NaN shard timeout fires the watchdog at once.
+    """
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1", "abc"])
+    @pytest.mark.parametrize("name", sorted(DURATION_VARIABLES))
+    def test_garbage_is_refused_naming_the_variable(
+        self, name, raw, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ConfigurationError, match=name):
+            QueueBackend(1, directory=tmp_path / "q", spawn=False)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_subprocess_timeout_refuses_non_finite(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_SHARD_TIMEOUT"):
+            SubprocessWorkerBackend(1)
+
+    @pytest.mark.parametrize("name", ["REPRO_LEASE_TTL", "REPRO_QUEUE_POLL"])
+    def test_worker_refuses_non_finite(self, name, tmp_path, monkeypatch):
+        layout = QueueLayout(tmp_path / "q").create(
+            lease_ttl_s=30.0, poll_s=0.05
+        )
+        monkeypatch.setenv(name, "nan")
+        with pytest.raises(ConfigurationError, match=name):
+            queue_worker_main(layout.root, drain=True)
+
+    @pytest.mark.parametrize("raw", ["", "   "])
+    @pytest.mark.parametrize("name", sorted(DURATION_VARIABLES))
+    def test_blank_means_the_default(self, name, raw, tmp_path, monkeypatch):
+        monkeypatch.setenv(name, raw)
+        backend = QueueBackend(1, directory=tmp_path / "q", spawn=False)
+        try:
+            attribute, default = DURATION_VARIABLES[name]
+            assert getattr(backend, attribute) == default
+        finally:
+            backend.close()
 
 
 class TestQueueExecution:
@@ -174,7 +229,7 @@ class TestQueueExecution:
         reply: a retriable failure, never a raw exception."""
         backend = QueueBackend(1, directory=tmp_path / "q", spawn=False)
         try:
-            spec, = make_shard_specs(CELLS[:1], 1, "float64")
+            spec, = make_shard_specs(CELLS[:1], 1)
             message = protocol.encode_shard_result(
                 ShardResult(key=spec.key, outcomes=())
             )
@@ -200,7 +255,7 @@ class TestPullModel:
         layout = QueueLayout(tmp_path / "q").create(
             lease_ttl_s=30.0, poll_s=0.05
         )
-        specs = make_shard_specs(CELLS, 1, "float64")
+        specs = make_shard_specs(CELLS, 1)
         for spec in specs:
             protocol.write_message_file(
                 layout.pending / layout.message_name(spec.key),
@@ -229,8 +284,8 @@ class TestPullModel:
         layout = QueueLayout(tmp_path / "q").create(
             lease_ttl_s=30.0, poll_s=0.02
         )
-        spec_a, = make_shard_specs(CELLS[:1], 1, "float64")
-        spec_b, = make_shard_specs(CELLS[1:2], 1, "float64")
+        spec_a, = make_shard_specs(CELLS[:1], 1)
+        spec_b, = make_shard_specs(CELLS[1:2], 1)
         worker = threading.Thread(
             target=queue_worker_main, args=(layout.root,), daemon=True
         )
@@ -306,7 +361,7 @@ class TestHeartbeatHardening:
             1, directory=tmp_path / "q", spawn=False
         )
         try:
-            spec, = make_shard_specs(CELLS[:1], 1, "float64")
+            spec, = make_shard_specs(CELLS[:1], 1)
             protocol.write_message_file(
                 backend.layout.results / backend.layout.message_name(
                     spec.key
@@ -340,7 +395,7 @@ class TestWorkerLifecycle:
         cell = SystemCell(
             "DaCapo-Spatiotemporal", "resnet18_wrn50", "S1", 0, duration
         )
-        spec, = make_shard_specs([cell], 1, "float64")
+        spec, = make_shard_specs([cell], 1)
         protocol.write_message_file(
             layout.pending / layout.message_name(spec.key),
             protocol.encode_shard_request(spec),

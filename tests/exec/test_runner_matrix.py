@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.batching import use_batching
+from repro.batching import BATCH, use_batching
 from repro.exec import (
     SerialBackend,
     SubprocessWorkerBackend,
@@ -42,7 +42,7 @@ from repro.service.reference import (
     service_reference_path,
 )
 from repro.service.session import session_path
-from repro.share.policy import use_sharing
+from repro.share.policy import SHARING, use_sharing
 from repro.share.reference import (
     sharing_reference_cells,
     sharing_reference_path,
@@ -57,10 +57,10 @@ OTHERS = [
 ]
 
 CASES = [
-    (entry, sharing, batch)
+    (entry, sharing.name, batch.name)
     for entry in ("sweep-serial", "sweep-subprocess", "service-serial")
-    for sharing in ("off", "cluster")
-    for batch in ("off", "on")
+    for sharing in SHARING.values
+    for batch in BATCH.values
 ]
 
 

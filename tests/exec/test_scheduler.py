@@ -23,6 +23,7 @@ from repro.exec import (
     make_shard_specs,
 )
 from repro.exec.faults import FaultEntry, FaultPlan, save_plan
+from repro.numeric import FLOAT32, use_policy
 from repro.reference import run_digest
 
 
@@ -48,7 +49,7 @@ def specs_for(num_cells: int, jobs: int = 2):
         SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", seed, 60.0)
         for seed in range(num_cells)
     ]
-    return make_shard_specs(cells, jobs, "float64")
+    return make_shard_specs(cells, jobs)
 
 
 class FlakyBackend:
@@ -282,10 +283,11 @@ class TestMakeShardSpecs:
             SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S1", 0, 60.0),
             SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S4", 0, 60.0),
         ]
-        specs = make_shard_specs(
-            cells, 2, "float32", profile=True, cache_root="/tmp/somewhere"
-        )
-        assert all(spec.policy == "float32" for spec in specs)
+        with use_policy("float32"):
+            specs = make_shard_specs(
+                cells, 2, profile=True, cache_root="/tmp/somewhere"
+            )
+        assert all(spec.policies.numeric is FLOAT32 for spec in specs)
         assert all(spec.profile for spec in specs)
         assert all(spec.cache_root == "/tmp/somewhere" for spec in specs)
         covered = sorted(i for spec in specs for i in spec.indices)
@@ -299,15 +301,18 @@ class TestMakeShardSpecs:
         cells = [
             SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", 0, 60.0)
         ]
-        f64 = make_shard_specs(cells, 1, "float64")[0].key
-        f32 = make_shard_specs(cells, 1, "float32")[0].key
+        with use_policy("float64"):
+            f64 = make_shard_specs(cells, 1)[0].key
+        with use_policy("float32"):
+            f32 = make_shard_specs(cells, 1)[0].key
         assert f64 != f32
 
 
 class TestSweepJournal:
     def entry(self, seed=0):
         cell = SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", seed, 60.0)
-        spec = make_shard_specs([cell], 1, "float64")[0]
+        with use_policy("float64"):
+            spec = make_shard_specs([cell], 1)[0]
         result = ShardResult(
             key=spec.key, outcomes=(CellOutcome(tiny_result(seed)),)
         )

@@ -20,6 +20,7 @@ from repro.batching import use_batching
 from repro.exec.shard import (
     CellJob,
     CellOutcome,
+    PolicySet,
     ShardResult,
     ShardSpec,
     SystemCell,
@@ -51,9 +52,7 @@ CELLS = [
 def make_service(batching, sharing=SHARE_OFF):
     # _coalesce reads only policy knobs; no supervisor state is needed.
     service = FleetService.__new__(FleetService)
-    service.batching = batching
-    service.sharing = sharing
-    service.policy = POLICY
+    service.policies = PolicySet(sharing=sharing, batch=batching)
     return service
 
 
@@ -62,7 +61,7 @@ def window_spec(cell, w, **job_fields):
         key=f"{shard_key(POLICY, [cell])}|w{w}",
         jobs=(CellJob(cell, **job_fields),),
         indices=(0,),
-        policy=POLICY,
+        policies=PolicySet(),
     )
     return (f"stream-{cell.scenario}-{cell.seed}", w, spec)
 
@@ -114,7 +113,7 @@ class TestCoalesce:
         assert len(specs) == 1
         merged = specs[0]
         assert merged.cells == (CELLS[0], CELLS[1], CELLS[2])
-        assert merged.batch == "on"
+        assert merged.policies.batch is BATCH_ON
         assert merged.jobs == tuple(spec.jobs[0] for _, _, spec in batch)
         assert members[merged.key] == [(key, w) for key, w, _ in batch]
 
@@ -159,7 +158,7 @@ class TestCoalesce:
 
         (merged,) = service._backend.specs
         assert merged.jobs == (first[2].jobs[0], second[2].jobs[0])
-        assert (merged.sharing, merged.batch) == ("cluster", "on")
+        assert merged.policies == PolicySet(sharing=CLUSTER, batch=BATCH_ON)
         posted = []
         while not service._results.empty():
             posted.append(service._results.get())

@@ -164,7 +164,8 @@ class TestIncrementalWindows:
         records = window_records(tmp_path)
         assert len(records) == 6
         streams = {
-            cell_key(service.policy, cell): cell for cell in self.ALIGNED
+            cell_key(service.policies.numeric.name, cell): cell
+            for cell in self.ALIGNED
         }
         for (stream, index), record in records.items():
             prefix = run_cell(

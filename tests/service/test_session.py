@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec.shard import SystemCell, cell_key
+from repro.exec.shard import PolicySet, SystemCell, cell_key
+from repro.numeric import FLOAT32, FLOAT64
 from repro.service.degrade import DegradeLevel, Transition
 from repro.service.session import (
     SessionJournal,
@@ -13,7 +14,8 @@ from repro.service.session import (
     session_path,
 )
 
-FP = session_fingerprint("float64", 60.0)
+F64 = PolicySet(FLOAT64)
+FP = session_fingerprint(F64, 60.0)
 CELL = SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S1", 0, 120.0)
 KEY = cell_key("float64", CELL)
 
@@ -24,11 +26,11 @@ def make(tmp_path, resume=False):
 
 class TestFingerprint:
     def test_pins_policy_and_window(self):
-        assert session_fingerprint("float64", 60.0) != session_fingerprint(
-            "float32", 60.0
+        assert session_fingerprint(F64, 60.0) != session_fingerprint(
+            PolicySet(FLOAT32), 60.0
         )
-        assert session_fingerprint("float64", 60.0) != session_fingerprint(
-            "float64", 30.0
+        assert session_fingerprint(F64, 60.0) != session_fingerprint(
+            F64, 30.0
         )
 
     def test_resume_rejects_mismatch(self, tmp_path):
@@ -36,7 +38,7 @@ class TestFingerprint:
         with pytest.raises(ConfigurationError, match="different session"):
             SessionJournal(
                 session_path(tmp_path),
-                session_fingerprint("float64", 30.0),
+                session_fingerprint(F64, 30.0),
                 resume=True,
             )
 

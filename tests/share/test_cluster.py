@@ -4,7 +4,6 @@ import itertools
 
 from repro.exec.shard import Fig2Cell, SystemCell
 from repro.share.cluster import ClusterTracker, cluster_cells
-from repro.share.policy import CLUSTER
 
 
 def correlated_fleet():
@@ -17,7 +16,7 @@ def correlated_fleet():
 class TestBatchClustering:
     def test_correlated_cameras_form_one_cluster(self):
         cells = correlated_fleet()
-        assignment = cluster_cells(cells, CLUSTER)
+        assignment = cluster_cells(cells)
         assert len(assignment.clusters) == 1
         grouped = assignment.cluster_cells_of(cells)
         assert len(grouped["c0"]) == 4
@@ -31,12 +30,12 @@ class TestBatchClustering:
             SystemCell("DaCapo-Spatiotemporal", "resnet18_wrn50", "ES1", 0,
                        180.0),
         ]
-        baseline = cluster_cells(cells, CLUSTER)
+        baseline = cluster_cells(cells)
         base_map = {
             (c.scenario, c.seed): baseline.cluster_of(c) for c in cells
         }
         for perm in itertools.islice(itertools.permutations(cells), 0, 40, 7):
-            shuffled = cluster_cells(list(perm), CLUSTER)
+            shuffled = cluster_cells(list(perm))
             assert {
                 (c.scenario, c.seed): shuffled.cluster_of(c) for c in perm
             } == base_map
@@ -52,7 +51,7 @@ class TestBatchClustering:
                        240.0),
             Fig2Cell("student", "RTX3090", "resnet18_wrn50", "S4", 0, 240.0),
         ]
-        assignment = cluster_cells(cells, CLUSTER)
+        assignment = cluster_cells(cells)
         ids = [assignment.cluster_of(cell) for cell in cells]
         assert len(set(ids)) == 4
 
@@ -63,7 +62,7 @@ class TestBatchClustering:
             SystemCell("DaCapo-Spatiotemporal", "resnet18_wrn50", "ES2", 0,
                        240.0),
         ]
-        assignment = cluster_cells(cells, CLUSTER)
+        assignment = cluster_cells(cells)
         assert (
             assignment.cluster_of(cells[0])
             != assignment.cluster_of(cells[1])
@@ -73,10 +72,10 @@ class TestBatchClustering:
 class TestTracker:
     def test_matches_batch_for_same_members(self):
         cells = correlated_fleet()
-        tracker = ClusterTracker(CLUSTER)
+        tracker = ClusterTracker()
         ids = [tracker.assign(cell) for cell in cells]
         assert ids == ["c0"] * 4
-        batch = cluster_cells(cells, CLUSTER)
+        batch = cluster_cells(cells)
         assert batch.cluster_of(cells[0]) == "c0"
 
     def test_admission_order_ids(self):
@@ -84,16 +83,16 @@ class TestTracker:
                        240.0)
         b = SystemCell("DaCapo-Spatiotemporal", "resnet18_wrn50", "ES2", 0,
                        240.0)
-        tracker = ClusterTracker(CLUSTER)
+        tracker = ClusterTracker()
         assert tracker.assign(a) == "c0"
         assert tracker.assign(b) == "c1"
         assert tracker.assign(a) == "c0"  # idempotent re-admit
         # A replay in the same order reproduces identical ids.
-        replay = ClusterTracker(CLUSTER)
+        replay = ClusterTracker()
         assert [replay.assign(a), replay.assign(b)] == ["c0", "c1"]
 
     def test_profile_wall_holds_incrementally(self):
-        tracker = ClusterTracker(CLUSTER)
+        tracker = ClusterTracker()
         a = SystemCell("DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", 0,
                        240.0)
         b = SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S4", 0, 240.0)

@@ -64,7 +64,3 @@ class TestAmbient:
                 assert active_sharing() is OFF
             assert active_sharing() is CLUSTER
         assert active_sharing() is OFF
-
-    def test_namespaces_differ(self):
-        # Digest namespaces keep shared and independent artifacts apart.
-        assert OFF.digest_namespace != CLUSTER.digest_namespace

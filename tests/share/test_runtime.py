@@ -46,7 +46,7 @@ class TestActivation:
         assert active_cluster_runtime() is None
 
     def test_activate_installs_and_resets(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         with runtime.activate(cell(0)):
             assert active_cluster_runtime() is runtime
             assert runtime._member == "S4/s0/240"
@@ -57,7 +57,7 @@ class TestActivation:
 
 class TestLabelSharing:
     def test_first_writer_publishes_neighbor_reads(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         x = np.ones((16, 4))
         y = np.arange(16)
         with runtime.activate(cell(0)):
@@ -74,7 +74,7 @@ class TestLabelSharing:
         assert runtime.counters["labels_shared"] == 16
 
     def test_different_slots_do_not_collide(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         with runtime.activate(cell(0)):
             runtime.publish_labels(0.0, np.ones((4, 2)), np.zeros(4))
         with runtime.activate(cell(1)):
@@ -83,7 +83,7 @@ class TestLabelSharing:
 
 class TestWarmStartAndDeltas:
     def test_first_member_founds_base_later_warm_start(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         founder = _FakeMLP(0.0)
         with runtime.activate(cell(0)):
             runtime.adopt_student("mlp", founder)
@@ -97,7 +97,7 @@ class TestWarmStartAndDeltas:
         assert runtime.counters["warm_starts"] == 1
 
     def test_retrain_reuse_is_base_plus_delta(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         with runtime.activate(cell(0)):
             runtime.adopt_student("mlp", _FakeMLP(1.0))
             runtime.publish_retrain(0.0, state(3.0), samples=10)
@@ -109,14 +109,14 @@ class TestWarmStartAndDeltas:
         assert runtime.counters["retrain_samples_reused"] == 10
 
     def test_own_delta_never_reused(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         with runtime.activate(cell(0)):
             runtime.adopt_student("mlp", _FakeMLP(1.0))
             runtime.publish_retrain(0.0, state(3.0), samples=10)
             assert runtime.reusable_retrain(0.0, samples=10) is None
 
     def test_divergent_deltas_blend(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         with runtime.activate(cell(0)):
             runtime.adopt_student("mlp", _FakeMLP(0.0))
             runtime.publish_retrain(0.0, state(2.0), samples=10)
@@ -130,7 +130,7 @@ class TestWarmStartAndDeltas:
 
 class TestStateCodec:
     def build(self):
-        runtime = ClusterRuntime(CLUSTER, "c0")
+        runtime = ClusterRuntime("c0")
         with runtime.activate(cell(0)):
             runtime.adopt_student("mlp", _FakeMLP(1.0))
             runtime.publish_retrain(0.0, state(3.0), samples=10)
@@ -139,7 +139,7 @@ class TestStateCodec:
     def test_roundtrip(self):
         runtime = self.build()
         payload = encode_cluster_state(runtime)
-        decoded = decode_cluster_state(payload, CLUSTER)
+        decoded = decode_cluster_state(payload)
         assert decoded.cluster_id == "c0"
         assert decoded.base_model == runtime.base_model
         np.testing.assert_allclose(decoded.base[0][0], runtime.base[0][0])
@@ -155,23 +155,33 @@ class TestStateCodec:
         import json
 
         payload = json.loads(json.dumps(encode_cluster_state(self.build())))
-        decoded = decode_cluster_state(payload, CLUSTER)
+        decoded = decode_cluster_state(payload)
         np.testing.assert_allclose(decoded.base[0][0], 1.0)
 
     def test_version_mismatch_is_typed(self):
         payload = encode_cluster_state(self.build())
         payload["version"] = 999
         with pytest.raises(SnapshotError):
-            decode_cluster_state(payload, CLUSTER)
+            decode_cluster_state(payload)
 
     def test_malformed_is_typed(self):
         with pytest.raises(SnapshotError):
-            decode_cluster_state({"version": 1}, CLUSTER)
+            decode_cluster_state({"version": 1})
+
+    def test_state_under_a_disabled_policy_is_refused(self):
+        # The journal names the policy its state was built under; a state
+        # that claims no sharing cannot seed a runtime.
+        payload = encode_cluster_state(self.build())
+        assert payload["policy"] == CLUSTER.name
+        for name in ("off", "bogus", None):
+            payload["policy"] = name
+            with pytest.raises(SnapshotError):
+                decode_cluster_state(payload)
 
 
 class TestClusterCellsHelper:
     def test_counters_start_zero(self):
         cells = [cell(s) for s in range(2)]
-        assignment = cluster_cells(cells, CLUSTER)
-        runtime = ClusterRuntime(CLUSTER, assignment.cluster_of(cells[0]))
+        assignment = cluster_cells(cells)
+        runtime = ClusterRuntime(assignment.cluster_of(cells[0]))
         assert all(v == 0 for v in runtime.counters.values())

@@ -19,12 +19,14 @@ from repro.exec import execute_cells
 from repro.exec.backends import resolve_backend
 from repro.exec.shard import (
     CellJob,
+    PolicySet,
     ShardSpec,
     cell_key,
     execute_shard,
     make_shard_specs,
     shard_key,
 )
+from repro.numeric import use_policy
 from repro.reference import run_digest
 from repro.share.policy import CLUSTER, use_sharing
 from repro.share.reference import (
@@ -104,8 +106,8 @@ class TestSharedPath:
     def test_shard_spec_path_matches(self, frozen, fleet):
         # The worker-side entry point (what every backend executes) must
         # produce the same frozen digests as the direct runtime path.
-        with use_sharing(CLUSTER):
-            (spec,) = make_shard_specs(fleet, 1, POLICY)
+        with use_sharing(CLUSTER), use_policy(POLICY):
+            (spec,) = make_shard_specs(fleet, 1)
         assert {job.cluster for job in spec.jobs} == {"c0"}
         computed = {
             cell_key(POLICY, cell): run_digest(result)
@@ -120,8 +122,7 @@ class TestSharedPath:
             key=shard_key(POLICY, fleet[:1]),
             jobs=(CellJob(fleet[0]),),
             indices=(0,),
-            policy=POLICY,
-            sharing="cluster",
+            policies=PolicySet(sharing=CLUSTER),
         )
         with pytest.raises(ConfigurationError, match="no cluster id"):
             execute_shard(spec)
@@ -133,8 +134,7 @@ class TestSharedPath:
                 CellJob(fleet[0], cluster="c3", emit_cluster_state=True),
             ),
             indices=(0,),
-            policy=POLICY,
-            sharing="cluster",
+            policies=PolicySet(sharing=CLUSTER),
         )
         (outcome,) = execute_shard(spec).outcomes
         cluster_state = outcome.cluster_state

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,74 @@ class TestSweep:
         ])
         assert code == 2
         assert "jobs must be >= 0" in capsys.readouterr().err
+
+
+SMOKE_SPEC = str(
+    Path(__file__).resolve().parents[1] / "examples" / "fleet_smoke.toml"
+)
+
+
+class TestPolicyFlags:
+    @pytest.mark.parametrize(
+        "flags, env, text",
+        [
+            (
+                ["--sharing", "bogus"], {},
+                "unknown sharing policy 'bogus' "
+                "(set REPRO_SHARING to one of: cluster, off)",
+            ),
+            (
+                ["--batch", "bogus"], {},
+                "unknown batching policy 'bogus' "
+                "(set REPRO_BATCH to one of: off, on)",
+            ),
+            (
+                ["--backend", "bogus"], {},
+                "unknown backend 'bogus'; known: serial, process, "
+                "subprocess, queue",
+            ),
+            (
+                [], {"REPRO_SHARING": "bogus"},
+                "unknown sharing policy 'bogus' "
+                "(set REPRO_SHARING to one of: cluster, off)",
+            ),
+            (
+                [], {"REPRO_BATCH": "bogus"},
+                "unknown batching policy 'bogus' "
+                "(set REPRO_BATCH to one of: off, on)",
+            ),
+        ],
+        ids=["--sharing", "--batch", "--backend", "REPRO_SHARING",
+             "REPRO_BATCH"],
+    )
+    def test_bad_policy_exits_2_with_the_error_line(
+        self, flags, env, text, capsys, monkeypatch
+    ):
+        for name in ("REPRO_SHARING", "REPRO_BATCH", "REPRO_BACKEND"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["sweep", SMOKE_SPEC, "--plan", *flags]) == 2
+        assert capsys.readouterr().err == f"repro: error: {text}\n"
+
+    def test_flag_beats_spec_key_beats_env(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = json.loads(json.dumps(TINY_SWEEP))
+        spec["sweep"]["sharing"] = "cluster"
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(spec))
+        monkeypatch.setenv("REPRO_SHARING", "off")
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
+        assert main(["sweep", str(path), "--plan"]) == 0
+        assert "sharing            cluster" in capsys.readouterr().out
+        assert main([
+            "sweep", str(path), "--plan", "--sharing", "off",
+            "--batch", "on",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "sharing " not in out
+        assert "batching           on" in out
 
 
 class TestBackend:
