@@ -29,8 +29,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.parallel import run_cells
-from repro.exec import SystemCell, faults, plan_shards
+from repro.exec import SystemCell, faults, plan_shards, run_cells
 from repro.reference import run_digest
 
 RESULTS_DIR = Path(__file__).parent / "results"

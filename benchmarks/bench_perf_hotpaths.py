@@ -47,13 +47,12 @@ from repro.accelerator import (
 from repro.core import (
     SystemCell,
     build_system,
-    default_jobs,
-    run_cells,
     run_on_scenario,
     warm_model_caches,
 )
 from repro.data import build_scenario, caching_disabled, get_store
 from repro.data.stream import FrameWindow
+from repro.exec import default_jobs, run_cells
 from repro.learn import MLPClassifier
 from repro.learn.train import TrainConfig, train_sgd
 from repro.models.zoo import get_model

@@ -36,8 +36,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core.parallel import run_cells
-from repro.exec import SystemCell
+from repro.exec import SystemCell, run_cells
 from repro.exec.shard import CellJob, cell_key, run_cell, run_job
 from repro.reference import run_digest
 from repro.service import FleetService, ServiceConfig

@@ -57,16 +57,11 @@ from pathlib import Path
 
 from repro import profiling
 from repro.batching import use_batching
-from repro.core import (
-    SYSTEM_BUILDERS,
-    build_system,
-    default_jobs,
-    run_on_scenario,
-)
+from repro.core import SYSTEM_BUILDERS, build_system, run_on_scenario
 from repro.core.tuning import tune_hyperparameters
 from repro.data.scenarios import SCENARIO_NAMES
 from repro.errors import ConfigurationError, ExecutionError
-from repro.exec import resolve_backend, use_backend
+from repro.exec import resolve_backend, resolve_jobs, use_backend
 from repro.experiments import (
     EXPERIMENTS,
     run_experiment,
@@ -74,6 +69,7 @@ from repro.experiments import (
     supports_jobs,
 )
 from repro.models import MODEL_PAIRS
+from repro.numeric import use_policy
 from repro.share.policy import use_sharing
 from repro.sweep import compile_plan, load_spec, run_sweep, write_outputs
 
@@ -159,11 +155,9 @@ def _policy_overrides(args: argparse.Namespace, spec_sharing: str | None):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     plan = compile_plan(spec)
-    jobs = args.jobs if args.jobs is not None else 1
-    if jobs < 0:
-        # Same contract as run_cells; checked here so --plan rejects an
-        # invalid --jobs too instead of silently pricing at one worker.
-        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
+    # Resolved here so --plan rejects an invalid --jobs too instead of
+    # silently pricing at one worker.
+    jobs = resolve_jobs(args.jobs if args.jobs is not None else 1)
     with _policy_overrides(args, spec.sharing):
         if args.plan:
             # Price the plan through the same backend resolution the real
@@ -172,7 +166,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # and the printed worker count matches the executed estimate.
             # Backends construct lazily, so pricing spawns nothing.
             instance, plan_workers, owned = resolve_backend(
-                args.backend, jobs or default_jobs(), plan.num_cells
+                args.backend, jobs, plan.num_cells
             )
             if owned:
                 instance.close()
@@ -203,7 +197,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the service pulls in the HTTP control plane and
     # signal handling that no batch command needs.
-    from repro.numeric import use_policy
     from repro.service.daemon import FleetService, ServiceConfig
 
     spec = load_spec(args.spec)
@@ -217,8 +210,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{', '.join(policies)}; split the spec or use sweep"
         )
     cells = [cell for group in plan.groups for cell in group.cells]
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {args.jobs}")
     config = ServiceConfig(
         out_dir=args.out,
         window_s=args.window,

@@ -33,15 +33,12 @@ from repro.core.baselines import (
     FixedWindowSystem,
     NoRetrainSystem,
 )
-from repro.core.runner import SYSTEM_BUILDERS, build_system, run_on_scenario
-from repro.core.parallel import (
+from repro.core.runner import (
+    SYSTEM_BUILDERS,
     Fig2Cell,
     SystemCell,
-    default_jobs,
-    parallel_map,
-    plan_shards,
-    run_cells,
-    stream_signature,
+    build_system,
+    run_on_scenario,
     warm_model_caches,
 )
 from repro.core.tuning import (
@@ -69,14 +66,9 @@ __all__ = [
     "TuningResult",
     "allocate_partition",
     "build_system",
-    "default_jobs",
     "default_search_space",
     "hyperparameter_table",
-    "parallel_map",
-    "plan_shards",
-    "run_cells",
     "run_on_scenario",
-    "stream_signature",
     "tune_hyperparameters",
     "validate_run",
     "warm_model_caches",

@@ -1,8 +1,10 @@
-"""System factory and experiment-running helpers.
+"""System factory, grid cells and experiment-running helpers.
 
 ``build_system`` assembles any of the paper's evaluated systems by name for
 a given model pair; ``run_on_scenario`` executes it over a Table II
-scenario.  The system names match the paper's Figure 9 legend:
+scenario.  A grid cell (:class:`SystemCell`, :class:`Fig2Cell`) names one
+such run; :mod:`repro.exec` dispatches them.  The system names match the
+paper's Figure 9 legend:
 
 ========================  =====================================================
 Name                      Meaning
@@ -18,7 +20,8 @@ Name                      Meaning
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.accelerator import SystolicArray
 from repro.core.baselines import (
@@ -47,12 +50,16 @@ from repro.platform import (
 from repro.platform.base import Platform
 
 __all__ = [
+    "CELL_TYPES",
     "FIG2_KINDS",
     "GPU_PLATFORMS",
     "SYSTEM_BUILDERS",
+    "Fig2Cell",
+    "SystemCell",
     "build_system",
     "build_fig2_system",
     "run_on_scenario",
+    "warm_model_caches",
 ]
 
 
@@ -241,3 +248,68 @@ def run_on_scenario(
     else:
         stream = scenario
     return system.run(stream, seed=seed)
+
+
+@dataclass(frozen=True)
+class SystemCell:
+    """One grid cell: a Figure-9-style system on one scenario.
+
+    Attributes:
+        system: System name from :data:`SYSTEM_BUILDERS`.
+        pair: Model-pair name.
+        scenario: Scenario name (Table II).
+        seed: Model-init and stream seed.
+        duration_s: Stream length override (None = scenario default).
+    """
+
+    system: str
+    pair: str
+    scenario: str
+    seed: int = 0
+    duration_s: float | None = None
+
+
+@dataclass(frozen=True)
+class Fig2Cell:
+    """One Figure-2 cell: frozen student/teacher or idealized Ekya on a GPU.
+
+    Attributes:
+        kind: ``"student"``, ``"teacher"``, or ``"ekya"``.
+        platform: ``"RTX3090"``, ``"OrinHigh"``, or ``"OrinLow"``.
+        pair: Model-pair name.
+        scenario: Scenario name.
+        seed: Stream seed (model init uses the builder default, matching
+            the serial Figure 2 code).
+        duration_s: Stream length override.
+    """
+
+    kind: str
+    platform: str
+    pair: str
+    scenario: str
+    seed: int = 0
+    duration_s: float | None = None
+
+
+CELL_TYPES = (SystemCell, Fig2Cell)
+
+
+def warm_model_caches(cells: Iterable) -> None:
+    """Pretrain every distinct (pair, seed) once in this process.
+
+    Forked workers inherit the warmed ``lru_cache`` entries for free;
+    spawn workers, subprocess workers, and separate invocations hit the
+    on-disk cache instead (see :mod:`repro.learn.cache`).  The MX-format
+    arguments do not matter here -- pretrained weights are
+    precision-independent -- so the default-format constructors suffice.
+    """
+    seen: set[tuple[str, int]] = set()
+    for cell in cells:
+        model_seed = cell.seed if isinstance(cell, SystemCell) else 0
+        key = (cell.pair, model_seed)
+        if key in seen:
+            continue
+        seen.add(key)
+        pair = get_pair(cell.pair)
+        make_student(pair.student, seed=model_seed)
+        make_teacher(pair.teacher, seed=model_seed)

@@ -6,7 +6,7 @@ A :class:`RunCheckpoint` freezes everything a
 bit-generator state, the clock, the per-frame correct/dropped prefixes,
 the committed phase records, and the scheduler's cursor.  Encoded with
 :func:`encode_run_snapshot` it becomes a JSON-safe payload (arrays ride
-the same base64+dtype/shape codec the shard protocol uses) that the fleet
+the :mod:`repro.arrays` codec the shard protocol uses) that the fleet
 service journals per stream, so window ``i+1`` replays only its own
 ``window_s`` stream-seconds instead of the whole prefix.
 
@@ -27,11 +27,11 @@ The contract is bit-identity, enforced two ways:
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import decode_array, decode_state, encode_array, encode_state
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.data.scenarios import SEGMENT_S
 from repro.errors import SnapshotError
@@ -39,9 +39,7 @@ from repro.errors import SnapshotError
 __all__ = [
     "SNAPSHOT_VERSION",
     "RunCheckpoint",
-    "decode_array",
     "decode_run_snapshot",
-    "encode_array",
     "encode_run_snapshot",
     "stream_prefix_aligned",
 ]
@@ -50,23 +48,6 @@ __all__ = [
 #: decoding an older snapshot then fails loudly and the caller recomputes
 #: the window as a prefix run instead of resuming mismatched state.
 SNAPSHOT_VERSION = 1
-
-
-def encode_array(array: np.ndarray) -> dict:
-    """Base64 raw bytes + dtype + shape: exact and compact."""
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": str(array.dtype),
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(payload: dict) -> np.ndarray:
-    """The inverse of :func:`encode_array`."""
-    return np.frombuffer(
-        base64.b64decode(payload["data"]), dtype=np.dtype(payload["dtype"])
-    ).reshape(payload["shape"])
 
 
 def stream_prefix_aligned(
@@ -108,21 +89,6 @@ class RunCheckpoint:
     records: tuple[PhaseRecord, ...]
 
 
-def _encode_layers(state: tuple[list, list]) -> dict:
-    weights, biases = state
-    return {
-        "weights": [encode_array(w) for w in weights],
-        "biases": [encode_array(b) for b in biases],
-    }
-
-
-def _decode_layers(payload: dict) -> tuple[list, list]:
-    return (
-        [decode_array(w) for w in payload["weights"]],
-        [decode_array(b) for b in payload["biases"]],
-    )
-
-
 def encode_run_snapshot(
     checkpoint: RunCheckpoint,
     *,
@@ -153,11 +119,11 @@ def encode_run_snapshot(
             else float(checkpoint.idle_from)
         ),
         "rng": checkpoint.rng_state,
-        "student": _encode_layers(checkpoint.student),
+        "student": encode_state(checkpoint.student),
         "teacher": (
             None
             if checkpoint.teacher is None
-            else _encode_layers(checkpoint.teacher)
+            else encode_state(checkpoint.teacher)
         ),
         "buffer": {
             "features": encode_array(checkpoint.buffer_features),
@@ -236,8 +202,8 @@ def decode_run_snapshot(
             clock=clock,
             idle_from=None if idle_from is None else float(idle_from),
             rng_state=payload["rng"],
-            student=_decode_layers(payload["student"]),
-            teacher=None if teacher is None else _decode_layers(teacher),
+            student=decode_state(payload["student"]),
+            teacher=None if teacher is None else decode_state(teacher),
             buffer_features=decode_array(buffer["features"]),
             buffer_labels=decode_array(buffer["labels"]),
             scheduler=dict(payload.get("scheduler", {})),

@@ -41,6 +41,7 @@ from repro.learn.student import StudentModel
 from repro.learn.teacher import TeacherModel
 from repro.models.zoo import ModelPair
 from repro.platform.base import Platform
+from repro.share.runtime import active_cluster_runtime
 
 __all__ = ["PhaseStep", "CLSystemBase", "DaCapoSystem", "RunExecution"]
 
@@ -225,10 +226,6 @@ class CLSystemBase:
                 # neighbor's per-domain weights for this retrain when one
                 # is published; otherwise retrain and publish our own.
                 # Off-path (no active runtime) this is a no-op branch.
-                # (Lazy import: repro.share.runtime imports repro.core's
-                # snapshot codecs, so a module-level import is a cycle.)
-                from repro.share.runtime import active_cluster_runtime
-
                 runtime = active_cluster_runtime()
                 samples = self.config.epochs * len(x_train)
                 reused = (
@@ -294,8 +291,6 @@ class CLSystemBase:
                 # Cross-camera sharing (opt-in): adopt a cluster neighbor's
                 # teacher labels for this (domain, slot) instead of running
                 # the teacher; otherwise label and publish for neighbors.
-                from repro.share.runtime import active_cluster_runtime
-
                 runtime = active_cluster_runtime()
                 shared = (
                     runtime.shared_labels(t0) if runtime is not None else None

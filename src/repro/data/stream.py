@@ -177,6 +177,7 @@ class ScenarioStream:
         a grid run or across processes -- cost a cache lookup instead of
         regenerating every frame.
         """
+        # Function-level: repro.data.artifacts imports this module.
         from repro.data.artifacts import materialize
 
         return materialize(self, seed)

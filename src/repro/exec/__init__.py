@@ -1,6 +1,9 @@
 """Pluggable execution: cell jobs, shards, transports, scheduling, resume.
 
-The dispatch layer extracted from ``core/parallel.py``.  Grids decompose
+:func:`~repro.exec.run.run_cells` and
+:func:`~repro.exec.run.parallel_map` (:mod:`repro.exec.run`) are the entry
+points: they select a backend from an explicit argument, a
+:func:`use_backend` override, or ``$REPRO_BACKEND``.  Grids decompose
 into stream- or cluster-sharing :class:`~repro.exec.shard.ShardSpec`\\ s
 of :class:`~repro.exec.shard.CellJob`\\ s, and one worker-side call,
 :func:`~repro.exec.shard.execute_shard`, turns a spec into a
@@ -28,12 +31,9 @@ RNGs and shard payloads carry their :class:`~repro.exec.shard.PolicySet`
 so *where* a shard runs never changes
 *what* it computes -- the frozen reference digests are checked across
 every transport.
-
-``run_cells``/``parallel_map`` (:mod:`repro.core.parallel`) remain the
-stable entry points; they delegate here, selecting a backend from an
-explicit argument, a :func:`use_backend` override, or ``$REPRO_BACKEND``.
 """
 
+from repro.core.runner import Fig2Cell, SystemCell, warm_model_caches
 from repro.exec.backends import (
     BACKEND_ENV,
     BACKEND_KINDS,
@@ -44,9 +44,7 @@ from repro.exec.backends import (
     SerialBackend,
     SubprocessWorkerBackend,
     active_backend_spec,
-    make_backend,
     parse_backend,
-    resolve_backend,
     use_backend,
 )
 from repro.exec.faults import (
@@ -57,11 +55,15 @@ from repro.exec.faults import (
     load_plan,
     save_plan,
 )
-from repro.exec.queue import (
-    DEFAULT_LEASE_TTL_S,
-    LEASE_TTL_ENV,
-    QueueBackend,
-    queue_worker_main,
+from repro.exec.queue import DEFAULT_LEASE_TTL_S, LEASE_TTL_ENV, QueueBackend
+from repro.exec.run import (
+    JOBS_ENV,
+    default_jobs,
+    make_backend,
+    parallel_map,
+    resolve_backend,
+    resolve_jobs,
+    run_cells,
 )
 from repro.exec.scheduler import (
     DEFAULT_BACKOFF_BASE_S,
@@ -76,13 +78,11 @@ from repro.exec.scheduler import (
 from repro.exec.shard import (
     CellJob,
     CellOutcome,
-    Fig2Cell,
     PolicySet,
     ShardFailure,
     ShardQuarantined,
     ShardResult,
     ShardSpec,
-    SystemCell,
     batch_signature,
     cell_key,
     cell_label,
@@ -95,7 +95,6 @@ from repro.exec.shard import (
     run_cell,
     run_job,
     stream_signature,
-    warm_model_caches,
 )
 
 __all__ = [
@@ -114,6 +113,7 @@ __all__ = [
     "FaultEntry",
     "FaultPlan",
     "Fig2Cell",
+    "JOBS_ENV",
     "LEASE_TTL_ENV",
     "PolicySet",
     "ProcessPoolBackend",
@@ -134,6 +134,7 @@ __all__ = [
     "batch_signature",
     "cell_key",
     "cell_label",
+    "default_jobs",
     "execute_cells",
     "execute_shard",
     "load_plan",
@@ -141,12 +142,14 @@ __all__ = [
     "make_shard_specs",
     "note_shard_observation",
     "observed_cost",
+    "parallel_map",
     "parse_backend",
     "plan_shards",
     "reset_observed_costs",
-    "queue_worker_main",
     "resolve_backend",
+    "resolve_jobs",
     "run_cell",
+    "run_cells",
     "run_job",
     "save_plan",
     "stream_signature",

@@ -12,9 +12,9 @@ Four transports:
 
 - :class:`SerialBackend` -- in-process, the exact code path the serial
   experiments have always used.
-- :class:`ProcessPoolBackend` -- the historical ``--jobs N`` process pool,
-  moved here from ``core/parallel.py``; ``BrokenProcessPool`` is mapped to
-  per-shard failures and the pool is rebuilt for the next round.
+- :class:`ProcessPoolBackend` -- the historical ``--jobs N`` process pool;
+  ``BrokenProcessPool`` is mapped to per-shard failures and the pool is
+  rebuilt for the next round.
 - :class:`SubprocessWorkerBackend` -- long-lived ``python -m repro worker``
   children speaking the JSON-lines shard protocol over stdio.  Dead
   workers are retired and replaced (bounded respawn budget); the launch
@@ -27,12 +27,13 @@ Four transports:
   workers it did not spawn, and the one external workers can attach to
   mid-sweep.
 
-Backend selection is ambient: an explicit argument wins, then the
-:data:`BACKEND` knob (a :func:`use_backend` override, then
-``$REPRO_BACKEND``; README "Policies"), then the historical default
-(serial at ``jobs <= 1``, the process pool above).  Every backend
-produces bit-identical results at any worker count -- cells seed their
-own RNGs, so *where* a shard runs can never change *what* it computes.
+The two transports that hear from another process turn each reply into
+an outcome through one check, :func:`reply_outcome`.  Backend selection
+is ambient -- the :data:`BACKEND` knob, a :func:`use_backend` override,
+then ``$REPRO_BACKEND``; README "Policies" -- and :mod:`repro.exec.run`
+applies it.  Every backend produces bit-identical results at any worker
+count -- cells seed their own RNGs, so *where* a shard runs can never
+change *what* it computes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from repro.exec.shard import (
     ShardResult,
     ShardSpec,
     cell_label,
-    checked_reply,
     execute_shard,
 )
 from repro.knobs import Knob, positive_float_env
@@ -71,8 +71,8 @@ __all__ = [
     "SerialBackend",
     "SubprocessWorkerBackend",
     "active_backend_spec",
-    "make_backend",
     "parse_backend",
+    "reply_outcome",
     "use_backend",
 ]
 
@@ -141,6 +141,42 @@ class SerialBackend:
         pass
 
 
+def _failure(
+    spec: ShardSpec,
+    message: str,
+    worker: str | None = None,
+    cause: object = None,
+    retriable: bool = True,
+) -> ShardFailure:
+    """A failure of ``spec``, naming its cells."""
+    return ShardFailure(
+        message,
+        shard_key=spec.key,
+        cells=tuple(cell_label(cell) for cell in spec.cells),
+        worker=worker,
+        cause=None if cause is None else str(cause),
+        retriable=retriable,
+    )
+
+
+def checked_reply(
+    spec: ShardSpec, result: ShardResult, worker: str | None = None
+) -> ShardResult | ShardFailure:
+    """``result``, or a retriable failure if it does not answer every job.
+
+    A truncated reply must never be journaled as a completed shard, so it
+    becomes a failure the retry path recomputes whole.
+    """
+    if len(result.outcomes) == len(spec.jobs):
+        return result
+    return _failure(
+        spec,
+        f"worker returned {len(result.outcomes)} results for a "
+        f"{len(spec.jobs)}-cell shard",
+        worker,
+    )
+
+
 def _pool_run_shard(spec: ShardSpec) -> ShardResult:
     """Pool-worker entry point (module-level so it pickles)."""
     faults.on_claim(spec.key)
@@ -192,10 +228,9 @@ class ProcessPoolBackend:
             except BrokenProcessPool as exc:
                 broken = True
                 outcomes.append(
-                    ShardFailure(
+                    _failure(
+                        spec,
                         "a pool worker process died executing the shard",
-                        shard_key=spec.key,
-                        cells=tuple(cell_label(c) for c in spec.cells),
                         cause=type(exc).__name__,
                     )
                 )
@@ -225,6 +260,63 @@ class ProcessPoolBackend:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+
+
+def reply_outcome(
+    spec: ShardSpec, message: dict, worker: str | None = None
+) -> ShardResult | ShardFailure:
+    """One reply message from another process as the shard's outcome.
+
+    Both the stdio worker's pipe and the queue's result files come through
+    here, and any attached worker can write a result file, so nothing in
+    the reply is coerced.  An ``error`` reply is a deterministic cell
+    error unless its ``retriable`` is JSON ``true``.  A reply whose
+    ``retriable`` is not a bool, whose ``worker`` is not one path
+    component, whose kind or id is wrong, whose payload does not decode,
+    or that answers too few jobs is out of protocol: a retriable failure,
+    so another worker recomputes the shard.  ``worker`` is who the caller
+    saw serve the shard; a well-formed reply's own ``worker`` replaces it.
+    """
+    retriable = message.get("retriable", False)
+    if not isinstance(retriable, bool):
+        return _failure(
+            spec, "worker replied out of protocol", worker,
+            f"retriable must be true or false, got {retriable!r}",
+        )
+    named = message.get("worker", worker)
+    if named is not None and not (
+        isinstance(named, str)
+        and named not in ("", ".", "..")
+        and "/" not in named
+        and "\0" not in named
+    ):
+        return _failure(
+            spec, "worker replied out of protocol", worker,
+            f"worker must name one path component, got {named!r}",
+        )
+    kind = message.get("kind")
+    if kind == "error":
+        return _failure(
+            spec,
+            "worker reported a retriable fault"
+            if retriable
+            else "shard raised inside the worker",
+            named,
+            message.get("error"),
+            retriable=retriable,
+        )
+    if kind != "result" or message.get("id") != spec.key:
+        return _failure(
+            spec,
+            "worker replied out of protocol "
+            f"(kind={kind!r}, id={message.get('id')!r})",
+            named,
+        )
+    try:
+        decoded = protocol.decode_shard_result(message)
+    except ProtocolError as exc:
+        return _failure(spec, "worker result payload undecodable", named, exc)
+    return checked_reply(spec, decoded, named)
 
 
 def default_worker_command() -> list[str]:
@@ -316,68 +408,28 @@ class _WorkerHandle:
             watchdog.cancel()
 
     def run_shard(self, spec: ShardSpec) -> ShardResult:
-        cells = tuple(cell_label(c) for c in spec.cells)
         try:
             protocol.write_message(
                 self.proc.stdin, protocol.encode_shard_request(spec)
             )
             message = self._read_reply()
         except (BrokenPipeError, OSError) as exc:
-            raise ShardFailure(
-                "worker pipe broke mid-shard",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
-                cause=str(exc),
-            )
+            raise _failure(spec, "worker pipe broke mid-shard", self.id, exc)
         except ProtocolError as exc:
-            raise ShardFailure(
-                "worker spoke an invalid protocol message",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
-                cause=str(exc),
+            raise _failure(
+                spec, "worker spoke an invalid protocol message", self.id, exc
             )
         if message is None:
-            code = self.proc.poll()
-            raise ShardFailure(
-                f"worker exited mid-shard (exit code {code})",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
+            raise _failure(
+                spec,
+                f"worker exited mid-shard (exit code {self.proc.poll()})",
+                self.id,
             )
-        if message.get("kind") == "error":
-            # The worker is healthy -- it replied in protocol -- and the
-            # shard's exception is deterministic: not a transport fault.
-            raise ShardFailure(
-                "shard raised inside the worker",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
-                cause=str(message.get("error")),
-                retriable=False,
-            )
-        if message.get("kind") != "result" or message.get("id") != spec.key:
-            raise ShardFailure(
-                "worker replied out of protocol "
-                f"(kind={message.get('kind')!r}, id={message.get('id')!r})",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
-            )
-        try:
-            decoded = protocol.decode_shard_result(message)
-        except ProtocolError as exc:
-            raise ShardFailure(
-                "worker result payload undecodable",
-                shard_key=spec.key,
-                cells=cells,
-                worker=self.id,
-                cause=str(exc),
-            )
-        outcome = checked_reply(spec, decoded, self.id)
+        outcome = reply_outcome(spec, message, self.id)
         if isinstance(outcome, ShardFailure):
-            raise outcome  # out of protocol: the worker is retired
+            # A deterministic cell error keeps the worker serving; any
+            # other failure is retriable and retires it.
+            raise outcome
         return outcome
 
     def shutdown(self) -> None:
@@ -492,20 +544,15 @@ class SubprocessWorkerBackend:
                 except ShardFailure as failure:
                     # Spawn/handshake failures happen before the shard is
                     # dispatched; still name the cells left unserved.
-                    outcomes[index] = ShardFailure(
-                        failure.message,
-                        shard_key=spec.key,
-                        cells=tuple(cell_label(c) for c in spec.cells),
-                        worker=failure.worker,
-                        cause=failure.cause,
+                    outcomes[index] = _failure(
+                        spec, failure.message, failure.worker, failure.cause
                     )
                     continue
                 if handle is None:
-                    outcomes[index] = ShardFailure(
+                    outcomes[index] = _failure(
+                        spec,
                         "no live workers remaining "
                         f"(respawn budget {self.max_respawns} exhausted)",
-                        shard_key=spec.key,
-                        cells=tuple(cell_label(c) for c in spec.cells),
                     )
                     continue
                 try:
@@ -583,55 +630,3 @@ BACKEND = Knob(BACKEND_ENV, None, parse=parse_backend)
 
 active_backend_spec = BACKEND.active
 use_backend = BACKEND.use
-
-
-def make_backend(
-    spec: str,
-    default_workers: int = 1,
-    queue_dir: str | None = None,
-) -> ExecutionBackend:
-    """Instantiate a backend from ``"kind[:N]"``.
-
-    ``default_workers`` (typically the caller's resolved ``jobs``) fills
-    in when the spec carries no ``:N`` of its own.  ``queue_dir`` pins
-    the queue backend's directory (None = a private temp queue); other
-    kinds ignore it.
-    """
-    kind, workers = parse_backend(spec)
-    if workers is None:
-        workers = max(1, default_workers)
-    if kind == "serial":
-        return SerialBackend()
-    if kind == "process":
-        return ProcessPoolBackend(workers)
-    if kind == "queue":
-        from repro.exec.queue import QueueBackend
-
-        return QueueBackend(workers, directory=queue_dir)
-    return SubprocessWorkerBackend(workers)
-
-
-def resolve_backend(backend, jobs: int, num_cells: int, queue_dir: str | None = None):
-    """Apply the selection precedence once, for every entry point.
-
-    Precedence: explicit ``backend`` (spec string or instance) > the
-    :data:`BACKEND` knob (override > ``$REPRO_BACKEND``) > the historical
-    default (serial at ``jobs <= 1`` or a single-cell grid, the local
-    process pool above).  Returns ``(instance, planning worker count,
-    owned)`` -- ``owned`` tells the caller whether it must ``close()``
-    the instance (specs are instantiated here; caller-constructed
-    instances stay the caller's to manage).  ``queue_dir`` routes a
-    spec-instantiated queue backend's directory (the sweep runner pins it
-    under ``--out`` so external workers can find it).
-    """
-    spec = backend if backend is not None else active_backend_spec()
-    if spec is None:
-        spec = "serial" if jobs <= 1 or num_cells <= 1 else "process"
-    if isinstance(spec, str):
-        instance = make_backend(spec, default_workers=jobs, queue_dir=queue_dir)
-        owned = True
-    else:
-        instance = spec
-        owned = False
-    workers = getattr(instance, "workers", 1)
-    return instance, max(1, workers), owned

@@ -67,19 +67,18 @@ from typing import IO
 
 import numpy as np
 
+from repro.arrays import decode_array, encode_array
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
-from repro.core.snapshot import decode_array, encode_array
+from repro.core.runner import Fig2Cell, SystemCell
 from repro.errors import ProtocolError, ScheduleError
 from repro.exec.shard import (
     POLICY_KNOBS,
     CellJob,
     CellOutcome,
-    Fig2Cell,
     PolicySet,
     ShardResult,
     ShardSpec,
-    SystemCell,
 )
 
 __all__ = [
@@ -118,22 +117,15 @@ class _PayloadEncoder(json.JSONEncoder):
         return super().default(obj)
 
 
-# The base64+dtype/shape array codec now lives in repro.core.snapshot
-# (run snapshots reuse it); these aliases keep the protocol module's
-# historical names.
-_encode_array = encode_array
-_decode_array = decode_array
-
-
 def encode_result(result: RunResult) -> dict:
     """A :class:`RunResult` as a JSON-safe dict (bit-exact round trip)."""
     return {
         "system": result.system,
         "scenario": result.scenario,
         "pair": result.pair,
-        "times": _encode_array(np.asarray(result.times)),
-        "correct": _encode_array(np.asarray(result.correct)),
-        "dropped": _encode_array(np.asarray(result.dropped)),
+        "times": encode_array(np.asarray(result.times)),
+        "correct": encode_array(np.asarray(result.correct)),
+        "dropped": encode_array(np.asarray(result.dropped)),
         "phases": [
             {
                 "kind": phase.kind.value,
@@ -157,9 +149,9 @@ def decode_result(payload: dict) -> RunResult:
             system=payload["system"],
             scenario=payload["scenario"],
             pair=payload["pair"],
-            times=_decode_array(payload["times"]),
-            correct=_decode_array(payload["correct"]),
-            dropped=_decode_array(payload["dropped"]),
+            times=decode_array(payload["times"]),
+            correct=decode_array(payload["correct"]),
+            dropped=decode_array(payload["dropped"]),
             phases=tuple(
                 PhaseRecord(
                     kind=PhaseKind(phase["kind"]),

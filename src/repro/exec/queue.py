@@ -11,8 +11,9 @@ shards become claimable *messages*, and workers come to the queue:
   :class:`~repro.exec.shard.ShardSpec` as a store-and-forward message
   file (the bit-exact JSON-lines encoding of :mod:`repro.exec.protocol`)
   under ``<queue>/pending/``.
-- **Claim.**  A worker (``python -m repro worker --queue DIR``) claims a
-  message by atomically renaming it into its per-worker lease directory
+- **Claim.**  A worker (``python -m repro worker --queue DIR``, the loop
+  in :func:`repro.exec.worker.queue_worker_main`) claims a message by
+  atomically renaming it into its per-worker lease directory
   ``<queue>/leases/<worker>/`` -- the filesystem guarantees exactly one
   winner, with no coordinator in the loop.
 - **Heartbeat.**  While executing, the worker touches the lease file's
@@ -49,25 +50,20 @@ import re
 import shutil
 import subprocess
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.cache import CACHE_ENV
 from repro.errors import ConfigurationError, ProtocolError
-from repro.exec import faults, protocol
+from repro.exec import protocol
 from repro.exec.backends import (
     SHARD_TIMEOUT_ENV,
+    _failure,
     _worker_env,
     default_worker_command,
+    reply_outcome,
 )
-from repro.exec.shard import (
-    ShardFailure,
-    ShardSpec,
-    cell_label,
-    checked_reply,
-)
+from repro.exec.shard import ShardSpec
 from repro.knobs import positive_float_env
 
 __all__ = [
@@ -77,7 +73,6 @@ __all__ = [
     "POLL_ENV",
     "QueueBackend",
     "QueueLayout",
-    "queue_worker_main",
 ]
 
 #: Environment variable setting the lease TTL in seconds: how long a
@@ -176,212 +171,6 @@ class QueueLayout:
             if candidate.exists():
                 return candidate, worker_dir.name
         return None
-
-
-class _Heartbeat:
-    """Touches a lease file's mtime on an interval until stopped.
-
-    A heartbeat thread that dies while its worker keeps computing is the
-    *phantom hang*: the lease goes stale, the backend reclaims and
-    retries the shard, and the worker's (eventually posted) result races
-    the retry's -- all because a bookkeeping thread failed silently.  Any
-    unexpected exception in the beat loop therefore sets :attr:`failed`,
-    which the worker checks after the shard and converts into an
-    explicit *retriable* error reply instead of posting a result whose
-    lease it could not keep alive.  A vanished lease file is the one
-    expected exit: the claim was reclaimed from under us, and the
-    post-time ``lease.exists()`` check already handles that race.
-    """
-
-    def __init__(self, lease: Path, interval_s: float) -> None:
-        self.lease = lease
-        self.interval_s = interval_s
-        self.failed = False
-        self.error: str | None = None
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._beat, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _beat(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                os.utime(self.lease)
-            except FileNotFoundError:
-                # Lease reclaimed from under us: nothing left to renew.
-                return
-            except Exception as exc:
-                self.failed = True
-                self.error = f"{type(exc).__name__}: {exc}"
-                return
-
-    def stop(self) -> None:
-        self._stop.set()
-
-
-def queue_worker_main(
-    queue_dir: str | Path, *, drain: bool = False
-) -> int:
-    """The pull-model worker loop: claim, heartbeat, execute, post.
-
-    Runs until the queue's ``stop`` marker appears (and the queue is
-    empty), this worker is banned, the spawning backend's process
-    (``$REPRO_QUEUE_PARENT``, set on local spawns only) is gone, or --
-    with ``drain`` -- the queue has no pending work.  Any process that can reach the directory may run
-    this; the backend's own local workers and an operator's
-    ``python -m repro worker --queue DIR`` on another host are identical.
-
-    SIGTERM/SIGINT shut down gracefully: a lease currently held is
-    *released* -- renamed back into ``pending/`` so the next worker
-    claims it immediately instead of waiting out the heartbeat TTL --
-    and the worker exits 0.
-    """
-    from repro.exec.worker import (
-        GracefulShutdown,
-        error_message,
-        install_graceful_shutdown,
-        run_shard_message,
-    )
-
-    install_graceful_shutdown()
-    layout = QueueLayout(queue_dir)
-    if not layout.pending.is_dir():
-        raise ConfigurationError(
-            f"{queue_dir} is not a queue directory (no pending/); "
-            "the sweep's backend creates it, or create one by running "
-            "the sweep with --backend queue"
-        )
-    config = layout.read_config()
-    lease_ttl_s = (
-        positive_float_env(LEASE_TTL_ENV)
-        or config.get("lease_ttl_s")
-        or DEFAULT_LEASE_TTL_S
-    )
-    poll_s = (
-        positive_float_env(POLL_ENV) or config.get("poll_s") or DEFAULT_POLL_S
-    )
-    parent_pid: int | None = None
-    raw_parent = os.environ.get(PARENT_PID_ENV, "").strip()
-    if raw_parent:
-        try:
-            parent_pid = int(raw_parent)
-        except ValueError:
-            parent_pid = None
-
-    def orphaned() -> bool:
-        if parent_pid is None:
-            return False
-        if os.getppid() == parent_pid:
-            return False
-        try:
-            os.kill(parent_pid, 0)
-        except OSError:
-            return True
-        return False
-
-    worker_id = f"q{os.getpid()}-{os.urandom(2).hex()}"
-    lease_dir = layout.leases / worker_id
-    lease_dir.mkdir(parents=True, exist_ok=True)
-    ban_marker = layout.banned / worker_id
-    heartbeat_s = max(lease_ttl_s / 4.0, 0.02)
-    baseline_cache_root = os.environ.get(CACHE_ENV)
-
-    def claim() -> Path | None:
-        try:
-            names = sorted(os.listdir(layout.pending))
-        except FileNotFoundError:
-            return None
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            target = lease_dir / name
-            try:
-                os.rename(layout.pending / name, target)
-            except OSError:
-                continue  # another worker won the rename
-            # rename preserves the pending file's mtime; the lease clock
-            # starts *now*, not at enqueue time.
-            os.utime(target)
-            return target
-        return None
-
-    lease: Path | None = None
-    heartbeat: _Heartbeat | None = None
-    try:
-        while True:
-            if ban_marker.exists():
-                return 0  # retired by the scheduler's exclusion
-            if orphaned():
-                return 0  # spawner died; do not outlive its tree
-            lease = claim()
-            if lease is None:
-                if layout.stop_marker.exists() or drain:
-                    return 0
-                time.sleep(poll_s)
-                continue
-            key = lease.name[: -len(".json")]
-            try:
-                message = protocol.read_message_file(lease)
-            except ProtocolError as exc:
-                message = None
-                reply = error_message(
-                    key, f"undecodable queue message: {exc}"
-                )
-            if message is not None:
-                # Fault-injection sits exactly where real failures
-                # strike: after the claim, before the first heartbeat.
-                # A die-once exits here; a hang sleeps here with no
-                # heartbeat ever sent -- both leave a lease whose mtime
-                # is the claim instant, which is what the TTL reclaim
-                # must absorb.
-                faults.on_claim(key)
-                heartbeat = _Heartbeat(lease, heartbeat_s)
-                heartbeat.start()
-                try:
-                    reply = run_shard_message(message, baseline_cache_root)
-                finally:
-                    heartbeat.stop()
-                if heartbeat.failed:
-                    # The beat loop died while we computed: the lease may
-                    # have gone stale and been reclaimed at any point, so
-                    # the result cannot be trusted as exclusively ours.
-                    # Report a *retriable* failure instead of a result --
-                    # the explicit version of what would otherwise be a
-                    # phantom hang.
-                    reply = error_message(
-                        key,
-                        "lease heartbeat thread failed mid-shard: "
-                        f"{heartbeat.error}",
-                    )
-                    reply["retriable"] = True
-                heartbeat = None
-            reply["worker"] = worker_id
-            if lease.exists():
-                # Still ours: post the reply, then release the claim.  If
-                # the lease was reclaimed while we ran (we were presumed
-                # dead), the shard belongs to another worker now --
-                # posting a late result would race the rightful owner's,
-                # so discard ours.
-                protocol.write_message_file(
-                    layout.results / layout.message_name(key), reply
-                )
-                try:
-                    lease.unlink()
-                except OSError:
-                    pass
-            lease = None
-    except GracefulShutdown:
-        if heartbeat is not None:
-            heartbeat.stop()
-        if lease is not None and lease.exists():
-            # Release, don't abandon: back into pending/ so the next
-            # worker claims it now instead of after a TTL expiry.
-            try:
-                os.rename(lease, layout.pending / lease.name)
-            except OSError:
-                pass
-        return 0
 
 
 class QueueBackend:
@@ -562,13 +351,10 @@ class QueueBackend:
                 for spec in specs:
                     index = keys[spec.key]
                     if outcomes[index] is None:
-                        outcomes[index] = ShardFailure(
+                        outcomes[index] = _failure(
+                            spec,
                             "no live workers remaining (respawn budget "
                             f"{self.max_respawns} exhausted)",
-                            shard_key=spec.key,
-                            cells=tuple(
-                                cell_label(c) for c in spec.cells
-                            ),
                         )
                         self._remove_message(spec.key)
                 break
@@ -596,7 +382,6 @@ class QueueBackend:
         first_leased: dict[str, tuple[str, float]],
     ):
         """One shard's outcome, if its result arrived or its lease died."""
-        cells = tuple(cell_label(c) for c in spec.cells)
         result_path = self.layout.results / self.layout.message_name(
             spec.key
         )
@@ -609,54 +394,14 @@ class QueueBackend:
             # garbled post.  Retriable -- another worker recomputes.
             result_path.unlink(missing_ok=True)
             self._remove_message(spec.key)
-            return ShardFailure(
-                "worker posted an undecodable result message",
-                shard_key=spec.key,
-                cells=cells,
-                worker=worker,
-                cause=str(exc),
+            return _failure(
+                spec, "worker posted an undecodable result message", worker,
+                exc,
             )
         if message is not None:
             result_path.unlink(missing_ok=True)
             self._remove_message(spec.key)
-            worker = message.get("worker") or worker
-            if message.get("kind") == "error":
-                # In protocol, deterministic: not a transport fault --
-                # unless the worker flagged it retriable (a heartbeat
-                # failure mid-shard, not a cell bug).
-                retriable = bool(message.get("retriable", False))
-                return ShardFailure(
-                    "worker reported a retriable fault"
-                    if retriable
-                    else "shard raised inside the worker",
-                    shard_key=spec.key,
-                    cells=cells,
-                    worker=worker,
-                    cause=str(message.get("error")),
-                    retriable=retriable,
-                )
-            if (
-                message.get("kind") != "result"
-                or message.get("id") != spec.key
-            ):
-                return ShardFailure(
-                    "worker posted an out-of-protocol reply "
-                    f"(kind={message.get('kind')!r})",
-                    shard_key=spec.key,
-                    cells=cells,
-                    worker=worker,
-                )
-            try:
-                decoded = protocol.decode_shard_result(message)
-            except ProtocolError as exc:
-                return ShardFailure(
-                    "worker result payload undecodable",
-                    shard_key=spec.key,
-                    cells=cells,
-                    worker=worker,
-                    cause=str(exc),
-                )
-            return checked_reply(spec, decoded, worker)
+            return reply_outcome(spec, message, worker)
         lease = self.layout.lease_of(spec.key)
         if lease is None:
             return None  # pending, or mid-rename; keep polling
@@ -696,12 +441,7 @@ class QueueBackend:
                 f"shard exceeded {self.shard_timeout_s:g}s deadline "
                 "despite heartbeats"
             )
-        return ShardFailure(
-            reason,
-            shard_key=spec.key,
-            cells=cells,
-            worker=lease_worker,
-        )
+        return _failure(spec, reason, lease_worker)
 
     def close(self) -> None:
         if self._closed:

@@ -1,21 +1,15 @@
-"""Parallel experiment runner: the stable facade over ``repro.exec``.
+"""The entry points above every transport: pick a backend, run a grid.
 
-Historically this module owned the whole dispatch story -- cell
-dataclasses, stream-signature sharding, and a hard-coded
-``ProcessPoolExecutor``.  That machinery now lives in :mod:`repro.exec`
-as pluggable execution backends (serial / process pool / subprocess
-workers speaking a JSON-lines protocol, ssh-able) behind a retrying
-scheduler; this module keeps the two entry points every experiment calls
-and re-exports the cell/planning names it always provided.
-
-Backend selection, in precedence order:
+:func:`run_cells` runs grid cells and :func:`parallel_map` maps a
+function; both pick their backend here, in precedence order:
 
 1. an explicit ``backend=`` argument (``"serial"``, ``"process[:N]"``,
-   ``"subprocess[:N]"``, or a constructed
+   ``"subprocess[:N]"``, ``"queue[:N]"``, or a constructed
    :class:`~repro.exec.backends.ExecutionBackend`);
 2. the :data:`~repro.exec.backends.BACKEND` knob: an override installed
-   with :func:`repro.exec.use_backend` (what the CLI's ``--backend`` flag
-   does), then the ``REPRO_BACKEND`` environment variable;
+   with :func:`~repro.exec.backends.use_backend` (what the CLI's
+   ``--backend`` flag does), then the ``REPRO_BACKEND`` environment
+   variable;
 3. the historical default -- serial when ``jobs <= 1`` or the grid has a
    single cell, the process pool otherwise.
 
@@ -32,35 +26,29 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from repro.core.results import RunResult
+from repro.core.runner import Fig2Cell, SystemCell
 from repro.errors import ConfigurationError
-
-# NOTE: of repro.exec, only repro.exec.shard may be imported up here.
-# ``repro.core.__init__`` imports this module, and every ``repro.exec``
-# module imports some ``repro.core`` submodule -- so on a cold
-# ``import repro.exec`` this module executes while ``repro.exec.backends``
-# is still half-initialized.  The backend/scheduler imports therefore
-# happen lazily inside the functions that need them.
-from repro.exec.shard import (
-    Fig2Cell,
-    PolicySet,
-    SystemCell,
-    plan_shards,
-    run_cell as _run_cell,  # noqa: F401  (compat: tests/callers import it)
-    stream_signature,
-    warm_model_caches,
+from repro.exec.backends import (
+    ExecutionBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+    SubprocessWorkerBackend,
+    active_backend_spec,
+    parse_backend,
 )
+from repro.exec.queue import QueueBackend
+from repro.exec.scheduler import execute_cells
+from repro.exec.shard import PolicySet
 from repro.knobs import positive_int_env
 
 __all__ = [
-    "Fig2Cell",
     "JOBS_ENV",
-    "SystemCell",
     "default_jobs",
+    "make_backend",
     "parallel_map",
-    "plan_shards",
+    "resolve_backend",
+    "resolve_jobs",
     "run_cells",
-    "stream_signature",
-    "warm_model_caches",
 ]
 
 #: Environment variable pinning the default worker count (CI, remote
@@ -85,6 +73,64 @@ def default_jobs() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # non-Linux
         return max(1, os.cpu_count() or 1)
+
+
+def resolve_jobs(jobs: int) -> int:
+    """A ``--jobs`` value as a worker count: 0 means :func:`default_jobs`."""
+    if jobs < 0:
+        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
+    return jobs or default_jobs()
+
+
+def make_backend(
+    spec: str,
+    default_workers: int = 1,
+    queue_dir: str | None = None,
+) -> ExecutionBackend:
+    """Instantiate a backend from ``"kind[:N]"``.
+
+    ``default_workers`` (typically the caller's resolved ``jobs``) fills
+    in when the spec carries no ``:N`` of its own.  ``queue_dir`` pins
+    the queue backend's directory (None = a private temp queue); other
+    kinds ignore it.
+    """
+    kind, workers = parse_backend(spec)
+    if workers is None:
+        workers = max(1, default_workers)
+    if kind == "serial":
+        return SerialBackend()
+    if kind == "process":
+        return ProcessPoolBackend(workers)
+    if kind == "queue":
+        return QueueBackend(workers, directory=queue_dir)
+    return SubprocessWorkerBackend(workers)
+
+
+def resolve_backend(backend, jobs: int, num_cells: int, queue_dir: str | None = None):
+    """Apply the selection precedence once, for every entry point.
+
+    Precedence: explicit ``backend`` (spec string or instance) > the
+    :data:`~repro.exec.backends.BACKEND` knob (override >
+    ``$REPRO_BACKEND``) > the historical default (serial at ``jobs <= 1``
+    or a single-cell grid, the local process pool above).  Returns
+    ``(instance, planning worker count, owned)`` -- ``owned`` tells the
+    caller whether it must ``close()`` the instance (specs are
+    instantiated here; caller-constructed instances stay the caller's to
+    manage).  ``queue_dir`` routes a spec-instantiated queue backend's
+    directory (the sweep runner pins it under ``--out`` so external
+    workers can find it).
+    """
+    spec = backend if backend is not None else active_backend_spec()
+    if spec is None:
+        spec = "serial" if jobs <= 1 or num_cells <= 1 else "process"
+    if isinstance(spec, str):
+        instance = make_backend(spec, default_workers=jobs, queue_dir=queue_dir)
+        owned = True
+    else:
+        instance = spec
+        owned = False
+    workers = getattr(instance, "workers", 1)
+    return instance, max(1, workers), owned
 
 
 def run_cells(
@@ -112,15 +158,10 @@ def run_cells(
             scheduler's bounded retries (e.g. workers kept dying); the
             failure names the affected cells.
     """
-    from repro.exec.backends import resolve_backend
-    from repro.exec.scheduler import execute_cells
-
-    if jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        jobs = default_jobs()
     cells = list(cells)
-    instance, workers, owned = resolve_backend(backend, jobs, len(cells))
+    instance, workers, owned = resolve_backend(
+        backend, resolve_jobs(jobs), len(cells)
+    )
     try:
         return execute_cells(cells, backend=instance, workers=workers)
     finally:
@@ -156,12 +197,7 @@ def parallel_map(
     re-installed around every mapped call, so policy overrides survive
     into spawn-started workers exactly as they do for ``run_cells``.
     """
-    from repro.exec.backends import active_backend_spec, parse_backend
-
-    if jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        jobs = default_jobs()
+    jobs = resolve_jobs(jobs)
     spec = active_backend_spec()
     if spec is not None:
         kind, workers = parse_backend(spec)

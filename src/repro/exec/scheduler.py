@@ -58,11 +58,11 @@ from typing import Callable, Sequence
 from repro import profiling
 from repro.cache import CACHE_ENV
 from repro.core.results import RunResult
-from repro.errors import ConfigurationError
+from repro.core.runner import CELL_TYPES, warm_model_caches
+from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import faults, protocol
 from repro.exec.backends import ExecutionBackend
 from repro.exec.shard import (
-    CELL_TYPES,
     ShardFailure,
     ShardQuarantined,
     ShardResult,
@@ -70,7 +70,6 @@ from repro.exec.shard import (
     cell_key,
     make_shard_specs,
     note_shard_observation,
-    warm_model_caches,
 )
 
 __all__ = [
@@ -279,6 +278,37 @@ class Scheduler:
         return outcomes  # type: ignore[return-value]
 
 
+def replay_journal(
+    lines: Sequence[str],
+    name: str,
+    remedy: str,
+    apply: Callable[[dict], None],
+) -> None:
+    """Feed each record after a journal's header line to ``apply``.
+
+    A kill leaves at most a torn final line, which is skipped: whatever it
+    described simply did not happen.  A line that parses but has the
+    wrong shape cannot come from a kill, so it raises a
+    :class:`ConfigurationError` naming the journal, the line and the
+    record kind, with the journal's ``remedy``.
+    """
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        try:
+            if not isinstance(record, dict):
+                raise TypeError(f"{record!r} is not a JSON object")
+            apply(record)
+        except (KeyError, TypeError, ValueError, ProtocolError) as exc:
+            kind = record.get("kind") if isinstance(record, dict) else None
+            raise ConfigurationError(
+                f"{name} line {number}: malformed {kind or 'untyped'} "
+                f"record ({type(exc).__name__}: {exc}); {remedy}"
+            ) from None
+
+
 def _fsync_dir(path: Path) -> None:
     """Flush a directory entry to disk (no-op where unsupported)."""
     try:
@@ -368,19 +398,17 @@ class SweepJournal:
                 "(spec, policies, or cells changed); rerun without "
                 "--resume or point --out elsewhere"
             )
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # A killed run can leave one torn trailing line; the
-                # shard it described simply reruns.
-                continue
-            if record.get("kind") != "shard":
-                continue
-            for entry in record.get("entries", ()):
-                self._completed[entry["key"]] = protocol.decode_result(
-                    entry["result"]
-                )
+
+        def apply(record: dict) -> None:
+            if record.get("kind") == "shard":
+                for entry in record.get("entries", ()):
+                    self._completed[entry["key"]] = protocol.decode_result(
+                        entry["result"]
+                    )
+
+        replay_journal(
+            lines, f"journal {self.path}", "rerun without --resume", apply
+        )
 
     def __len__(self) -> int:
         return len(self._completed)

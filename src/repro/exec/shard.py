@@ -24,11 +24,6 @@ otherwise they run inline, in order, on the calling thread -- so one lane
 them in job order.  Sharing, batching and snapshots therefore compose in
 this one place.
 
-The cell dataclasses (:class:`SystemCell` / :class:`Fig2Cell`) and the
-shard planner live here -- :mod:`repro.core.parallel` re-exports them for
-compatibility -- because the execution subsystem must not import the
-delegation layer that imports it.
-
 Failure is typed: a worker death, a broken pool, or a protocol violation
 surfaces as :class:`ShardFailure` naming the shard's cells, never as an
 opaque ``BrokenProcessPool`` traceback.  Shard execution is deterministic
@@ -43,12 +38,18 @@ import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro import profiling
 from repro.batching import BATCH, BatchPolicy, active_batching
 from repro.core.results import RunResult
-from repro.core.runner import build_fig2_system, build_system
+from repro.core.runner import (
+    Fig2Cell,
+    SystemCell,
+    build_fig2_system,
+    build_system,
+    warm_model_caches,
+)
 from repro.core.snapshot import (
     decode_run_snapshot,
     encode_run_snapshot,
@@ -58,9 +59,6 @@ from repro.core.system import RunExecution
 from repro.data.scenarios import build_scenario
 from repro.errors import ConfigurationError, ExecutionError, SnapshotError
 from repro.exec.batched import run_lane_jobs
-from repro.learn.student import make_student
-from repro.learn.teacher import make_teacher
-from repro.models.zoo import get_pair
 from repro.numeric import NUMERIC, NumericPolicy, active_policy
 from repro.share.cluster import cluster_cells
 from repro.share.policy import SHARING, SharingPolicy, active_sharing
@@ -73,18 +71,15 @@ from repro.share.runtime import (
 __all__ = [
     "CellJob",
     "CellOutcome",
-    "Fig2Cell",
     "POLICY_KNOBS",
     "PolicySet",
     "ShardFailure",
     "ShardQuarantined",
     "ShardResult",
     "ShardSpec",
-    "SystemCell",
     "batch_signature",
     "cell_key",
     "cell_label",
-    "checked_reply",
     "execute_shard",
     "make_shard_specs",
     "note_shard_observation",
@@ -94,52 +89,7 @@ __all__ = [
     "run_cell",
     "run_job",
     "stream_signature",
-    "warm_model_caches",
 ]
-
-
-@dataclass(frozen=True)
-class SystemCell:
-    """One grid cell: a Figure-9-style system on one scenario.
-
-    Attributes:
-        system: System name from :data:`repro.core.runner.SYSTEM_BUILDERS`.
-        pair: Model-pair name.
-        scenario: Scenario name (Table II).
-        seed: Model-init and stream seed.
-        duration_s: Stream length override (None = scenario default).
-    """
-
-    system: str
-    pair: str
-    scenario: str
-    seed: int = 0
-    duration_s: float | None = None
-
-
-@dataclass(frozen=True)
-class Fig2Cell:
-    """One Figure-2 cell: frozen student/teacher or idealized Ekya on a GPU.
-
-    Attributes:
-        kind: ``"student"``, ``"teacher"``, or ``"ekya"``.
-        platform: ``"RTX3090"``, ``"OrinHigh"``, or ``"OrinLow"``.
-        pair: Model-pair name.
-        scenario: Scenario name.
-        seed: Stream seed (model init uses the builder default, matching
-            the serial Figure 2 code).
-        duration_s: Stream length override.
-    """
-
-    kind: str
-    platform: str
-    pair: str
-    scenario: str
-    seed: int = 0
-    duration_s: float | None = None
-
-
-CELL_TYPES = (SystemCell, Fig2Cell)
 
 
 @dataclass(frozen=True)
@@ -420,27 +370,6 @@ def plan_shards(
     return shards
 
 
-def warm_model_caches(cells: Iterable) -> None:
-    """Pretrain every distinct (pair, seed) once in this process.
-
-    Forked workers inherit the warmed ``lru_cache`` entries for free;
-    spawn workers, subprocess workers, and separate invocations hit the
-    on-disk cache instead (see :mod:`repro.learn.cache`).  The MX-format
-    arguments do not matter here -- pretrained weights are
-    precision-independent -- so the default-format constructors suffice.
-    """
-    seen: set[tuple[str, int]] = set()
-    for cell in cells:
-        model_seed = cell.seed if isinstance(cell, SystemCell) else 0
-        key = (cell.pair, model_seed)
-        if key in seen:
-            continue
-        seen.add(key)
-        pair = get_pair(cell.pair)
-        make_student(pair.student, seed=model_seed)
-        make_teacher(pair.teacher, seed=model_seed)
-
-
 #: The knobs a :class:`PolicySet` carries, by field name.
 POLICY_KNOBS = {"numeric": NUMERIC, "sharing": SHARING, "batch": BATCH}
 
@@ -632,26 +561,6 @@ def shard_key(policy_name: str, cells: Sequence) -> str:
         hasher.update(cell_key(policy_name, cell).encode())
         hasher.update(b"\n")
     return hasher.hexdigest()[:16]
-
-
-def checked_reply(
-    spec: ShardSpec, result: ShardResult, worker: str | None = None
-) -> ShardResult | ShardFailure:
-    """``result``, or a retriable failure if it does not answer every job.
-
-    Every transport that receives a reply from another process runs it
-    through here: a truncated reply must never be journaled as a completed
-    shard, so it becomes a failure the retry path recomputes whole.
-    """
-    if len(result.outcomes) == len(spec.jobs):
-        return result
-    return ShardFailure(
-        f"worker returned {len(result.outcomes)} results for a "
-        f"{len(spec.jobs)}-cell shard",
-        shard_key=spec.key,
-        cells=tuple(cell_label(cell) for cell in spec.cells),
-        worker=worker,
-    )
 
 
 def make_shard_specs(

@@ -14,10 +14,11 @@ the message stream.  That discipline is what lets the identical worker
 run behind ``ssh host python -m repro worker``.
 
 With ``--queue DIR`` the same entry point serves the *pull* model
-instead: no stdio protocol, no parent pipe -- the worker claims shard
-message files from a queue directory, heartbeats its leases, and posts
-results back (see :mod:`repro.exec.queue`).  Any process that can reach
-the directory may attach this way, mid-sweep included.
+instead (:func:`queue_worker_main`): no stdio protocol, no parent pipe --
+the worker claims shard message files from a queue directory, heartbeats
+its leases, and posts results back (see :mod:`repro.exec.queue`).  Any
+process that can reach the directory may attach this way, mid-sweep
+included.
 """
 
 from __future__ import annotations
@@ -26,17 +27,30 @@ import argparse
 import os
 import signal
 import sys
+import threading
+import time
 import traceback
+from pathlib import Path
 
 from repro.cache import CACHE_ENV
 from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import faults, protocol
+from repro.exec.queue import (
+    DEFAULT_LEASE_TTL_S,
+    DEFAULT_POLL_S,
+    LEASE_TTL_ENV,
+    PARENT_PID_ENV,
+    POLL_ENV,
+    QueueLayout,
+)
 from repro.exec.shard import execute_shard
+from repro.knobs import positive_float_env, positive_seconds
 
 __all__ = [
     "GracefulShutdown",
     "error_message",
     "install_graceful_shutdown",
+    "queue_worker_main",
     "run_shard_message",
     "worker_main",
 ]
@@ -114,6 +128,211 @@ def run_shard_message(message: dict, baseline_cache_root: str | None) -> dict:
     return reply
 
 
+class _Heartbeat:
+    """Touches a lease file's mtime on an interval until stopped.
+
+    A heartbeat thread that dies while its worker keeps computing is the
+    *phantom hang*: the lease goes stale, the backend reclaims and
+    retries the shard, and the worker's (eventually posted) result races
+    the retry's -- all because a bookkeeping thread failed silently.  Any
+    unexpected exception in the beat loop therefore sets :attr:`failed`,
+    which the worker checks after the shard and converts into an
+    explicit *retriable* error reply instead of posting a result whose
+    lease it could not keep alive.  A vanished lease file is the one
+    expected exit: the claim was reclaimed from under us, and the
+    post-time ``lease.exists()`` check already handles that race.
+    """
+
+    def __init__(self, lease: Path, interval_s: float) -> None:
+        self.lease = lease
+        self.interval_s = interval_s
+        self.failed = False
+        self.error: str | None = None
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._beat, daemon=True)
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def _beat(self) -> None:
+        while not self._stop.wait(self.interval_s):
+            try:
+                os.utime(self.lease)
+            except FileNotFoundError:
+                # Lease reclaimed from under us: nothing left to renew.
+                return
+            except Exception as exc:
+                self.failed = True
+                self.error = f"{type(exc).__name__}: {exc}"
+                return
+
+    def stop(self) -> None:
+        self._stop.set()
+
+
+def queue_worker_main(
+    queue_dir: str | Path, *, drain: bool = False
+) -> int:
+    """The pull-model worker loop: claim, heartbeat, execute, post.
+
+    Runs until the queue's ``stop`` marker appears (and the queue is
+    empty), this worker is banned, the spawning backend's process
+    (``$REPRO_QUEUE_PARENT``, set on local spawns only) is gone, or --
+    with ``drain`` -- the queue has no pending work.  Any process that can
+    reach the directory may run this; the backend's own local workers and
+    an operator's ``python -m repro worker --queue DIR`` on another host
+    are identical.
+
+    SIGTERM/SIGINT shut down gracefully: a lease currently held is
+    *released* -- renamed back into ``pending/`` so the next worker
+    claims it immediately instead of waiting out the heartbeat TTL --
+    and the worker exits 0.
+    """
+    install_graceful_shutdown()
+    layout = QueueLayout(queue_dir)
+    if not layout.pending.is_dir():
+        raise ConfigurationError(
+            f"{queue_dir} is not a queue directory (no pending/); "
+            "the sweep's backend creates it, or create one by running "
+            "the sweep with --backend queue"
+        )
+    config = layout.read_config()
+
+    def seconds(env: str, key: str, default: float) -> float:
+        # The environment, then the queue's config.json, then the default;
+        # a value that is present must be a duration, wherever it is.
+        value = positive_float_env(env)
+        if value is not None:
+            return value
+        if key not in config:
+            return default
+        return positive_seconds(config[key], f"{layout.config_path} {key}")
+
+    lease_ttl_s = seconds(LEASE_TTL_ENV, "lease_ttl_s", DEFAULT_LEASE_TTL_S)
+    poll_s = seconds(POLL_ENV, "poll_s", DEFAULT_POLL_S)
+    parent_pid: int | None = None
+    raw_parent = os.environ.get(PARENT_PID_ENV, "").strip()
+    if raw_parent:
+        try:
+            parent_pid = int(raw_parent)
+        except ValueError:
+            parent_pid = None
+
+    def orphaned() -> bool:
+        if parent_pid is None:
+            return False
+        if os.getppid() == parent_pid:
+            return False
+        try:
+            os.kill(parent_pid, 0)
+        except OSError:
+            return True
+        return False
+
+    worker_id = f"q{os.getpid()}-{os.urandom(2).hex()}"
+    lease_dir = layout.leases / worker_id
+    lease_dir.mkdir(parents=True, exist_ok=True)
+    ban_marker = layout.banned / worker_id
+    heartbeat_s = max(lease_ttl_s / 4.0, 0.02)
+    baseline_cache_root = os.environ.get(CACHE_ENV)
+
+    def claim() -> Path | None:
+        try:
+            names = sorted(os.listdir(layout.pending))
+        except FileNotFoundError:
+            return None
+        for name in names:
+            if not name.endswith(".json"):
+                continue
+            target = lease_dir / name
+            try:
+                os.rename(layout.pending / name, target)
+            except OSError:
+                continue  # another worker won the rename
+            # rename preserves the pending file's mtime; the lease clock
+            # starts *now*, not at enqueue time.
+            os.utime(target)
+            return target
+        return None
+
+    lease: Path | None = None
+    heartbeat: _Heartbeat | None = None
+    try:
+        while True:
+            if ban_marker.exists():
+                return 0  # retired by the scheduler's exclusion
+            if orphaned():
+                return 0  # spawner died; do not outlive its tree
+            lease = claim()
+            if lease is None:
+                if layout.stop_marker.exists() or drain:
+                    return 0
+                time.sleep(poll_s)
+                continue
+            key = lease.name[: -len(".json")]
+            try:
+                message = protocol.read_message_file(lease)
+            except ProtocolError as exc:
+                message = None
+                reply = error_message(
+                    key, f"undecodable queue message: {exc}"
+                )
+            if message is not None:
+                # Fault-injection sits exactly where real failures
+                # strike: after the claim, before the first heartbeat.
+                # A die-once exits here; a hang sleeps here with no
+                # heartbeat ever sent -- both leave a lease whose mtime
+                # is the claim instant, which is what the TTL reclaim
+                # must absorb.
+                faults.on_claim(key)
+                heartbeat = _Heartbeat(lease, heartbeat_s)
+                heartbeat.start()
+                try:
+                    reply = run_shard_message(message, baseline_cache_root)
+                finally:
+                    heartbeat.stop()
+                if heartbeat.failed:
+                    # The beat loop died while we computed: the lease may
+                    # have gone stale and been reclaimed at any point, so
+                    # the result cannot be trusted as exclusively ours.
+                    # Report a *retriable* failure instead of a result --
+                    # the explicit version of what would otherwise be a
+                    # phantom hang.
+                    reply = error_message(
+                        key,
+                        "lease heartbeat thread failed mid-shard: "
+                        f"{heartbeat.error}",
+                    )
+                    reply["retriable"] = True
+                heartbeat = None
+            reply["worker"] = worker_id
+            if lease.exists():
+                # Still ours: post the reply, then release the claim.  If
+                # the lease was reclaimed while we ran (we were presumed
+                # dead), the shard belongs to another worker now --
+                # posting a late result would race the rightful owner's,
+                # so discard ours.
+                protocol.write_message_file(
+                    layout.results / layout.message_name(key), reply
+                )
+                try:
+                    lease.unlink()
+                except OSError:
+                    pass
+            lease = None
+    except GracefulShutdown:
+        if heartbeat is not None:
+            heartbeat.stop()
+        if lease is not None and lease.exists():
+            # Release, don't abandon: back into pending/ so the next
+            # worker claims it now instead of after a TTL expiry.
+            try:
+                os.rename(lease, layout.pending / lease.name)
+            except OSError:
+                pass
+        return 0
+
+
 def worker_main(argv: list[str] | None = None) -> int:
     """Serve shards over stdio until ``shutdown`` or EOF."""
     parser = argparse.ArgumentParser(
@@ -144,8 +363,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     if args.drain and args.queue is None:
         parser.error("--drain requires --queue")
     if args.queue is not None:
-        from repro.exec.queue import queue_worker_main
-
         return queue_worker_main(args.queue, drain=args.drain)
     install_graceful_shutdown()
     channel = os.fdopen(os.dup(sys.stdout.fileno()), "w")

@@ -10,8 +10,8 @@
   ``Nldd = 4 * Nl``; sweep the multiplier.
 
 Every ablation fans its independent rows through the shared grid
-infrastructure -- :func:`~repro.core.parallel.run_cells` for full system
-runs, :func:`~repro.core.parallel.parallel_map` for the cheaper spec
+infrastructure -- :func:`~repro.exec.run.run_cells` for full system
+runs, :func:`~repro.exec.run.parallel_map` for the cheaper spec
 sweeps -- so ``--jobs`` composes uniformly and results are identical at
 any worker count.
 """
@@ -20,18 +20,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.accelerator import (
+    AcceleratorSimulator,
+    ChipletPackage,
+    SystolicArray,
+    scaled_array,
+    scaled_power_model,
+)
 from repro.core import (
     DaCapoConfig,
     PerformanceEstimator,
     SystemCell,
     build_system,
-    parallel_map,
-    run_cells,
     run_on_scenario,
 )
+from repro.exec import parallel_map, run_cells
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.models import get_pair
-from repro.mx import FORMATS, sqnr
+from repro.mx import FORMATS, MX6, MX9, sqnr
 from repro.platform import build_dacapo_platform
 
 __all__ = [
@@ -141,9 +147,6 @@ def run_ablation_precision(
 
 def _dataflow_row(args: tuple[str, str, int]) -> dict:
     """One dataflow-comparison row (module-level for process mapping)."""
-    from repro.accelerator import AcceleratorSimulator, SystolicArray
-    from repro.mx import MX6, MX9
-
     dataflow, pair_name, rows_tsa = args
     pair = get_pair(pair_name)
     student = pair.student_graph()
@@ -190,13 +193,6 @@ def run_ablation_dataflow(
 
 def _scaling_row(args: tuple[str, int, int, str]) -> dict:
     """One array-scaling row (module-level for process mapping)."""
-    from repro.accelerator import (
-        AcceleratorSimulator,
-        scaled_array,
-        scaled_power_model,
-    )
-    from repro.mx import MX6, MX9
-
     label, rows_count, cols, pair_name = args
     pair = get_pair(pair_name)
     student = pair.student_graph()
@@ -220,8 +216,6 @@ def run_ablation_scaling(
     pair_name: str = "resnet18_wrn50", jobs: int = 1
 ) -> ExperimentResult:
     """Array scaling study (section VII-A's 32x32 / chiplet remark)."""
-    from repro.accelerator import ChipletPackage
-
     configs = (
         ("16x16 (prototype)", 16, 16),
         ("32x32", 32, 32),
@@ -288,8 +282,8 @@ def run_ablation_nldd(
     """Sweep the drift-labeling multiplier around the paper's choice of 4.
 
     Each multiplier is a full system run with its own config (which
-    :class:`~repro.core.parallel.SystemCell` cannot express), so the sweep
-    rides :func:`~repro.core.parallel.parallel_map` rather than
+    :class:`~repro.core.runner.SystemCell` cannot express), so the sweep
+    rides :func:`~repro.exec.run.parallel_map` rather than
     ``run_cells``; the shared stream still comes from the artifact store's
     disk tier in every worker.
     """

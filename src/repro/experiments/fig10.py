@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import SystemCell, run_cells
+from repro.core import SystemCell
+from repro.exec import run_cells
 from repro.experiments.reporting import (
     ExperimentResult,
     format_series,

@@ -8,7 +8,8 @@ reports +12.7% labeling share on drift) and gains accuracy.
 
 from __future__ import annotations
 
-from repro.core import SystemCell, run_cells
+from repro.core import SystemCell
+from repro.exec import run_cells
 from repro.experiments.reporting import ExperimentResult, format_table
 
 __all__ = ["run_fig11"]

@@ -9,7 +9,8 @@ and Ekya lose accuracy, driven by frame drops and starved retraining.
 
 from __future__ import annotations
 
-from repro.core import Fig2Cell, run_cells
+from repro.core import Fig2Cell
+from repro.exec import run_cells
 from repro.experiments.reporting import ExperimentResult, format_table
 
 __all__ = ["run_fig2"]

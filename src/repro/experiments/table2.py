@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.core import parallel_map
 from repro.data.scenarios import SCENARIO_NAMES, build_scenario, scenario_table
+from repro.exec import parallel_map
 from repro.experiments.reporting import ExperimentResult, format_table
 
 __all__ = ["run_table2"]

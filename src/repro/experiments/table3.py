@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import parallel_map
+from repro.exec import parallel_map
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.models import MODEL_PAIRS, get_model
 
@@ -41,7 +41,7 @@ def run_table3(jobs: int = 1) -> ExperimentResult:
     """Reproduce Table III from the architectural specs, with paper deltas.
 
     ``jobs > 1`` genuinely shards the per-model rows over worker processes
-    via :func:`~repro.core.parallel.parallel_map` (results identical at
+    via :func:`~repro.exec.run.parallel_map` (results identical at
     any worker count).  The rows are spec lookups, so this is about CLI
     uniformity *and* exercising the same fan-out path as the grids.
     """

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Knob", "Switch", "positive_float_env", "positive_int_env"]
+__all__ = [
+    "Knob",
+    "Switch",
+    "positive_float_env",
+    "positive_int_env",
+    "positive_seconds",
+]
 
 _UNSET = object()
 
@@ -115,21 +121,31 @@ def positive_int_env(name: str) -> int | None:
     return value
 
 
-def positive_float_env(name: str) -> float | None:
-    """``$name`` as finite seconds above 0; None when unset or blank.
+def positive_seconds(value: object, name: str) -> float:
+    """``value`` as finite seconds above 0: an int or a float, not a bool.
 
-    ``nan`` and ``inf`` are garbage too: a NaN deadline never expires and
-    an infinite one overflows the timed waits that use it.
+    Anything else raises :class:`ConfigurationError` naming ``name``;
+    ``nan`` and ``inf`` too, since a NaN deadline never expires and an
+    infinite one overflows the timed waits that use it.
     """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0.0 < value < math.inf
+    ):
+        raise ConfigurationError(
+            f"{name} must be a positive number of seconds, got {value!r}"
+        )
+    return float(value)
+
+
+def positive_float_env(name: str) -> float | None:
+    """``$name`` as :func:`positive_seconds`; None when unset or blank."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise ConfigurationError(
-            f"{name} must be a positive number of seconds, got {raw!r}"
-        )
-    return value
+        return positive_seconds(float(raw), name)
+    except (ValueError, ConfigurationError):
+        # Refuse again with the text as written, which a str always is.
+        return positive_seconds(raw, name)

@@ -28,6 +28,7 @@ from repro.learn.train import TrainConfig, train_sgd
 from repro.models.zoo import get_proxy_config
 from repro.mx import MXFormat
 from repro.numeric import FLOAT64, active_policy, resolve_policy, use_policy
+from repro.share.runtime import active_cluster_runtime
 
 __all__ = ["StudentModel", "make_student"]
 
@@ -195,11 +196,6 @@ def make_student(
     # Cross-camera sharing (opt-in): within a cluster, the first member's
     # pretrain becomes the cluster base and later members warm-start from
     # the cluster's freshest weights.  No active runtime -> untouched.
-    # (Imported here, not at module top: repro.share reaches this module
-    # through the scenario/learn import chain, and a module-level import
-    # back into repro.share.runtime would complete that cycle.)
-    from repro.share.runtime import active_cluster_runtime
-
     runtime = active_cluster_runtime()
     if runtime is not None:
         runtime.adopt_student(model_name, cloned)

@@ -16,8 +16,8 @@ object is allocated and nothing is timed.  Enable it around a workload::
     print(profiler.report())
     profiling.disable()
 
-The active profiler is per-process, but the parallel grid runner
-(:mod:`repro.core.parallel`) aggregates: when profiling is active in the
+The active profiler is per-process, but the grid runner
+(:mod:`repro.exec`) aggregates: when profiling is active in the
 parent, each worker shard runs under its own profiler and ships its
 snapshot back with the results, and the parent folds every worker snapshot
 into the active profiler (:meth:`Profiler.merge`).  ``--profile`` therefore

@@ -43,10 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.parallel import SystemCell, run_cells
 from repro.core.results import RunResult
+from repro.core.runner import SystemCell
 from repro.data.scenarios import build_scenario
 from repro.data.stream import FrameWindow
+from repro.exec.run import run_cells
 from repro.numeric import active_policy
 
 __all__ = [

@@ -94,7 +94,7 @@ from repro.core.snapshot import stream_prefix_aligned
 from repro.data.scenarios import SCENARIO_NAMES, build_scenario
 from repro.errors import AdmissionRefused, ConfigurationError, ProtocolError
 from repro.exec import protocol
-from repro.exec.backends import resolve_backend
+from repro.exec.run import resolve_backend
 from repro.exec.scheduler import Scheduler
 from repro.exec.shard import (
     CellJob,

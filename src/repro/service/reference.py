@@ -27,7 +27,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.exec.shard import SystemCell, cell_key, run_cell
+from repro.core.runner import SystemCell
+from repro.exec.shard import cell_key, run_cell
 from repro.numeric import active_policy
 from repro.reference import run_digest
 from repro.service.pacing import window_count, window_span

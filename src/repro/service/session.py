@@ -58,7 +58,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.exec import faults, protocol
-from repro.exec.scheduler import _fsync_dir
+from repro.exec.scheduler import _fsync_dir, replay_journal
 from repro.exec.shard import PolicySet
 from repro.service.degrade import Transition
 from repro.service.pacing import window_count
@@ -253,15 +253,17 @@ class SessionJournal:
                 "session (numeric policy or window length changed); "
                 "remove it or point --out elsewhere"
             )
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # The torn trailing line a SIGKILL leaves: whatever it
-                # described simply did not happen.
-                continue
-            self._records.append(record)
+
+        def apply(record: dict) -> None:
             self._replay(record)
+            self._records.append(record)
+
+        replay_journal(
+            lines,
+            f"session journal {self.path}",
+            "remove it or point --out elsewhere",
+            apply,
+        )
 
     def _note_snapshot(self, record: dict) -> None:
         """Track live/stale snapshot bytes for the compaction trigger.

@@ -26,7 +26,13 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.runner import SystemCell
+from repro.exec.shard import cell_key, run_cell
 from repro.numeric import active_policy
+from repro.reference import run_digest
+from repro.share.cluster import cluster_cells
+from repro.share.policy import use_sharing
+from repro.share.runtime import ClusterRuntime
 
 __all__ = [
     "sharing_reference_cells",
@@ -40,8 +46,6 @@ SHARING_REFERENCE_POLICY = "cluster"
 
 def sharing_reference_cells():
     """The reference fleet: ``examples/fleet_shared.toml``'s four cameras."""
-    from repro.exec.shard import SystemCell
-
     return [
         SystemCell(
             "DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", seed, 240.0
@@ -59,11 +63,6 @@ def run_shared_cells(cells):
     executor routes a cluster's cells through exactly this sequential
     order on every backend.
     """
-    from repro.exec.shard import run_cell
-    from repro.share.cluster import cluster_cells
-    from repro.share.policy import use_sharing
-    from repro.share.runtime import ClusterRuntime
-
     assignment = cluster_cells(cells)
     runtimes: dict[str, ClusterRuntime] = {}
     results = []
@@ -85,9 +84,6 @@ def sharing_reference_digests(cells=None) -> dict[str, dict[str, str]]:
     section runs the default off-path, the shared section one co-located
     cluster shard under the ``cluster`` policy.
     """
-    from repro.exec.shard import cell_key, run_cell
-    from repro.reference import run_digest
-
     policy = active_policy().name
     if cells is None:
         cells = sharing_reference_cells()

@@ -40,8 +40,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.arrays import decode_state, encode_state
 from repro.errors import ConfigurationError, SnapshotError
 from repro.share.fingerprint import cell_fingerprint
 from repro.share.policy import CLUSTER, MERGE_ALPHA, resolve_sharing
@@ -92,26 +91,6 @@ def _state_blend(old, new, alpha: float):
 
 def _state_shapes(state):
     return tuple(w.shape for w in state[0]) + tuple(b.shape for b in state[1])
-
-
-def _encode_state(state) -> dict:
-    # Lazy import: repro.core's package init reaches back into repro.share
-    # via the exec layer, so a module-level import here is a cycle.
-    from repro.core.snapshot import encode_array
-
-    return {
-        "weights": [encode_array(w) for w in state[0]],
-        "biases": [encode_array(b) for b in state[1]],
-    }
-
-
-def _decode_state(payload: dict):
-    from repro.core.snapshot import decode_array
-
-    return (
-        [decode_array(entry) for entry in payload["weights"]],
-        [decode_array(entry) for entry in payload["biases"]],
-    )
 
 
 @dataclass
@@ -280,14 +259,14 @@ def encode_cluster_state(runtime: ClusterRuntime) -> dict:
         "counters": dict(runtime.counters),
     }
     if runtime.base is not None:
-        payload["base"] = _encode_state(runtime.base)
+        payload["base"] = encode_state(runtime.base)
     if runtime.freshest is not None:
-        payload["freshest"] = _encode_state(runtime.freshest)
+        payload["freshest"] = encode_state(runtime.freshest)
     payload["deltas"] = {
         domain: {
             "member": entry.member,
             "slot": entry.slot,
-            "state": _encode_state(entry.delta),
+            "state": encode_state(entry.delta),
         }
         for domain, entry in runtime.deltas.items()
     }
@@ -313,14 +292,14 @@ def decode_cluster_state(payload: dict) -> ClusterRuntime:
             base_model=payload.get("base_model"),
         )
         if "base" in payload:
-            runtime.base = _decode_state(payload["base"])
+            runtime.base = decode_state(payload["base"])
         if "freshest" in payload:
-            runtime.freshest = _decode_state(payload["freshest"])
+            runtime.freshest = decode_state(payload["freshest"])
         for domain, entry in payload.get("deltas", {}).items():
             runtime.deltas[domain] = _DeltaEntry(
                 member=entry["member"],
                 slot=int(entry["slot"]),
-                delta=_decode_state(entry["state"]),
+                delta=decode_state(entry["state"]),
             )
         counters = _fresh_counters()
         counters.update(payload.get("counters", {}))

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.parallel import Fig2Cell
 from repro.core.phases import PhaseKind
 from repro.core.results import RunResult
+from repro.core.runner import Fig2Cell
 from repro.errors import ConfigurationError
 from repro.learn.metrics import geometric_mean
 

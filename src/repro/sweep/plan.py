@@ -2,8 +2,8 @@
 
 Compilation walks the spec's axes in their documented order (see
 :data:`repro.sweep.spec.AXIS_ORDERS`), applying per-axis overrides to each
-bound prefix, and emits one :class:`~repro.core.parallel.SystemCell` or
-:class:`~repro.core.parallel.Fig2Cell` per grid point, grouped by numeric
+bound prefix, and emits one :class:`~repro.core.runner.SystemCell` or
+:class:`~repro.core.runner.Fig2Cell` per grid point, grouped by numeric
 policy (a policy is ambient process state -- ``use_policy`` -- so cells of
 different policies cannot share one ``run_cells`` invocation).
 
@@ -14,7 +14,7 @@ to *exactly* the cell list ``run_fig9`` builds, and therefore -- via
 :class:`~repro.core.results.RunResult`\\ s.
 
 The cost model reuses the exact decomposition the executor will use:
-:func:`repro.core.parallel.plan_shards` groups cells by stream signature,
+:func:`repro.exec.plan_shards` groups cells by stream signature,
 so :meth:`SweepPlan.estimate` reports how many distinct streams a fleet
 materializes, how many stream-seconds it simulates (shared vs. total), and
 how balanced the worker shards are -- before anything runs.
@@ -24,15 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.parallel import (
-    Fig2Cell,
-    SystemCell,
-    plan_shards,
-    stream_signature,
-)
 from repro.batching import active_batching
+from repro.core.runner import Fig2Cell, SystemCell
 from repro.data.stream import DEFAULT_DURATION_S
-from repro.exec.shard import batch_signature
+from repro.exec.shard import batch_signature, plan_shards, stream_signature
 from repro.numeric import NumericPolicy, POLICIES, active_policy
 from repro.share.cluster import cluster_cells, describe_clusters
 from repro.share.policy import THRESHOLD, active_sharing

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from repro.core.parallel import default_jobs
 from repro.errors import ConfigurationError
 from repro.exec import (
     PolicySet,
@@ -33,8 +32,9 @@ from repro.exec import (
     SweepJournal,
     cell_key,
     execute_cells,
+    resolve_backend,
+    resolve_jobs,
 )
-from repro.exec.backends import resolve_backend
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.knobs import positive_int_env
 from repro.numeric import use_policy
@@ -128,9 +128,7 @@ def run_sweep(
     """
     plan = spec if isinstance(spec, SweepPlan) else compile_plan(spec)
     spec = plan.spec
-    if jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    workers = jobs if jobs > 0 else default_jobs()
+    workers = resolve_jobs(jobs)
     queue_dir = (
         str(Path(out_dir) / "queue") if out_dir is not None else None
     )

@@ -6,8 +6,8 @@ once.  A :class:`SweepSpec` describes such a fleet declaratively -- the
 cross-product of systems x pairs x scenarios x seeds x durations x numeric
 policies -- so grid experiments stop being hand-coded per figure and become
 data (a TOML or JSON file) that the planner (:mod:`repro.sweep.plan`)
-compiles into :class:`~repro.core.parallel.SystemCell` /
-:class:`~repro.core.parallel.Fig2Cell` lists.
+compiles into :class:`~repro.core.runner.SystemCell` /
+:class:`~repro.core.runner.Fig2Cell` lists.
 
 File schema (TOML shown; JSON uses the same keys)::
 

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import Fig2Cell, SystemCell, parallel_map, run_cells
-from repro.core.parallel import (
-    JOBS_ENV,
-    _run_cell,
-    default_jobs,
-    plan_shards,
-    warm_model_caches,
-)
+from repro.core import Fig2Cell, SystemCell, warm_model_caches
 from repro.errors import ConfigurationError
+from repro.exec import (
+    JOBS_ENV,
+    default_jobs,
+    parallel_map,
+    plan_shards,
+    run_cells,
+)
+from repro.exec import run_cell as _run_cell
 from repro.learn.cache import CACHE_ENV
 
 DURATION = 60.0

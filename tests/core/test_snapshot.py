@@ -14,12 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.arrays import decode_array, encode_array
 from repro.core.buffer import SampleBuffer
 from repro.core.snapshot import (
     SNAPSHOT_VERSION,
-    decode_array,
     decode_run_snapshot,
-    encode_array,
     encode_run_snapshot,
     stream_prefix_aligned,
 )

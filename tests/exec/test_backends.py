@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from repro.core.parallel import run_cells
 from repro.errors import ConfigurationError
 from repro.exec import (
     BACKEND_ENV,
@@ -20,6 +19,7 @@ from repro.exec import (
     active_backend_spec,
     make_backend,
     parse_backend,
+    run_cells,
     save_plan,
     use_backend,
 )

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.parallel import run_cells
 from repro.errors import ConfigurationError
 from repro.exec import (
     DEFAULT_LEASE_TTL_S,
     QueueBackend,
+    Scheduler,
     ShardFailure,
     ShardResult,
     SubprocessWorkerBackend,
@@ -25,9 +25,11 @@ from repro.exec import (
     make_shard_specs,
     parse_backend,
     protocol,
+    run_cells,
     use_backend,
 )
-from repro.exec.queue import DEFAULT_POLL_S, QueueLayout, queue_worker_main
+from repro.exec.queue import DEFAULT_POLL_S, QueueLayout
+from repro.exec.worker import queue_worker_main
 from repro.reference import run_digest
 
 DURATION = 60.0
@@ -324,7 +326,7 @@ class TestHeartbeatHardening:
         return lease
 
     def test_unexpected_beat_error_sets_failed(self, tmp_path, monkeypatch):
-        from repro.exec.queue import _Heartbeat
+        from repro.exec.worker import _Heartbeat
 
         lease = self.make_lease(tmp_path)
 
@@ -343,7 +345,7 @@ class TestHeartbeatHardening:
         assert "read-only filesystem" in heartbeat.error
 
     def test_vanished_lease_is_a_quiet_exit(self, tmp_path):
-        from repro.exec.queue import _Heartbeat
+        from repro.exec.worker import _Heartbeat
 
         lease = self.make_lease(tmp_path)
         lease.unlink()  # reclaimed from under us before the first beat
@@ -497,3 +499,118 @@ class TestWorkerLifecycle:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert "not a queue directory" in lines[0]
+
+
+class TestReplyChecks:
+    """A posted reply is checked, never coerced: any worker can post one."""
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"retriable": "no"}, "retriable"),
+            ({"retriable": True, "worker": "../../escaped-marker"}, "worker"),
+            ({"retriable": True, "worker": ["w"]}, "worker"),
+        ],
+        ids=["retriable-not-a-bool", "worker-escapes", "worker-not-a-string"],
+    )
+    def test_out_of_protocol_reply_is_a_retriable_failure(
+        self, tmp_path, fields, field
+    ):
+        backend = QueueBackend(
+            1, directory=tmp_path / "q", spawn=False, poll_s=0.01
+        )
+        layout = backend.layout
+        stop = threading.Event()
+
+        def impostor():
+            # Claims every posted shard and answers it out of protocol.
+            lease_dir = layout.leases / "q0-impostor"
+            lease_dir.mkdir()
+            while not stop.is_set():
+                for pending in sorted(layout.pending.glob("*.json")):
+                    lease = lease_dir / pending.name
+                    os.rename(pending, lease)
+                    protocol.write_message_file(
+                        layout.results / pending.name,
+                        {
+                            "v": protocol.PROTOCOL_VERSION,
+                            "kind": "error",
+                            "id": pending.stem,
+                            "error": "boom",
+                            "traceback": None,
+                            **fields,
+                        },
+                    )
+                    lease.unlink()
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=impostor, daemon=True)
+        thread.start()
+        try:
+            spec, = make_shard_specs(CELLS[:1], 1)
+            scheduler = Scheduler(backend, max_attempts=2, backoff_base_s=0.0)
+            with pytest.raises(ShardFailure) as info:
+                scheduler.run([spec])
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            backend.close()
+        assert not thread.is_alive()
+        assert [path.name for path in tmp_path.iterdir()] == ["q"]
+        assert info.value.retriable
+        assert field in info.value.cause
+
+
+class TestConfigDurations:
+    """A duration in the queue's config.json obeys the environment's rule."""
+
+    def write_config(self, tmp_path, monkeypatch, key, value):
+        for name in ("REPRO_LEASE_TTL", "REPRO_QUEUE_POLL"):
+            monkeypatch.delenv(name, raising=False)
+        layout = QueueLayout(tmp_path / "q").create(
+            lease_ttl_s=30.0, poll_s=0.05
+        )
+        config = layout.read_config()
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+        protocol.write_message_file(layout.config_path, config)
+        return layout
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), 0, -1, "0.05", [1], True],
+        ids=["nan", "inf", "zero", "negative", "string", "list", "bool"],
+    )
+    @pytest.mark.parametrize("key", ["lease_ttl_s", "poll_s"])
+    def test_garbage_is_refused_naming_the_key(
+        self, key, value, tmp_path, monkeypatch
+    ):
+        layout = self.write_config(tmp_path, monkeypatch, key, value)
+        with pytest.raises(ConfigurationError, match=key):
+            queue_worker_main(layout.root, drain=True)
+
+    @pytest.mark.parametrize("key", ["lease_ttl_s", "poll_s"])
+    def test_an_absent_key_means_the_default(
+        self, key, tmp_path, monkeypatch
+    ):
+        layout = self.write_config(tmp_path, monkeypatch, key, None)
+        assert queue_worker_main(layout.root, drain=True) == 0
+
+    def test_cli_exits_2_with_one_line(self, tmp_path, monkeypatch):
+        layout = self.write_config(tmp_path, monkeypatch, "poll_s", "0.05")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "worker",
+             "--queue", str(layout.root), "--drain"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        lines = [line for line in result.stderr.splitlines() if line]
+        assert len(lines) == 1
+        assert "poll_s" in lines[0]

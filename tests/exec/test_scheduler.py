@@ -403,3 +403,38 @@ class TestSweepJournal:
         resumed.record(spec, result)  # fault disarmed: completes now
         again = SweepJournal(path, "fp1", resume=True)
         assert again.lookup(cell_key("float64", cell)) is not None
+
+
+class TestSweepJournalMalformedRecords:
+    """A record that parses but has the wrong shape is refused, typed.
+
+    Only a torn final line can come from a kill; any other misshapen line
+    names the file, the line and the record kind, and exits 2 from the CLI
+    like a fingerprint mismatch does.
+    """
+
+    @pytest.mark.parametrize(
+        "record, kind",
+        [
+            (5, "untyped"),
+            ({"kind": "shard", "shard": "s", "entries": 5}, "shard"),
+            ({"kind": "shard", "shard": "s", "entries": ["k"]}, "shard"),
+            ({"kind": "shard", "shard": "s",
+              "entries": [{"key": "k", "result": {"system": "x"}}]},
+             "shard"),
+        ],
+        ids=["not-an-object", "entries-not-a-list", "entry-a-string",
+             "result-undecodable"],
+    )
+    def test_refused_naming_file_line_and_kind(self, tmp_path, record, kind):
+        path = tmp_path / "sweep.journal.jsonl"
+        SweepJournal(path, "fp1")
+        with path.open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(ConfigurationError) as info:
+            SweepJournal(path, "fp1", resume=True)
+        message = str(info.value)
+        assert str(path) in message
+        assert "line 2" in message
+        assert kind in message
+        assert "rerun without --resume" in message

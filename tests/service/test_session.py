@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec import protocol
 from repro.exec.shard import PolicySet, SystemCell, cell_key
 from repro.numeric import FLOAT32, FLOAT64
 from repro.service.degrade import DegradeLevel, Transition
@@ -233,3 +234,41 @@ class TestTornTail:
                 parsed.append(None)
         assert parsed.count(None) == 1
         assert parsed[-1]["digest"] == "d1-again"
+
+
+class TestMalformedRecords:
+    """A record that parses but has the wrong shape is refused, typed.
+
+    A kill leaves at most a torn final line; a well-formed line of the
+    wrong shape came from somewhere else, so loading names the file, the
+    line and the record kind instead of crashing.
+    """
+
+    @pytest.mark.parametrize(
+        "record, kind",
+        [
+            (5, "untyped"),
+            ({"kind": "admit", "stream": "k", "policy": "float64",
+              "duration_s": 120.0, "window_s": 60.0}, "admit"),
+            ({"kind": "admit", "stream": "k",
+              "cell": protocol.encode_cell(CELL), "policy": "float64",
+              "duration_s": "x", "window_s": 60.0}, "admit"),
+            ({"kind": "window", "stream": KEY, "index": "x",
+              "mode": "fresh"}, "window"),
+        ],
+        ids=["not-an-object", "admit-without-cell", "admit-bad-duration",
+             "window-bad-index"],
+    )
+    def test_refused_naming_file_line_and_kind(self, tmp_path, record, kind):
+        journal = make(tmp_path)
+        journal.record_admit(KEY, CELL, "float64", 120.0, 60.0)
+        path = session_path(tmp_path)
+        with path.open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(ConfigurationError) as info:
+            SessionJournal(path, FP, resume=True)
+        message = str(info.value)
+        assert str(path) in message
+        assert "line 3" in message
+        assert kind in message
+        assert "point --out elsewhere" in message

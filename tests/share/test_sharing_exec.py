@@ -15,8 +15,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import execute_cells
-from repro.exec.backends import resolve_backend
+from repro.exec import execute_cells, resolve_backend
 from repro.exec.shard import (
     CellJob,
     PolicySet,

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.core.parallel import Fig2Cell, SystemCell
+from repro.core import Fig2Cell, SystemCell
 from repro.experiments.fig2 import FIG2_KINDS, FIG2_PAIRS, FIG2_PLATFORMS
 from repro.experiments.fig9 import FIG9_PAIRS, FIG9_SCENARIOS, FIG9_SYSTEMS
 from repro.numeric import use_policy

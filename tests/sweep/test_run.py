@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.parallel import run_cells
+from repro.exec import run_cells
 from repro.numeric import active_policy
 from repro.reference import reference_path, run_digest
 from repro.sweep import (

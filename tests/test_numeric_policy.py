@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SampleBuffer, SystemCell, run_cells
-from repro.core.parallel import parallel_map
+from repro.core import SampleBuffer, SystemCell
 from repro.data import build_scenario, get_store, stream_key
 from repro.errors import ConfigurationError
+from repro.exec import parallel_map, run_cells
 from repro.learn import MLPClassifier, TrainConfig, train_sgd
 from repro.learn.cache import load_pretrained, store_pretrained
 from repro.learn.executor import mx_forward
