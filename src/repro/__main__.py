@@ -65,7 +65,6 @@ from repro.exec import resolve_backend, resolve_jobs, use_backend
 from repro.experiments import (
     EXPERIMENTS,
     run_experiment,
-    supports_backend,
     supports_jobs,
 )
 from repro.models import MODEL_PAIRS
@@ -95,7 +94,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             )
         else:
             kwargs["jobs"] = args.jobs
-    if args.backend is not None and not supports_backend(args.id):
+    if args.backend is not None and not supports_jobs(args.id):
         print(
             f"experiment {args.id!r} does not route through the "
             "execution backends; running serially",

@@ -17,7 +17,6 @@ on every access so tests can repoint the cache per-case with a plain
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -36,16 +35,20 @@ def cache_dir() -> Path | None:
 
 
 def write_atomic(path: Path, write: Callable) -> None:
-    """Write a cache file via temp-file + rename.
+    """Write a file via temp-file + rename.
 
     ``write`` receives a binary file handle.  Readers only ever see
     complete files, and -- since every cache entry in this project is
     content-deterministic -- concurrent writers race benignly.  ``OSError``
-    propagates; cache tiers treat it as a soft failure.
+    propagates; cache tiers treat it as a soft failure.  The project's one
+    temp-and-rename: :func:`repro.journal.write_durable` adds the fsyncs
+    journals and queue messages need.
     """
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
+    # A unique name made by hand, not by mkstemp: mkstemp creates mode
+    # 0600, which would hide journals and queue messages from a reader
+    # under another uid; 0o666 gets the umask's mode, as open() does.
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 from repro.errors import ScheduleError
 
-__all__ = ["PhaseKind", "PhaseRecord", "phase_time_breakdown"]
+__all__ = [
+    "PhaseKind",
+    "PhaseRecord",
+    "decode_phase",
+    "encode_phase",
+    "phase_time_breakdown",
+]
 
 
 class PhaseKind(enum.Enum):
@@ -51,6 +57,33 @@ class PhaseRecord:
     def duration_s(self) -> float:
         """Phase length in seconds."""
         return self.end_s - self.start_s
+
+
+def encode_phase(phase: PhaseRecord) -> dict:
+    """One phase record as a JSON-safe dict (exact round trip)."""
+    return {
+        "kind": phase.kind.value,
+        "start_s": float(phase.start_s),
+        "end_s": float(phase.end_s),
+        "samples": int(phase.samples),
+        "drift_detected": bool(phase.drift_detected),
+    }
+
+
+def decode_phase(payload: dict) -> PhaseRecord:
+    """The inverse of :func:`encode_phase`.
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` for a malformed
+    payload and :class:`ScheduleError` for a phase ending before it
+    starts; each codec maps them to its own typed error.
+    """
+    return PhaseRecord(
+        kind=PhaseKind(payload["kind"]),
+        start_s=payload["start_s"],
+        end_s=payload["end_s"],
+        samples=payload["samples"],
+        drift_detected=payload["drift_detected"],
+    )
 
 
 def phase_time_breakdown(

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arrays import decode_array, decode_state, encode_array, encode_state
-from repro.core.phases import PhaseKind, PhaseRecord
+from repro.core.phases import PhaseRecord, decode_phase, encode_phase
 from repro.data.scenarios import SEGMENT_S
-from repro.errors import SnapshotError
+from repro.errors import ScheduleError, SnapshotError
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -132,16 +132,7 @@ def encode_run_snapshot(
         "scheduler": dict(checkpoint.scheduler),
         "correct": encode_array(checkpoint.correct),
         "dropped": encode_array(checkpoint.dropped),
-        "phases": [
-            {
-                "kind": record.kind.value,
-                "start_s": float(record.start_s),
-                "end_s": float(record.end_s),
-                "samples": int(record.samples),
-                "drift_detected": bool(record.drift_detected),
-            }
-            for record in checkpoint.records
-        ],
+        "phases": [encode_phase(record) for record in checkpoint.records],
     }
 
 
@@ -210,17 +201,10 @@ def decode_run_snapshot(
             correct=decode_array(payload["correct"]),
             dropped=decode_array(payload["dropped"]),
             records=tuple(
-                PhaseRecord(
-                    kind=PhaseKind(record["kind"]),
-                    start_s=record["start_s"],
-                    end_s=record["end_s"],
-                    samples=record["samples"],
-                    drift_detected=record["drift_detected"],
-                )
-                for record in payload["phases"]
+                decode_phase(record) for record in payload["phases"]
             ),
         )
     except SnapshotError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ScheduleError) as exc:
         raise SnapshotError(f"malformed run snapshot: {exc}")

@@ -22,7 +22,7 @@ Fault kinds (:data:`FAULT_KINDS`):
   reject the reply before journaling and retry the shard elsewhere.
 - ``torn-journal-write``  the *parent* is "killed" halfway through
   appending a journal line: the prefix is written and flushed, then the
-  run aborts.  ``--resume`` must tolerate the torn tail.
+  run aborts.  ``--resume`` must cut the torn tail.
 - ``daemon-kill``         the resident fleet daemon ``os._exit``\\ s
   immediately *after* fsyncing a session-journal window record -- the
   hardest instant for crash recovery, because the restart must treat that
@@ -53,11 +53,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.errors import ConfigurationError
 
@@ -101,6 +101,10 @@ HANG_SLEEP_S = 3600.0
 CORRUPT_MODES = ("truncate", "garble")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultEntry:
     """One scheduled fault.
@@ -125,13 +129,23 @@ class FaultEntry:
                 f"unknown fault kind {self.kind!r}; "
                 f"known: {', '.join(FAULT_KINDS)}"
             )
-        if self.times < 1:
+        if not _is_int(self.times) or self.times < 1:
             raise ConfigurationError(
-                f"fault times must be >= 1, got {self.times}"
+                f"fault times must be an int >= 1, got {self.times!r}"
             )
-        if self.delay_s is not None and self.delay_s < 0:
+        if not isinstance(self.match, str):
             raise ConfigurationError(
-                f"fault delay_s must be >= 0, got {self.delay_s}"
+                f"fault match must be a string, got {self.match!r}"
+            )
+        delay = self.delay_s
+        if delay is not None and not (
+            isinstance(delay, (int, float))
+            and not isinstance(delay, bool)
+            and 0 <= delay < math.inf
+        ):
+            raise ConfigurationError(
+                "fault delay_s must be null or a finite number >= 0, "
+                f"got {delay!r}"
             )
 
 
@@ -141,6 +155,12 @@ class FaultPlan:
 
     entries: tuple[FaultEntry, ...]
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.seed):
+            raise ConfigurationError(
+                f"fault plan seed must be an int, got {self.seed!r}"
+            )
 
     @staticmethod
     def from_mapping(data: dict) -> "FaultPlan":
@@ -167,18 +187,8 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"unknown fault entry fields: {', '.join(sorted(unknown))}"
                 )
-            entries.append(
-                FaultEntry(
-                    kind=raw.get("kind", ""),
-                    times=int(raw.get("times", 1)),
-                    match=str(raw.get("match", "")),
-                    delay_s=raw.get("delay_s"),
-                )
-            )
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigurationError(f"fault plan seed must be an int, got {seed!r}")
-        return FaultPlan(entries=tuple(entries), seed=seed)
+            entries.append(FaultEntry(**{"kind": "", **raw}))
+        return FaultPlan(entries=tuple(entries), seed=data.get("seed", 0))
 
     def as_mapping(self) -> dict:
         return {
@@ -283,14 +293,13 @@ def _claim_kind(kinds: tuple[str, ...], context: str):
     return None
 
 
-def on_claim(context: str, before_hang: Callable[[], None] | None = None) -> None:
+def on_claim(context: str) -> None:
     """The worker-side injection point, called as a shard is claimed.
 
     Fires at most one of ``die-once`` / ``hang`` / ``slow-worker`` per
-    claim.  ``before_hang`` lets a transport silence its liveness signal
-    first -- the queue worker stops its heartbeat thread, because a
-    genuinely wedged process stops beating too, and a hang that keeps
-    heartbeating would never be detected.
+    claim.  The queue worker calls it before its heartbeat starts, so a
+    hang sends no heartbeat -- a genuinely wedged process stops beating
+    too, and a hang that kept beating would never be detected.
     """
     claimed = _claim_kind(("die-once", "hang", "slow-worker"), context)
     if claimed is None:
@@ -299,8 +308,6 @@ def on_claim(context: str, before_hang: Callable[[], None] | None = None) -> Non
     if entry.kind == "die-once":
         os._exit(DIE_EXIT_CODE)
     if entry.kind == "hang":
-        if before_hang is not None:
-            before_hang()
         time.sleep(HANG_SLEEP_S)
         # Unreachable under any sane watchdog/TTL; if truly unsupervised,
         # wake up and keep serving rather than leaking a zombie forever.

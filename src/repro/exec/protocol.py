@@ -61,14 +61,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
 from repro.arrays import decode_array, encode_array
-from repro.core.phases import PhaseKind, PhaseRecord
+from repro.core.phases import decode_phase, encode_phase
 from repro.core.results import RunResult
 from repro.core.runner import Fig2Cell, SystemCell
 from repro.errors import ProtocolError, ScheduleError
@@ -80,6 +79,7 @@ from repro.exec.shard import (
     ShardResult,
     ShardSpec,
 )
+from repro.journal import write_durable
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -126,16 +126,7 @@ def encode_result(result: RunResult) -> dict:
         "times": encode_array(np.asarray(result.times)),
         "correct": encode_array(np.asarray(result.correct)),
         "dropped": encode_array(np.asarray(result.dropped)),
-        "phases": [
-            {
-                "kind": phase.kind.value,
-                "start_s": float(phase.start_s),
-                "end_s": float(phase.end_s),
-                "samples": int(phase.samples),
-                "drift_detected": bool(phase.drift_detected),
-            }
-            for phase in result.phases
-        ],
+        "phases": [encode_phase(phase) for phase in result.phases],
         "duration_s": float(result.duration_s),
         "energy_j": float(result.energy_j),
         "average_power_w": float(result.average_power_w),
@@ -152,16 +143,7 @@ def decode_result(payload: dict) -> RunResult:
             times=decode_array(payload["times"]),
             correct=decode_array(payload["correct"]),
             dropped=decode_array(payload["dropped"]),
-            phases=tuple(
-                PhaseRecord(
-                    kind=PhaseKind(phase["kind"]),
-                    start_s=phase["start_s"],
-                    end_s=phase["end_s"],
-                    samples=phase["samples"],
-                    drift_detected=phase["drift_detected"],
-                )
-                for phase in payload["phases"]
-            ),
+            phases=tuple(decode_phase(phase) for phase in payload["phases"]),
             duration_s=payload["duration_s"],
             energy_j=payload["energy_j"],
             average_power_w=payload["average_power_w"],
@@ -498,19 +480,14 @@ def write_message_file(path: str | Path, message: dict) -> Path:
     The queue transport's variant of :func:`write_message`: the identical
     JSON-lines encoding (results round-trip bit-exactly either way), but
     framed as a whole file whose *appearance* is the delivery event.  The
-    message is written to a temp file in the same directory, fsynced, and
-    ``os.replace``\\ d into place -- a reader can never observe a partial
-    message, and a writer killed mid-post leaves only a temp file the
-    queue ignores.
+    message lands by :func:`repro.journal.write_durable` (temp file in the
+    same directory, fsync, rename, directory fsync) -- a reader can never
+    observe a partial message, and a writer killed mid-post leaves only a
+    ``.tmp`` file the queue ignores.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as handle:
-        handle.write(encode_message(message) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    data = (encode_message(message) + "\n").encode()
+    write_durable(path, lambda handle: handle.write(data))
+    return Path(path)
 
 
 def read_message_file(path: str | Path) -> dict | None:

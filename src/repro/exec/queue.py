@@ -312,8 +312,13 @@ class QueueBackend:
         # before their next claim, wherever they are running.
         for worker in excluded:
             (self.layout.banned / worker).touch()
-        keys = {}
+        # Equal keys name equal cells: each key is posted once, and its
+        # outcome goes to every position that holds it.
+        positions: dict[str, list[int]] = {}
         for index, spec in enumerate(specs):
+            positions.setdefault(spec.key, []).append(index)
+        unique = {spec.key: spec for spec in specs}
+        for spec in unique.values():
             name = self.layout.message_name(spec.key)
             # Clear any stale artifacts of a previous attempt: a late
             # result posted by a presumed-dead worker, or the revoked
@@ -331,32 +336,31 @@ class QueueBackend:
                 self.layout.pending / name,
                 protocol.encode_shard_request(spec),
             )
-            keys[spec.key] = index
         outcomes: list = [None] * len(specs)
         first_leased: dict[str, tuple[str, float]] = {}
-        while any(outcome is None for outcome in outcomes):
+
+        def settle(key: str, outcome) -> None:
+            for index in positions.pop(key):
+                outcomes[index] = outcome
+
+        while positions:
             self._maintain_workers()
             progress = False
-            for spec in specs:
-                index = keys[spec.key]
-                if outcomes[index] is not None:
-                    continue
-                outcome = self._collect(spec, first_leased)
+            for key in list(positions):
+                outcome = self._collect(unique[key], first_leased)
                 if outcome is not None:
-                    outcomes[index] = outcome
+                    settle(key, outcome)
                     progress = True
             if progress:
                 continue
             if self._fleet_exhausted():
-                for spec in specs:
-                    index = keys[spec.key]
-                    if outcomes[index] is None:
-                        outcomes[index] = _failure(
-                            spec,
-                            "no live workers remaining (respawn budget "
-                            f"{self.max_respawns} exhausted)",
-                        )
-                        self._remove_message(spec.key)
+                for key in list(positions):
+                    settle(key, _failure(
+                        unique[key],
+                        "no live workers remaining (respawn budget "
+                        f"{self.max_respawns} exhausted)",
+                    ))
+                    self._remove_message(key)
                 break
             time.sleep(self.poll_s)
         return outcomes

@@ -27,11 +27,11 @@ Layered on any :class:`~repro.exec.backends.ExecutionBackend`:
   cell, and re-merges the decoded results into the final document --
   identical to an uninterrupted run.  Entries are keyed per *cell* (pure
   content, no worker count), so a journal written at ``--jobs 8`` resumes
-  correctly at ``--jobs 1``.  Creation and appends are crash-safe: the
-  header lands by temp-file + fsync + atomic rename (a kill between
-  journal creation and the first shard cannot leave a torn header), and
-  every record is fsynced -- with the directory entry -- before the
-  scheduler moves on.
+  correctly at ``--jobs 1``.  The file is a :class:`repro.journal.Journal`,
+  shared with the fleet service's session journal: the header lands
+  atomically, every record is fsynced -- with the directory entry --
+  before the scheduler moves on, resume cuts the torn final line a kill
+  leaves, and any other damaged line refuses the resume, naming the line.
 
 Failure ordering: when a batch produces both successes and a fatal
 (non-retriable) failure, every success is processed -- journaled,
@@ -48,7 +48,6 @@ order, and folds worker profile snapshots into the parent's profiler.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -59,7 +58,7 @@ from repro import profiling
 from repro.cache import CACHE_ENV
 from repro.core.results import RunResult
 from repro.core.runner import CELL_TYPES, warm_model_caches
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.exec import faults, protocol
 from repro.exec.backends import ExecutionBackend
 from repro.exec.shard import (
@@ -71,6 +70,7 @@ from repro.exec.shard import (
     make_shard_specs,
     note_shard_observation,
 )
+from repro.journal import Journal
 
 __all__ = [
     "DEFAULT_BACKOFF_BASE_S",
@@ -278,137 +278,40 @@ class Scheduler:
         return outcomes  # type: ignore[return-value]
 
 
-def replay_journal(
-    lines: Sequence[str],
-    name: str,
-    remedy: str,
-    apply: Callable[[dict], None],
-) -> None:
-    """Feed each record after a journal's header line to ``apply``.
-
-    A kill leaves at most a torn final line, which is skipped: whatever it
-    described simply did not happen.  A line that parses but has the
-    wrong shape cannot come from a kill, so it raises a
-    :class:`ConfigurationError` naming the journal, the line and the
-    record kind, with the journal's ``remedy``.
-    """
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        try:
-            if not isinstance(record, dict):
-                raise TypeError(f"{record!r} is not a JSON object")
-            apply(record)
-        except (KeyError, TypeError, ValueError, ProtocolError) as exc:
-            kind = record.get("kind") if isinstance(record, dict) else None
-            raise ConfigurationError(
-                f"{name} line {number}: malformed {kind or 'untyped'} "
-                f"record ({type(exc).__name__}: {exc}); {remedy}"
-            ) from None
-
-
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry to disk (no-op where unsupported)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 class SweepJournal:
     """Append-only per-shard completion log backing ``sweep --resume``.
 
     One header line pins the journal to a specific compiled plan (via a
     content fingerprint); each subsequent line records one completed
-    shard as ``{cell key -> bit-exact encoded RunResult}``.  Loading
-    tolerates a truncated final line -- exactly what a killed run leaves
-    behind -- and refuses (``ConfigurationError``) a journal whose
-    fingerprint does not match the plan being resumed.
+    shard as ``{cell key -> bit-exact encoded RunResult}``.  The file
+    half -- atomic header, fsynced append, cutting the torn final line a
+    kill leaves, refusing any other damaged line or a journal whose
+    fingerprint does not match the plan being resumed -- is
+    :class:`repro.journal.Journal`.
     """
 
     def __init__(
         self, path: str | Path, fingerprint: str, *, resume: bool = False
     ) -> None:
         self.path = Path(path)
-        self.fingerprint = fingerprint
         self._completed: dict[str, RunResult] = {}
-        if resume and self.path.exists():
-            self._load()
-            # A kill mid-append leaves a torn final line with no newline;
-            # appending straight after it would glue the next record onto
-            # the junk and destroy it.  Terminate the torn line now so it
-            # stands alone (skipped by every later load).
-            with self.path.open("rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size:
-                    handle.seek(size - 1)
-                    torn_tail = handle.read(1) != b"\n"
-            if torn_tail:
-                with self.path.open("a") as handle:
-                    handle.write("\n")
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            header = {
-                "kind": "header",
-                "version": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-            }
-            # Temp-file + fsync + atomic rename (+ directory fsync): a
-            # kill between journal creation and the first shard must
-            # leave either no journal or a complete header -- a torn
-            # header would poison every later --resume of this sweep.
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with tmp.open("w") as handle:
-                handle.write(json.dumps(header) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path.parent)
-
-    def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            raise ConfigurationError(
-                f"journal {self.path} is empty; rerun without --resume"
-            )
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = {}
-        if (
-            header.get("kind") != "header"
-            or header.get("version") != JOURNAL_VERSION
-        ):
-            raise ConfigurationError(
-                f"{self.path} is not a version-{JOURNAL_VERSION} sweep "
-                "journal; rerun without --resume"
-            )
-        if header.get("fingerprint") != self.fingerprint:
-            raise ConfigurationError(
-                f"journal {self.path} belongs to a different sweep plan "
-                "(spec, policies, or cells changed); rerun without "
-                "--resume or point --out elsewhere"
-            )
-
-        def apply(record: dict) -> None:
-            if record.get("kind") == "shard":
-                for entry in record.get("entries", ()):
-                    self._completed[entry["key"]] = protocol.decode_result(
-                        entry["result"]
-                    )
-
-        replay_journal(
-            lines, f"journal {self.path}", "rerun without --resume", apply
+        self._journal = Journal(
+            self.path,
+            "sweep",
+            JOURNAL_VERSION,
+            fingerprint,
+            mismatch="belongs to a different sweep plan (spec, policies, "
+            "or cells changed)",
+            remedy="rerun without --resume or point --out elsewhere",
         )
+        self._journal.open(self._replay, resume=resume)
+
+    def _replay(self, record: dict) -> None:
+        if record.get("kind") == "shard":
+            for entry in record.get("entries", ()):
+                self._completed[entry["key"]] = protocol.decode_result(
+                    entry["result"]
+                )
 
     def __len__(self) -> int:
         return len(self._completed)
@@ -427,28 +330,19 @@ class SweepJournal:
             }
             for cell, run in zip(spec.cells, result.results)
         ]
-        line = json.dumps(
-            {"kind": "shard", "shard": spec.key, "entries": entries},
-            separators=(",", ":"),
-        )
         torn = faults.journal_fault(spec.key)
-        with self.path.open("a") as handle:
-            if torn is not None:
-                # Injected kill mid-append: flush a prefix of the line
-                # to disk and abort -- exactly the torn tail _load()
-                # must tolerate on the next --resume.
-                handle.write(line[: max(1, int(len(line) * torn))])
-                handle.flush()
-                os.fsync(handle.fileno())
-                raise ShardFailure(
-                    "injected torn journal write "
-                    f"({faults.FAULT_PLAN_ENV} plan)",
-                    shard_key=spec.key,
-                )
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        _fsync_dir(self.path.parent)
+        self._journal.append(
+            {"kind": "shard", "shard": spec.key, "entries": entries},
+            torn=torn,
+        )
+        if torn is not None:
+            # Injected kill mid-append: a prefix of the line is on disk,
+            # exactly the torn tail the next --resume cuts.
+            raise ShardFailure(
+                "injected torn journal write "
+                f"({faults.FAULT_PLAN_ENV} plan)",
+                shard_key=spec.key,
+            )
         for entry, run in zip(entries, result.results):
             self._completed[entry["key"]] = run
 
@@ -458,7 +352,6 @@ def execute_cells(
     *,
     backend: ExecutionBackend,
     workers: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     on_complete: Callable[[ShardSpec, ShardResult], None] | None = None,
 ) -> list[RunResult]:
     """Plan, dispatch, retry, and reassemble one grid of cells.
@@ -493,10 +386,7 @@ def execute_cells(
         profile=multiprocess and profiler is not None,
         cache_root=os.environ.get(CACHE_ENV),
     )
-    scheduler = Scheduler(
-        backend, max_attempts=max_attempts, on_complete=on_complete
-    )
-    shard_results = scheduler.run(specs)
+    shard_results = Scheduler(backend, on_complete=on_complete).run(specs)
     results: list[RunResult | None] = [None] * len(cells)
     for spec, shard_result in zip(specs, shard_results):
         for index, run in zip(spec.indices, shard_result.results):

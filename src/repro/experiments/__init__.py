@@ -35,7 +35,6 @@ from repro.experiments.ablations import (
 from repro.experiments.registry import (
     EXPERIMENTS,
     run_experiment,
-    supports_backend,
     supports_jobs,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "run_table2",
     "run_table3",
     "run_table4",
-    "supports_backend",
     "supports_jobs",
 ]

@@ -30,7 +30,6 @@ from repro.experiments.table4 import run_table4
 __all__ = [
     "EXPERIMENTS",
     "run_experiment",
-    "supports_backend",
     "supports_jobs",
 ]
 
@@ -67,21 +66,14 @@ def _get_runner(name: str) -> Callable[..., ExperimentResult]:
 
 
 def supports_jobs(name: str) -> bool:
-    """Whether an experiment accepts a ``jobs`` worker-count argument."""
-    return "jobs" in inspect.signature(_get_runner(name)).parameters
+    """Whether an experiment accepts a ``jobs`` worker-count argument.
 
-
-def supports_backend(name: str) -> bool:
-    """Whether an experiment routes through the pluggable exec backends.
-
-    An experiment dispatches through :mod:`repro.exec` iff it fans its
-    grid out via ``run_cells``/``parallel_map`` -- exactly the runners
-    that take a ``jobs`` parameter -- so the ambient ``--backend``
-    selection (:func:`repro.exec.use_backend`) reaches it.  Runners
-    without a ``jobs`` parameter are single-cell or analytic and always
-    execute serially in-process.
+    Exactly these runners fan their grid out via ``run_cells`` /
+    ``parallel_map``, so they are also the ones the ambient ``--backend``
+    selection (:func:`repro.exec.use_backend`) reaches; the rest are
+    single-cell or analytic and always run serially in-process.
     """
-    return supports_jobs(name)
+    return "jobs" in inspect.signature(_get_runner(name)).parameters
 
 
 def run_experiment(name: str, **kwargs) -> ExperimentResult:

@@ -15,12 +15,12 @@ package is that daemon, in four pieces:
   then serve the stale student, then shed frames with per-stream drop
   accounting.  Every transition is journaled and reported; none is an
   exception.
-- :mod:`repro.service.session` -- the long-lived session journal: the
-  :class:`~repro.exec.scheduler.SweepJournal` fsync/torn-tail machinery
-  extended to a multi-record stream (admit / window / degrade / retire /
-  event), so SIGKILLing the daemon and restarting it resumes every
-  admitted stream from its last completed window with bit-identical
-  results for completed windows.
+- :mod:`repro.service.session` -- the long-lived session journal: a
+  multi-record stream (admit / window / degrade / retire / event) in the
+  same :class:`repro.journal.Journal` file the sweep journal uses, so
+  SIGKILLing the daemon and restarting it resumes every admitted stream
+  from its last completed window with bit-identical results for
+  completed windows.
 - :mod:`repro.service.control` + :mod:`repro.service.daemon` -- the
   supervisor loop dispatching per-window work through the existing
   :class:`~repro.exec.scheduler.Scheduler` (any backend, ``queue:N``

@@ -106,6 +106,7 @@ from repro.exec.shard import (
     cell_label,
     shard_key,
 )
+from repro.journal import write_durable
 from repro.models.zoo import MODEL_PAIRS
 from repro.reference import run_digest
 from repro.service.control import ControlServer
@@ -120,6 +121,13 @@ from repro.service.session import (
 from repro.share.cluster import ClusterTracker
 
 __all__ = ["FleetService", "ServiceConfig", "StreamState"]
+
+#: Supervisor loop sleep between ticks.
+TICK_S = 0.005
+
+#: Retry backoff base for window shards: a window has a deadline, so it
+#: retries sooner than a sweep shard does.
+BACKOFF_BASE_S = 0.05
 
 
 @dataclass
@@ -143,13 +151,6 @@ class ServiceConfig:
             plain lateness).
         stay: Keep running after every stream retires (a true resident
             daemon, waiting for admits); default exits when idle.
-        tick_s: Supervisor loop sleep between ticks.
-        max_attempts: Scheduler retry budget per window shard.
-        backoff_base_s: Scheduler retry backoff base.
-        max_inflight: Backpressure cap on windows dispatched-but-
-            unfinished across all streams (None = ``2 * workers``):
-            admitting a thousand streams must queue windows, not
-            swamp the dispatch layer.
     """
 
     out_dir: str | Path
@@ -160,10 +161,6 @@ class ServiceConfig:
     control_port: int | None = None
     degrade: bool = True
     stay: bool = False
-    tick_s: float = 0.005
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    max_inflight: int | None = None
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
@@ -172,10 +169,6 @@ class ServiceConfig:
             )
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
 
 
 @dataclass
@@ -313,11 +306,9 @@ class FleetService:
         self._backend, self._workers, self._backend_owned = resolve_backend(
             config.backend, config.jobs, 2, queue_dir=str(out / "queue")
         )
-        self._max_inflight = (
-            config.max_inflight
-            if config.max_inflight is not None
-            else max(2, 2 * self._workers)
-        )
+        # Backpressure: admitting a thousand streams must queue windows,
+        # not swamp the dispatch layer.
+        self._max_inflight = max(2, 2 * self._workers)
         start_detail = {
             "resumed": self.journal.resumed,
             "backend": self._backend.name,
@@ -345,7 +336,8 @@ class FleetService:
             self.control.start()
             # Publish the bound port (ephemeral-port runs especially):
             # scripts and tests read it instead of parsing stdout.
-            (out / "control.port").write_text(f"{self.control.port}\n")
+            port = f"{self.control.port}\n".encode()
+            write_durable(out / "control.port", lambda h: h.write(port))
             self.journal.record_event(
                 "control", {"port": self.control.port}
             )
@@ -354,7 +346,7 @@ class FleetService:
                 self._tick()
                 if self._should_exit():
                     break
-                time.sleep(config.tick_s)
+                time.sleep(TICK_S)
         finally:
             self._shutdown(out)
         return 0
@@ -788,11 +780,7 @@ class FleetService:
     # -- the dispatcher thread -----------------------------------------
 
     def _dispatch_loop(self) -> None:
-        scheduler = Scheduler(
-            self._backend,
-            max_attempts=self.config.max_attempts,
-            backoff_base_s=self.config.backoff_base_s,
-        )
+        scheduler = Scheduler(self._backend, backoff_base_s=BACKOFF_BASE_S)
         while True:
             item = self._jobs.get()
             if item is None:
@@ -950,9 +938,9 @@ class FleetService:
             self.control.stop()
         self.journal.record_event("shutdown", {"inflight": self._inflight})
         self._publish_snapshot()
-        (out / "state.json").write_text(
-            json.dumps(self.state_snapshot(), indent=1, sort_keys=True)
-            + "\n"
+        state = json.dumps(self.state_snapshot(), indent=1, sort_keys=True)
+        write_durable(
+            out / "state.json", lambda h: h.write((state + "\n").encode())
         )
         if self._backend_owned and self._backend is not None:
             self._backend.close()

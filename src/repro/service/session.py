@@ -5,10 +5,11 @@ record shape -- completed shards -- because a sweep has one lifecycle
 event.  A resident service has many: streams are *admitted* at runtime,
 their *windows* complete one by one (fresh, stale-served, or shed),
 degradation *transitions* fire, streams are *retired*, and operational
-*events* (startup, drain, injected faults) punctuate everything.  The
-session journal extends the sweep journal's crash-safety machinery --
-atomic tmp+fsync+rename header, per-record fsync of file and directory,
-torn-tail termination on resume -- to that multi-record stream.
+*events* (startup, drain, injected faults) punctuate everything.  Both
+journals keep their records in one :class:`repro.journal.Journal` file:
+an atomic header, a per-record fsync of file and directory, and on
+resume the torn final line a kill leaves is cut, while any other line
+that does not decode refuses the resume, naming the line.
 
 The recovery contract: SIGKILL the daemon at any instant, restart it on
 the same ``--out`` directory, and every admitted stream resumes from its
@@ -52,14 +53,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.exec import faults, protocol
-from repro.exec.scheduler import _fsync_dir, replay_journal
 from repro.exec.shard import PolicySet
+from repro.journal import Journal
 from repro.service.degrade import Transition
 from repro.service.pacing import window_count
 
@@ -165,13 +165,13 @@ class StreamLog:
 class SessionJournal:
     """Append-only multi-record session log (see the module docstring).
 
-    Construction either creates a fresh journal (atomic header write) or,
-    with ``resume=True`` on an existing file, reloads every record --
-    tolerating exactly the torn final line a SIGKILL leaves -- and
-    terminates the torn tail so later appends stand alone.  A fingerprint
-    mismatch (different policy or window length) refuses with a typed
-    :class:`~repro.errors.ConfigurationError` rather than silently mixing
-    incompatible sessions.
+    Construction either creates a fresh journal or, with ``resume=True``
+    on an existing file, reloads every record through
+    :class:`repro.journal.Journal`: the torn final line a SIGKILL leaves
+    is cut, and any other damaged line -- or a fingerprint mismatch
+    (different policy or window length) -- refuses with a typed
+    :class:`~repro.errors.ConfigurationError` rather than silently
+    mixing or dropping records.
     """
 
     def __init__(
@@ -183,87 +183,33 @@ class SessionJournal:
         compact_bytes: int | None = None,
     ) -> None:
         self.path = Path(path)
-        self.fingerprint = fingerprint
         self.streams: dict[str, StreamLog] = {}
         self.clusters: dict[str, dict] = {}
         self.events: list[dict] = []
-        self.resumed = False
         self.compact_bytes = (
             SNAPSHOT_COMPACT_BYTES if compact_bytes is None else compact_bytes
         )
-        # Every parseable non-header record in journal order, plus the
-        # byte bookkeeping that triggers snapshot compaction.
+        # Every non-header record in journal order, plus the byte
+        # bookkeeping that triggers snapshot compaction.
         self._records: list[dict] = []
         self._snapshot_bytes: dict[str, int] = {}
         self._stale_snapshot_bytes = 0
-        if resume and self.path.exists():
-            self._load()
-            self.resumed = True
-            # A kill mid-append leaves a torn final line with no newline;
-            # terminate it now so the next append does not glue onto junk.
-            with self.path.open("rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                torn_tail = False
-                if size:
-                    handle.seek(size - 1)
-                    torn_tail = handle.read(1) != b"\n"
-            if torn_tail:
-                with self.path.open("a") as handle:
-                    handle.write("\n")
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            header = {
-                "kind": "header",
-                "version": SESSION_VERSION,
-                "fingerprint": fingerprint,
-            }
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with tmp.open("w") as handle:
-                handle.write(json.dumps(header) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path.parent)
+        self._journal = Journal(
+            self.path,
+            "session",
+            SESSION_VERSION,
+            fingerprint,
+            mismatch="belongs to a different session (numeric policy or "
+            "window length changed)",
+            remedy="remove it or point --out elsewhere",
+        )
+        self.resumed = self._journal.open(self._load, resume=resume)
 
     # -- loading ------------------------------------------------------
 
-    def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            raise ConfigurationError(
-                f"session journal {self.path} is empty; remove it or "
-                "point --out elsewhere"
-            )
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = {}
-        if (
-            header.get("kind") != "header"
-            or header.get("version") != SESSION_VERSION
-        ):
-            raise ConfigurationError(
-                f"{self.path} is not a version-{SESSION_VERSION} session "
-                "journal; remove it or point --out elsewhere"
-            )
-        if header.get("fingerprint") != self.fingerprint:
-            raise ConfigurationError(
-                f"session journal {self.path} belongs to a different "
-                "session (numeric policy or window length changed); "
-                "remove it or point --out elsewhere"
-            )
-
-        def apply(record: dict) -> None:
-            self._replay(record)
-            self._records.append(record)
-
-        replay_journal(
-            lines,
-            f"session journal {self.path}",
-            "remove it or point --out elsewhere",
-            apply,
-        )
+    def _load(self, record: dict) -> None:
+        self._replay(record)
+        self._records.append(record)
 
     def _note_snapshot(self, record: dict) -> None:
         """Track live/stale snapshot bytes for the compaction trigger.
@@ -327,20 +273,15 @@ class SessionJournal:
 
     def _append(self, record: dict) -> None:
         """One fsynced record (file and directory) before returning."""
-        line = json.dumps(record, separators=(",", ":"))
-        with self.path.open("a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        _fsync_dir(self.path.parent)
+        self._journal.append(record)
         self._records.append(record)
 
     def _compact(self) -> None:
         """Atomically rewrite the journal without superseded snapshots.
 
         Every non-snapshot record (and each stream's newest snapshot) is
-        re-emitted byte-identically in journal order via the same
-        tmp+fsync+rename dance the header uses, so a kill mid-compaction
+        re-emitted byte-identically in journal order by
+        :meth:`repro.journal.Journal.rewrite`, so a kill mid-compaction
         leaves either the old journal or the new one, never a mix.
         """
         last_snapshot: dict[str, int] = {}
@@ -360,22 +301,7 @@ class SessionJournal:
                 if last_cluster.get(record.get("cluster", "")) != position:
                     continue
             keep.append(record)
-        header = {
-            "kind": "header",
-            "version": SESSION_VERSION,
-            "fingerprint": self.fingerprint,
-        }
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for record in keep:
-                handle.write(
-                    json.dumps(record, separators=(",", ":")) + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        _fsync_dir(self.path.parent)
+        self._journal.rewrite(keep)
         self._records = keep
         self._stale_snapshot_bytes = 0
 

@@ -227,6 +227,27 @@ class TestIncrementalFallbacks:
         result, _ = run_incremental(longer, snapshot=stale)
         assert run_digest(result) == run_digest(run_cell(longer))
 
+    def test_phase_ending_before_it_starts_falls_back_to_prefix(self):
+        # A phase record the phase type itself refuses is a bad snapshot
+        # like any other: the run falls back, it does not raise.
+        cell = SystemCell("DaCapo-Spatiotemporal", PAIR, "S4", 0, 120.0)
+        _, snapshot = run_incremental(cell, emit_snapshot=True)
+        bad = json.loads(json.dumps(snapshot))
+        assert bad["phases"]
+        bad["phases"][0]["end_s"] = bad["phases"][0]["start_s"] - 1.0
+        with pytest.raises(SnapshotError, match="malformed"):
+            decode_run_snapshot(
+                bad,
+                policy=active_policy().name,
+                system=cell.system,
+                scenario=cell.scenario,
+                seed=cell.seed,
+                duration_s=180.0,
+            )
+        longer = replace(cell, duration_s=180.0)
+        result, _ = run_incremental(longer, snapshot=bad)
+        assert run_digest(result) == run_digest(run_cell(longer))
+
     def test_corrupt_weights_fall_back_to_prefix(self):
         # Decode succeeds but restore blows up mid-way: the run must be
         # rebuilt fresh, not resumed from half-restored state.

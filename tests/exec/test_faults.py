@@ -34,6 +34,36 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             FaultPlan.from_mapping({"entries": ["hang"], "seed": "x"})
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"kind": "die-once", "times": "x"}, "times"),
+            ({"kind": "die-once", "times": 2.7}, "times"),
+            ({"kind": "die-once", "times": True}, "times"),
+            ({"kind": "slow-worker", "delay_s": "x"}, "delay_s"),
+            ({"kind": "slow-worker", "delay_s": float("nan")}, "delay_s"),
+            ({"kind": "slow-worker", "delay_s": True}, "delay_s"),
+            ({"kind": "hang", "match": 5}, "match"),
+        ],
+        ids=["times-string", "times-float", "times-bool", "delay-string",
+             "delay-nan", "delay-bool", "match-int"],
+    )
+    def test_entry_fields_are_not_coerced(self, entry, field):
+        with pytest.raises(ConfigurationError, match=field):
+            FaultPlan.from_mapping({"entries": [entry]})
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            FaultPlan.from_mapping({"entries": ["hang"], "seed": True})
+
+    def test_plan_file_with_nan_delay_refused(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"entries": [{"kind": "slow-worker", "delay_s": NaN}]}'
+        )
+        with pytest.raises(ConfigurationError, match="delay_s"):
+            load_plan(path)
+
     def test_kind_string_shorthand(self):
         plan = FaultPlan.from_mapping({"entries": ["die-once", "hang"]})
         assert [e.kind for e in plan.entries] == ["die-once", "hang"]

@@ -140,6 +140,29 @@ class TestQueueExecution:
             results = run_cells(CELLS, jobs=2)
         assert [run_digest(r) for r in results] == serial_digests
 
+    def test_equal_keys_in_one_batch_each_get_the_outcome(self, tmp_path):
+        # Two one-cell shards with one content key share a message file;
+        # every position holding the key must still get an outcome.  Run
+        # in a child so a hang fails on the timeout instead of wedging.
+        script = (
+            "from repro.exec import SystemCell, run_cells\n"
+            "from repro.reference import run_digest\n"
+            "c = SystemCell('DaCapo-Ekya', 'resnet18_wrn50', 'S1', 0, 10.0)\n"
+            "for r in run_cells([c, c], jobs=2, backend='queue:2'):\n"
+            "    print(run_digest(r))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        cell = SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S1", 0, 10.0)
+        serial = run_digest(run_cells([cell], jobs=1)[0])
+        assert result.stdout.split() == [serial, serial]
+
     def test_die_once_is_retried_and_killer_banned(
         self, serial_digests, tmp_path, monkeypatch
     ):

@@ -29,7 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: dotted name.
 LAYERS = (
     ("repro", "repro.errors", "repro.version", "repro.knobs", "repro.cache",
-     "repro.profiling", "repro.arrays"),
+     "repro.profiling", "repro.arrays", "repro.journal"),
     ("repro.numeric", "repro.batching"),
     ("repro.mx", "repro.models", "repro.data"),
     ("repro.accelerator", "repro.share"),
