@@ -287,9 +287,9 @@ def get_store() -> ArtifactStore:
 def caching_disabled():
     """Force materializations back to per-call generation while active.
 
-    Used by the benchmark baseline (the pre-substrate behavior) and by
-    equivalence tests; nestable and thread-hostile only in the benign sense
-    (a racing materialization is simply uncached).
+    Used by the equivalence tests (the pre-substrate behavior as their
+    reference); nestable and thread-hostile only in the benign sense (a
+    racing materialization is simply uncached).
     """
     global _disabled
     _disabled += 1

@@ -16,7 +16,7 @@ Fault kinds (:data:`FAULT_KINDS`):
   ``REPRO_SHARD_TIMEOUT`` watchdog (subprocess) or lease expiry (queue).
 - ``slow-worker``         the claiming worker sleeps a seeded delay, then
   completes normally.  Must *not* trip any failure path; exists so tests
-  and benchmarks can bound straggler overhead.
+  can check that a straggler trips none.
 - ``corrupt-result``      the worker completes the shard but mangles its
   reply (seeded choice of truncation or byte garbling).  The parent must
   reject the reply before journaling and retry the shard elsewhere.

@@ -283,11 +283,12 @@ class SweepJournal:
 
     One header line pins the journal to a specific compiled plan (via a
     content fingerprint); each subsequent line records one completed
-    shard as ``{cell key -> bit-exact encoded RunResult}``.  The file
-    half -- atomic header, fsynced append, cutting the torn final line a
-    kill leaves, refusing any other damaged line or a journal whose
-    fingerprint does not match the plan being resumed -- is
-    :class:`repro.journal.Journal`.
+    shard as ``{cell key -> bit-exact encoded RunResult}``; a record of
+    any other kind, or a shard record without its entries, is damage.
+    The file half -- atomic header, fsynced append, cutting the torn
+    final line a kill leaves, refusing any other damaged line or a
+    journal whose fingerprint does not match the plan being resumed --
+    is :class:`repro.journal.Journal`.
     """
 
     def __init__(
@@ -307,11 +308,12 @@ class SweepJournal:
         self._journal.open(self._replay, resume=resume)
 
     def _replay(self, record: dict) -> None:
-        if record.get("kind") == "shard":
-            for entry in record.get("entries", ()):
-                self._completed[entry["key"]] = protocol.decode_result(
-                    entry["result"]
-                )
+        if record["kind"] != "shard":
+            raise ValueError(f"unknown record kind {record['kind']!r}")
+        for entry in record["entries"]:
+            self._completed[entry["key"]] = protocol.decode_result(
+                entry["result"]
+            )
 
     def __len__(self) -> int:
         return len(self._completed)

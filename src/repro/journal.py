@@ -16,9 +16,10 @@ what their records mean; :class:`Journal` is the file half they share:
   mid-append leaves at most one unterminated final line; resume cuts the
   file back to its last newline, so whatever that line described did not
   happen.  Every other line must decode: one that does not parse, is not
-  an object, or has the wrong shape for its kind cannot come from a kill,
-  so loading raises :class:`~repro.errors.ConfigurationError` naming the
-  journal, the line and the record kind, with the journal's remedy.
+  an object, has the wrong shape for its kind, or names a kind or stream
+  its journal never wrote cannot come from a kill, so loading raises
+  :class:`~repro.errors.ConfigurationError` naming the journal, the line
+  and the record kind, with the journal's remedy.
 
 :func:`write_durable` is also how the queue's message files and the
 daemon's ``control.port`` and ``state.json`` land: a reader sees the

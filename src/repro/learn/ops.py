@@ -29,9 +29,9 @@ __all__ = [
 #
 # One count per numpy-kernel invocation at a model-compute site.  The point
 # of the batched executor is K cells per dispatch instead of one, so the
-# counter is the direct measurement of that claim (bench_batched asserts
-# the serial/batched ratio).  Not locked: batched rounds execute one at a
-# time under the conductor lock, and the serial path is single-threaded.
+# counter is the direct measurement of that claim (tests/exec/test_batched.py
+# asserts the serial/batched ratio).  Not locked: batched rounds execute one
+# at a time under the conductor lock, and the serial path is single-threaded.
 
 _dispatch_calls = 0
 
@@ -48,7 +48,7 @@ def dispatch_count() -> int:
 
 
 def reset_dispatch() -> None:
-    """Zero the dispatch counter (benchmarks call this between legs)."""
+    """Zero the dispatch counter (tests call this between legs)."""
     global _dispatch_calls
     _dispatch_calls = 0
 

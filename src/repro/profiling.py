@@ -44,7 +44,7 @@ __all__ = [
     "scope",
 ]
 
-#: Canonical phase names wired into the runner (BENCH JSON keys).
+#: Canonical phase names wired into the runner (the report's rows).
 MATERIALIZE = "materialize"
 PRETRAIN = "pretrain"
 LABEL = "label"

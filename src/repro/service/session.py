@@ -9,7 +9,9 @@ degradation *transitions* fire, streams are *retired*, and operational
 journals keep their records in one :class:`repro.journal.Journal` file:
 an atomic header, a per-record fsync of file and directory, and on
 resume the torn final line a kill leaves is cut, while any other line
-that does not decode refuses the resume, naming the line.
+that does not decode -- or is of no kind below, or names a stream no
+``admit`` record before it admitted -- refuses the resume, naming the
+line.
 
 The recovery contract: SIGKILL the daemon at any instant, restart it on
 the same ``--out`` directory, and every admitted stream resumes from its
@@ -168,8 +170,9 @@ class SessionJournal:
     Construction either creates a fresh journal or, with ``resume=True``
     on an existing file, reloads every record through
     :class:`repro.journal.Journal`: the torn final line a SIGKILL leaves
-    is cut, and any other damaged line -- or a fingerprint mismatch
-    (different policy or window length) -- refuses with a typed
+    is cut, and any other damaged line (an unknown kind or an unadmitted
+    stream included) -- or a fingerprint mismatch (different policy or
+    window length) -- refuses with a typed
     :class:`~repro.errors.ConfigurationError` rather than silently
     mixing or dropping records.
     """
@@ -230,7 +233,7 @@ class SessionJournal:
         self._snapshot_bytes[key] = size
 
     def _replay(self, record: dict) -> None:
-        kind = record.get("kind")
+        kind = record["kind"]
         if kind == "admit":
             cell = protocol.decode_cell(record["cell"])
             self.streams[record["stream"]] = StreamLog(
@@ -241,17 +244,6 @@ class SessionJournal:
                 window_s=float(record["window_s"]),
             )
             return
-        stream = self.streams.get(record.get("stream", ""))
-        if kind == "window" and stream is not None:
-            stream.windows[int(record["index"])] = record
-            stream.dropped_frames += int(record.get("dropped", 0))
-            return
-        if kind == "snapshot" and stream is not None:
-            # Journal order is supersession order: the last one wins.
-            stream.snapshot = record.get("state")
-            stream.snapshot_index = int(record.get("index", -1))
-            self._note_snapshot(record)
-            return
         if kind == "cluster":
             # Journal order is supersession order: the last one wins.
             self.clusters[str(record.get("cluster", ""))] = record.get(
@@ -259,15 +251,29 @@ class SessionJournal:
             )
             self._note_snapshot(record)
             return
-        if kind == "degrade" and stream is not None:
-            stream.transitions.append(record)
-            return
-        if kind == "retire" and stream is not None:
-            stream.retired = True
-            stream.retire_reason = record.get("reason")
-            return
         if kind == "event":
             self.events.append(record)
+            return
+        if kind not in ("window", "snapshot", "degrade", "retire"):
+            raise ValueError(f"unknown record kind {kind!r}")
+        # The daemon admits a stream before it journals anything about
+        # it, so a stream record naming no admitted stream is damage.
+        stream = self.streams.get(record["stream"])
+        if stream is None:
+            raise ValueError(f"stream {record['stream']!r} was never admitted")
+        if kind == "window":
+            stream.windows[int(record["index"])] = record
+            stream.dropped_frames += int(record.get("dropped", 0))
+        elif kind == "snapshot":
+            # Journal order is supersession order: the last one wins.
+            stream.snapshot = record.get("state")
+            stream.snapshot_index = int(record.get("index", -1))
+            self._note_snapshot(record)
+        elif kind == "degrade":
+            stream.transitions.append(record)
+        else:
+            stream.retired = True
+            stream.retire_reason = record.get("reason")
 
     # -- appending ----------------------------------------------------
 

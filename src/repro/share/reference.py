@@ -59,9 +59,9 @@ def run_shared_cells(cells):
 
     Returns ``(results, runtimes)`` where ``runtimes`` maps cluster id to
     its :class:`~repro.share.runtime.ClusterRuntime` (counters and all) --
-    what the benchmark reads realized reuse from.  Deterministic: the
-    executor routes a cluster's cells through exactly this sequential
-    order on every backend.
+    what ``tests/share/test_sharing_exec.py`` counts realized reuse from.
+    Deterministic: the executor routes a cluster's cells through exactly
+    this sequential order on every backend.
     """
     assignment = cluster_cells(cells)
     runtimes: dict[str, ClusterRuntime] = {}

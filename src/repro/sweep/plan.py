@@ -201,7 +201,7 @@ class SweepPlan:
         reported groups are exactly the shards ``execute_shard`` will
         advance in lockstep.  Per numpy call a K-cell group serves all K
         members, so dispatches drop from ~cells to ~groups; the realized
-        ratio is measured by ``benchmarks/bench_batched.py``.
+        ratio is counted by ``tests/exec/test_batched.py``.
         """
         batching = active_batching()
         if not batching.enabled:

@@ -2,10 +2,11 @@
 
 The contract under test: chaining ``run_job`` window by window -- each
 window resuming the previous window's encoded snapshot -- produces
-results byte-identical to full prefix runs, across every
-scheduler family; and any snapshot a run must *not* resume from (wrong
-version, policy, cell, seed, or an unaligned origin) is refused with
-:class:`SnapshotError` so callers fall back to the prefix run.
+results byte-identical to full prefix runs, across every scheduler
+family, for one window's work per window; and any snapshot a run must
+*not* resume from (wrong version, policy, cell, seed, or an unaligned
+origin) is refused with :class:`SnapshotError` so callers fall back to
+the prefix run.
 """
 
 import json
@@ -24,7 +25,15 @@ from repro.core.snapshot import (
 )
 from repro.data.scenarios import SEGMENT_S
 from repro.errors import ScheduleError, SnapshotError
-from repro.exec.shard import CellJob, Fig2Cell, SystemCell, run_cell, run_job
+from repro.exec.shard import (
+    CellJob,
+    Fig2Cell,
+    SystemCell,
+    run_cell,
+    run_job,
+    warm_model_caches,
+)
+from repro.learn.ops import dispatch_count, reset_dispatch
 from repro.numeric import active_policy
 from repro.reference import run_digest
 
@@ -210,6 +219,36 @@ class TestIncrementalBitIdentity:
         for i, result in enumerate(chained):
             prefix = run_cell(replace(cell, duration_s=60.0 * (i + 1)))
             assert run_digest(result) == run_digest(prefix), f"window {i}"
+
+
+class TestIncrementalWork:
+    def test_windows_cost_one_window_each(self):
+        # O(W) total instead of O(W^2), counted rather than timed: eight
+        # chained 60 s windows make at least 2x fewer numpy dispatches
+        # than the eight matching prefix runs (2,405 against 9,401), and
+        # no window after the first makes more than the last, longest
+        # prefix run does.
+        cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 480.0)
+        warm_model_caches([cell])
+        prefix_calls, window_calls = [], []
+        snapshot = None
+        for i in range(8):
+            window = replace(cell, duration_s=60.0 * (i + 1))
+            reset_dispatch()
+            prefix = run_cell(window)
+            prefix_calls.append(dispatch_count())
+            reset_dispatch()
+            result, snapshot = run_incremental(
+                window, snapshot=snapshot, emit_snapshot=True
+            )
+            window_calls.append(dispatch_count())
+            assert run_digest(result) == run_digest(prefix), f"window {i}"
+        assert sum(prefix_calls) >= 2 * sum(window_calls), (
+            prefix_calls, window_calls,
+        )
+        assert max(window_calls[1:]) <= prefix_calls[-1], (
+            prefix_calls, window_calls,
+        )
 
 
 class TestIncrementalFallbacks:

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.data import Domain, DomainModel, ScenarioStream, Segment, TimeOfDay
+from repro.data import (
+    Domain,
+    DomainModel,
+    ScenarioStream,
+    Segment,
+    TimeOfDay,
+    build_scenario,
+)
 from repro.errors import ScenarioError
+from repro.numeric import use_policy
 
 
 def two_segment_stream() -> ScenarioStream:
@@ -85,6 +93,60 @@ class TestMaterialize:
             s1.materialize(0).window(5.0, 10.0).features,
             s2.materialize(0).window(5.0, 10.0).features,
         )
+
+
+def per_segment_generate(stream: ScenarioStream, seed: int):
+    """The generator ``ScenarioStream.generate`` vectorizes: float64
+    draws per segment, collected in lists and concatenated once."""
+    model = stream.model
+    features, labels, times = [], [], []
+    start = 0.0
+    for index, segment in enumerate(stream.segments):
+        count = int(round(segment.duration_s * stream.fps))
+        rng = np.random.default_rng((seed, index))
+        priors = model.class_priors(segment.domain)
+        y = rng.choice(model.num_classes, size=count, p=priors)
+        noise = rng.normal(
+            scale=model.sigma(segment.domain),
+            size=(count, model.feature_dim),
+        )
+        features.append(model.class_means(segment.domain)[y] + noise)
+        labels.append(y)
+        times.append(start + np.arange(count) / stream.fps)
+        start += segment.duration_s
+    return (
+        np.concatenate(features),
+        np.concatenate(labels),
+        np.concatenate(times),
+    )
+
+
+class TestGenerateReference:
+    def test_matches_the_per_segment_generator(self):
+        # Exact at float64; at float32 the same draws rounded once.
+        stream = build_scenario("S4", duration_s=300.0)
+        with use_policy("float64"):
+            features, labels, times = per_segment_generate(stream, 0)
+            exact = stream.generate(0)
+        with use_policy("float32"):
+            rounded = stream.generate(0)
+        np.testing.assert_array_equal(exact.features, features)
+        np.testing.assert_allclose(
+            rounded.features, features.astype(np.float32),
+            rtol=1e-5, atol=1e-5,
+        )
+        for window in (exact, rounded):
+            np.testing.assert_array_equal(window.labels, labels)
+            np.testing.assert_array_equal(window.times, times)
+
+        # Features halve; int64 labels and float64 times do not.
+        def nbytes(window):
+            return sum(
+                array.nbytes
+                for array in (window.features, window.labels, window.times)
+            )
+
+        assert nbytes(exact) > 1.7 * nbytes(rounded)
 
 
 class TestFrameWindow:

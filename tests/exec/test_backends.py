@@ -232,6 +232,23 @@ class TestWorkerDeath:
         # respawn budget reported the slot dead.
         assert "DaCapo-Spatiotemporal" in str(excinfo.value)
 
+    def test_hang_mid_shard_is_killed_and_retried_identically(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker that wedges after claiming a shard: the watchdog kills
+        # it at the shard deadline and the shard reruns on a respawned
+        # worker, with the serial digests.
+        plan = save_plan(FaultPlan((FaultEntry("hang"),)), tmp_path / "h.json")
+        monkeypatch.setenv(FAULT_PLAN_ENV, str(plan))
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "3")
+        dispatched = run_cells(CELLS, backend="subprocess:2")
+        assert not any(tokens_dir(plan).iterdir())
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        serial = run_cells(CELLS, jobs=1)
+        assert [run_digest(a) for a in dispatched] == [
+            run_digest(b) for b in serial
+        ]
+
     def test_banner_on_stdout_is_a_typed_handshake_failure(self):
         # The ssh failure mode: a MOTD/banner line reaches the protocol
         # channel before (instead of) the hello.  Must surface as a

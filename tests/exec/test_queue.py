@@ -200,6 +200,7 @@ class TestQueueExecution:
         finally:
             backend.close()
         assert [run_digest(r) for r in results] == serial_digests
+        assert not list(faults.tokens_dir(plan).iterdir())
         assert len(list((tmp_path / "q" / "banned").iterdir())) == 1
 
     def test_corrupt_reply_rejected_and_recomputed(

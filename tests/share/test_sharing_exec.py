@@ -8,6 +8,9 @@ Two frozen sections (``tests/reference/digests_sharing.json``):
 - ``shared``: the cluster path is deterministic too (a cluster's cells
   are co-located and run sequentially), so its digests are frozen with
   the same severity.
+
+The saving itself is counted, not timed: the shared cluster's label and
+retrain work against the same cameras each alone in a singleton runtime.
 """
 
 import json
@@ -23,6 +26,7 @@ from repro.exec.shard import (
     cell_key,
     execute_shard,
     make_shard_specs,
+    run_cell,
     shard_key,
 )
 from repro.numeric import use_policy
@@ -33,6 +37,7 @@ from repro.share.reference import (
     sharing_reference_cells,
     sharing_reference_path,
 )
+from repro.share.runtime import ClusterRuntime
 
 POLICY = "float64"
 
@@ -101,6 +106,41 @@ class TestSharedPath:
         assert counters["warm_starts"] == 3  # every member but the founder
         # Reuse must dominate: three of four cameras ride the founder.
         assert counters["labels_shared"] > counters["labels_computed"]
+
+    def test_cluster_does_less_work_at_no_accuracy_cost(
+        self, frozen, fleet, shared_run
+    ):
+        # Each camera alone in a singleton cluster runtime reproduces the
+        # independent digests, so its counters are an honest count of
+        # independent work.  The shared cluster must do at least 1.5x
+        # less label + retrain work (5,632 against 22,528 samples), and no
+        # camera may lose more than 0.01 accuracy to sharing.
+        independent, runtimes = [], []
+        with use_policy(POLICY), use_sharing(CLUSTER):
+            for index, cell in enumerate(fleet):
+                runtimes.append(ClusterRuntime(f"i{index}"))
+                with runtimes[-1].activate(cell):
+                    independent.append(run_cell(cell))
+        assert {
+            cell_key(POLICY, cell): run_digest(result)
+            for cell, result in zip(fleet, independent)
+        } == frozen["independent"]
+        shared, shared_runtimes = shared_run
+
+        def work(group):
+            return sum(
+                runtime.counters["labels_computed"]
+                + runtime.counters["retrain_samples"]
+                for runtime in group
+            )
+
+        assert work(shared_runtimes.values()) > 0
+        assert work(runtimes) >= 1.5 * work(shared_runtimes.values())
+        for cell, alone, together in zip(fleet, independent, shared):
+            assert (
+                together.average_accuracy()
+                >= alone.average_accuracy() - 0.01
+            ), cell_key(POLICY, cell)
 
     def test_shard_spec_path_matches(self, frozen, fleet):
         # The worker-side entry point (what every backend executes) must

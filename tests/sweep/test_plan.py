@@ -137,10 +137,15 @@ class TestExamples:
         assert [g.policy.name for g in plan.groups] == [
             "float64", "float32"
         ]
-        durations = {
-            (c.scenario, c.duration_s) for c in plan.groups[0].cells
-        }
-        assert durations == {("S1", 120.0), ("S4", 60.0)}
+        # The override shortens camera S4 in both policy groups.
+        for group in plan.groups:
+            durations = {(c.scenario, c.duration_s) for c in group.cells}
+            assert durations == {("S1", 120.0), ("S4", 60.0)}
+        # Two cameras x two policies, each on its own policy-scoped stream.
+        estimate = plan.estimate(jobs=2)
+        assert estimate.cells == 4
+        assert estimate.distinct_streams == 4
+        assert estimate.distinct_stream_seconds <= estimate.stream_seconds
 
 
 class TestEstimate:

@@ -284,6 +284,20 @@ class TestKillAndResume:
         )
         assert len(document["cells"]) == 2
 
+        # A record of a kind the journal never writes cannot come from a
+        # kill: the next resume exits 2 with one line naming it.
+        journal = out_dir / "sweep_cli-tiny.journal.jsonl"
+        journal.write_text(
+            journal.read_text().replace('"kind":"shard"', '"kind":"shart"')
+        )
+        code = main([
+            "sweep", str(tiny_spec_path), "--out", str(out_dir),
+            "--resume",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "line 2: malformed shart" in err
+
     def test_resume_without_out_exits_2(self, tiny_spec_path, capsys):
         assert main([
             "sweep", str(tiny_spec_path), "--resume",
@@ -341,6 +355,19 @@ class TestServe:
             json.loads(line) for line in after.splitlines()
         ]
         assert sum(1 for r in fresh if r.get("kind") == "window") == 4
+
+        # An admit record whose stream key changed leaves the records
+        # after it naming a stream never admitted: exit 2, one line.
+        admit = next(r for r in fresh if r.get("kind") == "admit")
+        key = admit["stream"]
+        (out_dir / "session.jsonl").write_text(
+            after.replace(f'"kind":"admit","stream":"{key}"',
+                          f'"kind":"admit","stream":"{key}x"', 1)
+        )
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "was never admitted" in err
 
     def test_multi_policy_spec_exits_2(self, tmp_path, capsys):
         spec = json.loads(json.dumps(TINY_SWEEP))

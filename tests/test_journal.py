@@ -1,5 +1,7 @@
 """The journal file rule, for both journals: a kill may leave only a torn
-last line, resume cuts it, and any other damaged line is refused.
+last line, resume cuts it, and any other damaged line is refused --
+including one that parses but names a record kind or a stream the
+journal never wrote.
 
 Each journal is written once with small synthetic records, then a copy is
 cut at every byte offset after its header, which is every state a kill
@@ -172,6 +174,45 @@ class TestEveryCut:
             assert "elsewhere" in message
             # A refused journal is left as it was.
             assert path.read_bytes() == b"\n".join(broken) + b"\n"
+
+
+class TestNamedDamage:
+    """A line that parses but names a record kind or a stream the journal
+    never wrote cannot come from a kill either, so it is refused too."""
+
+    @pytest.mark.parametrize(
+        "name, index, old, new, refused, reason",
+        [
+            ("sweep", 1, b'"kind":"shard"', b'"kind":"shart"', 2,
+             "unknown record kind 'shart'"),
+            ("sweep", 2, b'"entries":', b'"entrees":', 3,
+             "KeyError: 'entries'"),
+            # One hex digit of the admitted stream's key: the snapshot
+            # on the next line names a stream that was never admitted.
+            ("session", 1, b"0x1.e", b"0x1.f", 3, "was never admitted"),
+            ("session", 4, b'"kind":"cluster"', b'"kind":"clusters"', 5,
+             "unknown record kind 'clusters'"),
+        ],
+        ids=["sweep-kind", "sweep-entries", "session-admit-key",
+             "session-kind"],
+    )
+    def test_refused_naming_the_line(
+        self, tmp_path, name, index, old, new, refused, reason
+    ):
+        write, resume, _, _ = JOURNALS[name]
+        path = tmp_path / "damaged.jsonl"
+        write(path)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[index].count(old) == 1
+        lines[index] = lines[index].replace(old, new)
+        damaged = b"\n".join(lines)
+        path.write_bytes(damaged)
+        with pytest.raises(ConfigurationError) as info:
+            resume(path)
+        message = str(info.value)
+        assert f"{path} line {refused}:" in message
+        assert reason in message
+        assert path.read_bytes() == damaged
 
 
 class TestJournal:
