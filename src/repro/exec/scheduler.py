@@ -52,7 +52,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import profiling
 from repro.cache import CACHE_ENV
@@ -284,17 +284,24 @@ class SweepJournal:
     One header line pins the journal to a specific compiled plan (via a
     content fingerprint); each subsequent line records one completed
     shard as ``{cell key -> bit-exact encoded RunResult}``; a record of
-    any other kind, or a shard record without its entries, is damage.
-    The file half -- atomic header, fsynced append, cutting the torn
-    final line a kill leaves, refusing any other damaged line or a
-    journal whose fingerprint does not match the plan being resumed --
-    is :class:`repro.journal.Journal`.
+    any other kind, a shard record without its entries, or an entry
+    whose key is not one of the plan's ``keys`` is damage.  The file
+    half -- atomic header, fsynced append, cutting the torn final line a
+    kill leaves, refusing any other damaged line or a journal whose
+    fingerprint does not match the plan being resumed -- is
+    :class:`repro.journal.Journal`.
     """
 
     def __init__(
-        self, path: str | Path, fingerprint: str, *, resume: bool = False
+        self,
+        path: str | Path,
+        fingerprint: str,
+        keys: Iterable[str],
+        *,
+        resume: bool = False,
     ) -> None:
         self.path = Path(path)
+        self._keys = frozenset(keys)
         self._completed: dict[str, RunResult] = {}
         self._journal = Journal(
             self.path,
@@ -311,9 +318,10 @@ class SweepJournal:
         if record["kind"] != "shard":
             raise ValueError(f"unknown record kind {record['kind']!r}")
         for entry in record["entries"]:
-            self._completed[entry["key"]] = protocol.decode_result(
-                entry["result"]
-            )
+            key = entry["key"]
+            if key not in self._keys:
+                raise ValueError(f"cell key {key!r} is not in the plan")
+            self._completed[key] = protocol.decode_result(entry["result"])
 
     def __len__(self) -> int:
         return len(self._completed)

@@ -5,12 +5,16 @@ MX precision injection on weights and activations during the forward pass
 (see :mod:`repro.learn.quantized`), mirroring how the DaCapo hardware
 executes inference at MX6 and training at MX9.
 
-Weight quantization is cached: between parameter updates the weights are
-immutable, so the per-layer ``effective_quantize`` result is computed once
-and reused across every forward pass (inference phases re-quantize nothing).
-The cache is invalidated whenever :meth:`train_step` or :meth:`restore`
-mutates the parameters; callers that assign ``weights``/``biases`` directly
-must call :meth:`invalidate_quantization_cache` themselves.
+Weight quantization is cached for inference: between parameter updates
+the weights are immutable, so the per-layer ``effective_quantize`` result
+is computed once and reused across every forward pass (inference phases
+re-quantize nothing).  The cache is invalidated whenever
+:meth:`train_step` or :meth:`restore` mutates the parameters; callers that
+assign ``weights``/``biases`` directly must call
+:meth:`invalidate_quantization_cache` themselves.  Training steps bypass
+the cache: every step changes the weights, so each layer's weight is
+quantized together with its input activation in one
+:func:`~repro.learn.quantized.quantize_operands` call instead.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.learn.ops import (
     relu,
     relu_grad,
 )
-from repro.learn.quantized import effective_quantize
+from repro.learn.quantized import effective_quantize, quantize_operands
 from repro.mx import MXFormat
 from repro.numeric import active_policy
 
@@ -211,8 +215,7 @@ class MLPClassifier:
         for i, b in enumerate(self.biases):
             if fmt is not None:
                 add_dispatch()
-            h_q = effective_quantize(h, fmt, sensitivity)
-            w_q = self._quantized_weight(i, fmt, sensitivity)
+            h_q, w_q = quantize_operands(h, self.weights[i], fmt, sensitivity)
             inputs.append(h_q)
             add_dispatch()
             z = h_q @ w_q + b

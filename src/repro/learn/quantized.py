@@ -9,6 +9,11 @@ tensor, scaled by the model's precision sensitivity:
 With sensitivity 1.0 this is exactly fake quantization; larger values model
 architectures whose accuracy degrades faster than the raw numeric error
 (the paper observes this for ViTs, section VII-B).
+
+A training step quantizes two operands per layer, its input activation and
+its weight, and each is a few hundred elements, so the kernel's cost there
+is numpy overhead per call rather than work per element.
+:func:`quantize_operands` quantizes both in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.mx import MXFormat, quantize
 from repro.numeric import ensure_float
 
-__all__ = ["effective_quantize"]
+__all__ = ["effective_quantize", "quantize_operands"]
 
 
 def effective_quantize(
@@ -36,6 +41,13 @@ def effective_quantize(
     precision (the MX kernel preserves the operand dtype), a float64 one
     exactly as before -- no silent upcasts on this, the hottest path of an
     end-to-end run.
+
+    Sensitivity 1.0 returns ``quantize(x, fmt, axis)`` itself, with no
+    error arithmetic.  That is the formula's value wherever ``q - x`` is
+    exact, which by Sterbenz's lemma is every input below the
+    shared-exponent clamp; above it (float64 magnitudes of at least
+    ``2**128``, which the clamp saturates) the formula would cancel to
+    0.0, and the result is the saturated fake-quantized value instead.
 
     Args:
         x: Tensor to quantize.
@@ -57,6 +69,8 @@ def effective_quantize(
             f"sensitivity must be a finite number >= 0, got {sensitivity!r}"
         )
     x = ensure_float(x)
+    if sensitivity == 1.0:
+        return quantize(x, fmt, axis=axis)
     # Computed as x + sensitivity * (quantize(x) - x), accumulated in place
     # on the freshly allocated quantized array (this is the hottest function
     # in an end-to-end run; every temporary counts).
@@ -65,3 +79,37 @@ def effective_quantize(
     error *= sensitivity
     error += x
     return error
+
+
+def quantize_operands(
+    h: np.ndarray,
+    w: np.ndarray,
+    fmt: MXFormat | None,
+    sensitivity: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's activation and weight, quantized in one kernel call.
+
+    The activation ``h`` (``(..., n, in)``) is blocked along ``in`` and
+    the weight ``w`` (``(..., in, out)``) along its contraction axis, so
+    both are rows of length ``in``, and each row quantizes on its own.
+    So ``h`` is stacked over ``swapaxes(w, -1, -2)`` on axis -2, goes
+    through one :func:`effective_quantize` call, and is split again.  The
+    two results have the bytes, dtype and shape of
+    ``effective_quantize(h, fmt, sensitivity)`` and
+    ``effective_quantize(w, fmt, sensitivity, axis=-2)``, and the strides
+    of their last two axes, so every matmul on them sees the same layout.
+    Works for 2-D operands and for ``(K, n, in)`` / ``(K, in, out)``
+    stacks alike.
+
+    Returns:
+        ``(h_q, w_q)``; with ``fmt`` None, ``h`` and ``w`` unquantized.
+    """
+    if fmt is None:
+        return ensure_float(h), ensure_float(w)
+    rows = h.shape[-2]
+    both = effective_quantize(
+        np.concatenate((h, np.swapaxes(w, -1, -2)), axis=-2),
+        fmt,
+        sensitivity,
+    )
+    return both[..., :rows, :], np.swapaxes(both[..., rows:, :], -1, -2)

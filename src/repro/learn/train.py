@@ -20,7 +20,7 @@ from repro.learn.ops import (
     relu,
     relu_grad,
 )
-from repro.learn.quantized import effective_quantize
+from repro.learn.quantized import quantize_operands
 from repro.mx import MXFormat
 
 __all__ = [
@@ -129,10 +129,13 @@ def _train_step_batched(
     :meth:`MLPClassifier.train_step` line, in the same order, so slice
     ``k`` evolves bitwise as model ``k`` would:
 
-    - the MX fake-quantize kernel reduces along the trailing axis for
-      activations and along the contraction axis (``axis=1`` of the
-      stack, ``axis=0`` of each slice) for weights, so one stacked call
-      equals K serial calls;
+    - each layer makes one fused MX fake-quantize call
+      (:func:`~repro.learn.quantized.quantize_operands`), as the serial
+      step does: the activation stack ``(K, n, in)`` and the transposed
+      weight stack ``(K, out, in)`` are quantized as one
+      ``(K, n + out, in)`` stack, and the kernel reduces along the
+      trailing axis only, so slice ``k`` of that call equals model
+      ``k``'s own fused call;
     - equal-shape batched matmul, broadcast bias add, relu, and the
       take/put-along-axis cross-entropy are all per-slice identical;
     - the backward pass differentiates through the *unquantized*
@@ -147,12 +150,8 @@ def _train_step_batched(
     h = x
     for i in range(num_layers):
         if fmt is not None:
-            add_dispatch(2)
-        h_q = effective_quantize(h, fmt, sensitivity)
-        if fmt is not None:
-            w_q = effective_quantize(weights[i], fmt, sensitivity, axis=1)
-        else:
-            w_q = weights[i]
+            add_dispatch()
+        h_q, w_q = quantize_operands(h, weights[i], fmt, sensitivity)
         inputs.append(h_q)
         add_dispatch()
         z = np.matmul(h_q, w_q) + biases[i][:, None, :]

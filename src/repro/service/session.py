@@ -9,9 +9,9 @@ degradation *transitions* fire, streams are *retired*, and operational
 journals keep their records in one :class:`repro.journal.Journal` file:
 an atomic header, a per-record fsync of file and directory, and on
 resume the torn final line a kill leaves is cut, while any other line
-that does not decode -- or is of no kind below, or names a stream no
-``admit`` record before it admitted -- refuses the resume, naming the
-line.
+that does not decode -- or is of no kind below, names a stream no
+``admit`` record before it admitted, or a window index outside that
+stream's windows -- refuses the resume, naming the line.
 
 The recovery contract: SIGKILL the daemon at any instant, restart it on
 the same ``--out`` directory, and every admitted stream resumes from its
@@ -170,9 +170,9 @@ class SessionJournal:
     Construction either creates a fresh journal or, with ``resume=True``
     on an existing file, reloads every record through
     :class:`repro.journal.Journal`: the torn final line a SIGKILL leaves
-    is cut, and any other damaged line (an unknown kind or an unadmitted
-    stream included) -- or a fingerprint mismatch (different policy or
-    window length) -- refuses with a typed
+    is cut, and any other damaged line (an unknown kind, an unadmitted
+    stream or an out-of-range window index included) -- or a fingerprint
+    mismatch (different policy or window length) -- refuses with a typed
     :class:`~repro.errors.ConfigurationError` rather than silently
     mixing or dropping records.
     """
@@ -262,7 +262,15 @@ class SessionJournal:
         if stream is None:
             raise ValueError(f"stream {record['stream']!r} was never admitted")
         if kind == "window":
-            stream.windows[int(record["index"])] = record
+            index = int(record["index"])
+            # StreamLog.complete counts records, so a stray index would
+            # stand in for a window that was never served.
+            if not 0 <= index < stream.total_windows:
+                raise ValueError(
+                    f"window index {index} is outside the stream's "
+                    f"{stream.total_windows} windows"
+                )
+            stream.windows[index] = record
             stream.dropped_frames += int(record.get("dropped", 0))
         elif kind == "snapshot":
             # Journal order is supersession order: the last one wins.

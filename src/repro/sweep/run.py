@@ -17,7 +17,8 @@ Two fleet-scale features layer on top:
   document is byte-identical to an uninterrupted run's.  The journal is
   fingerprinted against the compiled plan, so resuming a *different*
   sweep into the same directory is a :class:`ConfigurationError`, not a
-  silent mix of results.
+  silent mix of results; so is a journal entry for a cell the plan does
+  not hold.
 """
 
 from __future__ import annotations
@@ -78,11 +79,20 @@ def plan_fingerprint(plan: SweepPlan) -> str:
         f"{plan.spec.name}|{plan.spec.cell}"
         f"{PolicySet.active().fingerprint()}".encode()
     )
-    for group in plan.groups:
-        for cell in group.cells:
-            hasher.update(cell_key(group.policy.name, cell).encode())
-            hasher.update(b"\n")
+    for key in _plan_keys(plan):
+        hasher.update(key.encode())
+        hasher.update(b"\n")
     return hasher.hexdigest()[:16]
+
+
+def _plan_keys(plan: SweepPlan) -> list[str]:
+    """Every (policy, cell) of the plan as its journal key, in expansion
+    order: the only keys a resumed journal may hold."""
+    return [
+        cell_key(group.policy.name, cell)
+        for group in plan.groups
+        for cell in group.cells
+    ]
 
 
 def journal_path(out_dir: str | Path, spec_name: str) -> Path:
@@ -149,6 +159,7 @@ def run_sweep(
         journal = SweepJournal(
             journal_path(out_dir, spec.name),
             plan_fingerprint(plan),
+            _plan_keys(plan),
             resume=resume,
         )
 

@@ -225,9 +225,9 @@ class TestIncrementalWork:
     def test_windows_cost_one_window_each(self):
         # O(W) total instead of O(W^2), counted rather than timed: eight
         # chained 60 s windows make at least 2x fewer numpy dispatches
-        # than the eight matching prefix runs (2,405 against 9,401), and
+        # than the eight matching prefix runs (2,213 against 8,633), and
         # no window after the first makes more than the last, longest
-        # prefix run does.
+        # prefix run does (712 at most, against 2,149).
         cell = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 480.0)
         warm_model_caches([cell])
         prefix_calls, window_calls = [], []

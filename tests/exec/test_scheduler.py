@@ -308,6 +308,15 @@ class TestMakeShardSpecs:
         assert f64 != f32
 
 
+#: The plan :meth:`TestSweepJournal.entry` journals into: its one cell.
+PLAN = [
+    cell_key(
+        "float64",
+        SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", 0, 60.0),
+    )
+]
+
+
 class TestSweepJournal:
     def entry(self, seed=0):
         cell = SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", seed, 60.0)
@@ -320,11 +329,11 @@ class TestSweepJournal:
 
     def test_record_and_resume_round_trip(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
-        journal = SweepJournal(path, "fp1")
+        journal = SweepJournal(path, "fp1", PLAN)
         cell, spec, result = self.entry()
         journal.record(spec, result)
 
-        resumed = SweepJournal(path, "fp1", resume=True)
+        resumed = SweepJournal(path, "fp1", PLAN, resume=True)
         key = cell_key("float64", cell)
         assert len(resumed) == 1
         restored = resumed.lookup(key)
@@ -334,38 +343,38 @@ class TestSweepJournal:
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
-        SweepJournal(path, "fp1")
+        SweepJournal(path, "fp1", PLAN)
         with pytest.raises(ConfigurationError, match="different sweep"):
-            SweepJournal(path, "fp2", resume=True)
+            SweepJournal(path, "fp2", PLAN, resume=True)
 
     def test_non_journal_file_refused(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
         path.write_text("just some text\n")
         with pytest.raises(ConfigurationError):
-            SweepJournal(path, "fp1", resume=True)
+            SweepJournal(path, "fp1", PLAN, resume=True)
 
     def test_torn_trailing_line_tolerated(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
-        journal = SweepJournal(path, "fp1")
+        journal = SweepJournal(path, "fp1", PLAN)
         cell, spec, result = self.entry()
         journal.record(spec, result)
         with path.open("a") as handle:
             handle.write('{"kind":"shard","entr')  # killed mid-write
-        resumed = SweepJournal(path, "fp1", resume=True)
+        resumed = SweepJournal(path, "fp1", PLAN, resume=True)
         assert len(resumed) == 1
 
     def test_fresh_open_truncates(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
-        journal = SweepJournal(path, "fp1")
+        journal = SweepJournal(path, "fp1", PLAN)
         _, spec, result = self.entry()
         journal.record(spec, result)
-        fresh = SweepJournal(path, "fp1")  # no resume: a new run
+        fresh = SweepJournal(path, "fp1", PLAN)  # no resume: a new run
         assert len(fresh) == 0
         assert len(path.read_text().splitlines()) == 1  # header only
 
     def test_header_is_versioned(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
-        SweepJournal(path, "fp1")
+        SweepJournal(path, "fp1", PLAN)
         header = json.loads(path.read_text().splitlines()[0])
         assert header["kind"] == "header"
         assert header["fingerprint"] == "fp1"
@@ -375,7 +384,7 @@ class TestSweepJournal:
         # Crash-safe creation: the header arrives by temp-file + rename,
         # so no .tmp sibling may survive a successful open.
         path = tmp_path / "sweep.journal.jsonl"
-        SweepJournal(path, "fp1")
+        SweepJournal(path, "fp1", PLAN)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_injected_torn_write_survives_resume(
@@ -390,7 +399,7 @@ class TestSweepJournal:
         )
         monkeypatch.setenv(faults.FAULT_PLAN_ENV, str(plan))
         path = tmp_path / "sweep.journal.jsonl"
-        journal = SweepJournal(path, "fp1")
+        journal = SweepJournal(path, "fp1", PLAN)
         cell, spec, result = self.entry()
         with pytest.raises(ShardFailure, match="torn journal"):
             journal.record(spec, result)
@@ -398,10 +407,10 @@ class TestSweepJournal:
         assert len(lines) == 2  # header + the torn prefix
         with pytest.raises(json.JSONDecodeError):
             json.loads(lines[1])
-        resumed = SweepJournal(path, "fp1", resume=True)
+        resumed = SweepJournal(path, "fp1", PLAN, resume=True)
         assert len(resumed) == 0  # the torn shard simply reruns
         resumed.record(spec, result)  # fault disarmed: completes now
-        again = SweepJournal(path, "fp1", resume=True)
+        again = SweepJournal(path, "fp1", PLAN, resume=True)
         assert again.lookup(cell_key("float64", cell)) is not None
 
 
@@ -428,11 +437,11 @@ class TestSweepJournalMalformedRecords:
     )
     def test_refused_naming_file_line_and_kind(self, tmp_path, record, kind):
         path = tmp_path / "sweep.journal.jsonl"
-        SweepJournal(path, "fp1")
+        SweepJournal(path, "fp1", ["k"])
         with path.open("a") as handle:
             handle.write(json.dumps(record) + "\n")
         with pytest.raises(ConfigurationError) as info:
-            SweepJournal(path, "fp1", resume=True)
+            SweepJournal(path, "fp1", ["k"], resume=True)
         message = str(info.value)
         assert str(path) in message
         assert "line 2" in message

@@ -284,19 +284,23 @@ class TestKillAndResume:
         )
         assert len(document["cells"]) == 2
 
-        # A record of a kind the journal never writes cannot come from a
-        # kill: the next resume exits 2 with one line naming it.
+        # A record of a kind the journal never writes, or an entry for a
+        # cell the plan does not hold, cannot come from a kill: the next
+        # resume exits 2 with one line naming it.
         journal = out_dir / "sweep_cli-tiny.journal.jsonl"
-        journal.write_text(
-            journal.read_text().replace('"kind":"shard"', '"kind":"shart"')
-        )
-        code = main([
-            "sweep", str(tiny_spec_path), "--out", str(out_dir),
-            "--resume",
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and "line 2: malformed shart" in err
+        clean = journal.read_text()
+        for old, new, named in [
+            ('"kind":"shard"', '"kind":"shart"', "line 2: malformed shart"),
+            ("/s0/", "/s7/", "/s7/60s|0x1.e000000000000p+5' is not in"),
+        ]:
+            journal.write_text(clean.replace(old, new, 1))
+            code = main([
+                "sweep", str(tiny_spec_path), "--out", str(out_dir),
+                "--resume",
+            ])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.count("\n") == 1 and named in err
 
     def test_resume_without_out_exits_2(self, tiny_spec_path, capsys):
         assert main([
@@ -368,6 +372,15 @@ class TestServe:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "was never admitted" in err
+
+        # A window index past the stream's two windows: exit 2, one line,
+        # instead of retiring the stream with window 1 never served.
+        (out_dir / "session.jsonl").write_text(
+            after.replace('"index":1,"mode"', '"index":7,"mode"', 1)
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "window index 7 is outside" in err
 
     def test_multi_policy_spec_exits_2(self, tmp_path, capsys):
         spec = json.loads(json.dumps(TINY_SWEEP))

@@ -1,7 +1,7 @@
 """The journal file rule, for both journals: a kill may leave only a torn
 last line, resume cuts it, and any other damaged line is refused --
-including one that parses but names a record kind or a stream the
-journal never wrote.
+including one that parses but names a record kind, a cell, a stream or a
+window the journal never wrote.
 
 Each journal is written once with small synthetic records, then a copy is
 cut at every byte offset after its header, which is every state a kill
@@ -29,6 +29,10 @@ CELLS = [
     for seed in range(2)
 ]
 KEYS = [cell_key("float64", cell) for cell in CELLS]
+#: The cell a resumed sweep journal appends next.
+NEXT = SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", 9, 60.0)
+#: The sweep plan's keys: every cell journaled or appended below.
+PLAN = [*KEYS, cell_key("float64", NEXT)]
 SESSION_FP = session_fingerprint(PolicySet(FLOAT64), 60.0)
 
 
@@ -54,7 +58,7 @@ def sweep_state(journal: SweepJournal) -> tuple:
 
 def write_sweep(path) -> list:
     """A header and two shard records; the state after each line."""
-    journal = SweepJournal(path, "fp")
+    journal = SweepJournal(path, "fp", PLAN)
     states = [sweep_state(journal)]
     for seed, cell in enumerate(CELLS):
         with use_policy("float64"):
@@ -66,13 +70,12 @@ def write_sweep(path) -> list:
 
 
 def resume_sweep(path) -> SweepJournal:
-    return SweepJournal(path, "fp", resume=True)
+    return SweepJournal(path, "fp", PLAN, resume=True)
 
 
 def append_sweep(journal: SweepJournal) -> None:
-    cell = SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", 9, 60.0)
     with use_policy("float64"):
-        spec = make_shard_specs([cell], 1)[0]
+        spec = make_shard_specs([NEXT], 1)[0]
     outcome = CellOutcome(tiny_result(9))
     journal.record(spec, ShardResult(key=spec.key, outcomes=(outcome,)))
 
@@ -96,8 +99,8 @@ def write_session(path) -> list:
     steps = (
         lambda: journal.record_admit(KEYS[0], CELLS[0], "float64", 120.0,
                                      60.0),
-        lambda: journal.record_snapshot(KEYS[0], 0, {"v": 1, "pad": "x"}),
-        lambda: journal.record_window(KEYS[0], 0, "fresh", digest="d0",
+        lambda: journal.record_snapshot(KEYS[0], 1, {"v": 1, "pad": "x"}),
+        lambda: journal.record_window(KEYS[0], 1, "fresh", digest="d1",
                                       accuracy=0.5, frames=30),
         lambda: journal.record_cluster("c0", {"v": 1, "weights": [1, 2]}),
         lambda: journal.record_retire(KEYS[0], "complete"),
@@ -177,8 +180,9 @@ class TestEveryCut:
 
 
 class TestNamedDamage:
-    """A line that parses but names a record kind or a stream the journal
-    never wrote cannot come from a kill either, so it is refused too."""
+    """A line that parses but names a record kind, a cell, a stream or a
+    window the journal never wrote cannot come from a kill either, so it
+    is refused too."""
 
     @pytest.mark.parametrize(
         "name, index, old, new, refused, reason",
@@ -187,14 +191,19 @@ class TestNamedDamage:
              "unknown record kind 'shart'"),
             ("sweep", 2, b'"entries":', b'"entrees":', 3,
              "KeyError: 'entries'"),
+            # The entry's seed: a cell the resumed plan does not hold.
+            ("sweep", 1, b"/s0/", b"/s7/", 2, "is not in the plan"),
             # One hex digit of the admitted stream's key: the snapshot
             # on the next line names a stream that was never admitted.
             ("session", 1, b"0x1.e", b"0x1.f", 3, "was never admitted"),
             ("session", 4, b'"kind":"cluster"', b'"kind":"clusters"', 5,
              "unknown record kind 'clusters'"),
+            # The stream has two windows, 0 and 1.
+            ("session", 3, b'"index":1', b'"index":7', 4,
+             "window index 7 is outside the stream's 2 windows"),
         ],
-        ids=["sweep-kind", "sweep-entries", "session-admit-key",
-             "session-kind"],
+        ids=["sweep-kind", "sweep-entries", "sweep-foreign-key",
+             "session-admit-key", "session-kind", "session-window-index"],
     )
     def test_refused_naming_the_line(
         self, tmp_path, name, index, old, new, refused, reason
