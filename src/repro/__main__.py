@@ -199,16 +199,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.daemon import FleetService, ServiceConfig
 
     spec = load_spec(args.spec)
-    plan = compile_plan(spec)
-    policies = sorted({group.policy.name for group in plan.groups})
-    if len(policies) != 1:
-        # A session journal is pinned to one numeric policy (window
-        # digests are policy-scoped); a multi-policy grid is a sweep.
-        raise ConfigurationError(
-            "serve needs a single-policy spec, got policies "
-            f"{', '.join(policies)}; split the spec or use sweep"
-        )
-    cells = [cell for group in plan.groups for cell in group.cells]
+    (group,) = compile_plan(spec).groups
+    cells = list(group.cells)
     config = ServiceConfig(
         out_dir=args.out,
         window_s=args.window,
@@ -219,7 +211,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         degrade=not args.no_degrade,
         stay=args.stay,
     )
-    group = plan.groups[0]
     print(
         f"serving {len(cells)} stream(s) out={args.out} "
         f"speedup={args.speedup:g} window={args.window:g}s",
@@ -334,14 +325,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_serve = sub.add_parser(
         "serve",
-        help="resident fleet service: pace a single-policy spec's "
-             "streams in real time (windowed, with degradation and "
-             "crash-safe resume); restart on the same --out to resume",
+        help="resident fleet service: pace a spec's streams in real "
+             "time (windowed, with degradation and crash-safe resume); "
+             "restart on the same --out to resume",
     )
     p_serve.add_argument("spec", type=Path,
                          help="sweep spec file (.toml or .json) naming "
-                              "the streams; must compile to one numeric "
-                              "policy (see examples/fleet_service.toml)")
+                              "the streams (see "
+                              "examples/fleet_service.toml)")
     p_serve.add_argument("--out", type=Path, required=True, metavar="DIR",
                          help="service directory: session journal, final "
                               "state snapshot, and (queue backend) the "

@@ -10,17 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.numeric import active_policy
 
 __all__ = ["SampleBuffer"]
 
 
 class SampleBuffer:
     """Bounded store of teacher-labeled samples.
-
-    Features are stored in the numeric policy dtype active when the buffer
-    was built, so float32 stream windows are buffered (and later drawn for
-    retraining) without a round trip through float64.
 
     Args:
         capacity: ``Cb``, the maximum number of retained samples.
@@ -34,8 +29,7 @@ class SampleBuffer:
             raise ScheduleError("feature_dim must be >= 1")
         self.capacity = capacity
         self.feature_dim = feature_dim
-        self.dtype = active_policy().dtype
-        self._features = np.empty((0, feature_dim), dtype=self.dtype)
+        self._features = np.empty((0, feature_dim))
         self._labels = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -53,7 +47,7 @@ class SampleBuffer:
 
     def add(self, features: np.ndarray, labels: np.ndarray) -> None:
         """Append labeled samples, evicting the oldest beyond capacity."""
-        features = np.asarray(features, dtype=self.dtype)
+        features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if features.ndim != 2 or features.shape[1] != self.feature_dim:
             raise ScheduleError(
@@ -71,7 +65,7 @@ class SampleBuffer:
 
     def reset(self) -> None:
         """Discard every stored sample (drift response)."""
-        self._features = np.empty((0, self.feature_dim), dtype=self.dtype)
+        self._features = np.empty((0, self.feature_dim))
         self._labels = np.empty(0, dtype=np.int64)
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +86,9 @@ class SampleBuffer:
                 f"expected (n, {self.feature_dim}) features, "
                 f"got {features.shape}"
             )
-        if features.dtype != self.dtype:
+        if features.dtype != np.float64:
             raise ScheduleError(
-                f"expected {self.dtype} features, got {features.dtype}"
+                f"expected float64 features, got {features.dtype}"
             )
         if len(features) != len(labels):
             raise ScheduleError("features and labels must align")

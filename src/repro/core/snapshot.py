@@ -148,9 +148,14 @@ def decode_run_snapshot(
     """Validate and decode a snapshot for resuming a specific run.
 
     Raises :class:`SnapshotError` on any incompatibility -- wrong
-    version, policy, cell identity, an unaligned origin, or a clock past
-    the target duration.  Callers fall back to a prefix run.
+    version, policy, cell identity, an unaligned origin, a clock past
+    the target duration, or an RNG state a PCG64 generator refuses.
+    Callers fall back to a prefix run.
     """
+    if not isinstance(payload, dict):
+        raise SnapshotError(
+            f"malformed run snapshot: {type(payload).__name__}, not an object"
+        )
     try:
         version = payload.get("v")
         if version != SNAPSHOT_VERSION:
@@ -186,6 +191,9 @@ def decode_run_snapshot(
                 f"snapshot clock {clock:g}s is past the target duration "
                 f"{duration_s:g}s"
             )
+        # Load the RNG state into a throwaway generator, so a damaged state
+        # is refused here rather than when the run resumes.
+        np.random.PCG64(0).state = payload["rng"]
         idle_from = payload.get("idle_from")
         teacher = payload.get("teacher")
         buffer = payload["buffer"]
@@ -206,5 +214,7 @@ def decode_run_snapshot(
         )
     except SnapshotError:
         raise
-    except (KeyError, TypeError, ValueError, ScheduleError) as exc:
+    except (
+        KeyError, TypeError, ValueError, OverflowError, ScheduleError
+    ) as exc:
         raise SnapshotError(f"malformed run snapshot: {exc}")

@@ -366,6 +366,23 @@ class CLSystemBase:
             correct[lo:hi] = ok
 
 
+def _check_weights(owner: str, mlp, state) -> None:
+    """Refuse a snapshot weight state whose layers do not fit ``mlp``'s.
+
+    Every weight and bias must have the model's shape and dtype, so a
+    damaged state never reaches the model.
+    """
+    weights, biases = state
+    fits = len(weights) == len(biases) == mlp.num_layers and all(
+        got.shape == want.shape and got.dtype == want.dtype
+        for got, want in zip((*weights, *biases), (*mlp.weights, *mlp.biases))
+    )
+    if not fits:
+        raise SnapshotError(
+            f"{owner}: snapshot weights do not fit the model's layers"
+        )
+
+
 class RunExecution:
     """The run loop as a checkpointable state machine.
 
@@ -438,21 +455,37 @@ class RunExecution:
                 f"{system.name}: snapshot prefix covers {len(chk.correct)} "
                 f"frames but the stream has {prefix} before t={chk.clock:g}"
             )
+        if chk.correct.dtype != bool or chk.dropped.dtype != bool:
+            raise SnapshotError(
+                f"{system.name}: snapshot frame flags are not bool"
+            )
         if chk.clock > self.duration + 1e-9:
             raise SnapshotError(
                 f"{system.name}: snapshot clock {chk.clock:g}s is past the "
                 f"stream end {self.duration:g}s"
             )
+        if chk.teacher is not None and system.teacher is None:
+            raise SnapshotError(
+                f"{system.name}: snapshot carries teacher weights but "
+                f"the system has no teacher"
+            )
+        _check_weights(
+            f"{system.name} student", system.student.mlp, chk.student
+        )
+        if chk.teacher is not None:
+            _check_weights(
+                f"{system.name} teacher", system.teacher.mlp, chk.teacher
+            )
         system.student.restore(chk.student)
         if chk.teacher is not None:
-            if system.teacher is None:
-                raise SnapshotError(
-                    f"{system.name}: snapshot carries teacher weights but "
-                    f"the system has no teacher"
-                )
             system.teacher.mlp.restore(chk.teacher)
-        system.buffer.restore(chk.buffer_features, chk.buffer_labels)
-        system.restore_scheduler_state(chk.scheduler)
+        try:
+            system.buffer.restore(chk.buffer_features, chk.buffer_labels)
+            system.restore_scheduler_state(chk.scheduler)
+        except (ScheduleError, TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"{system.name}: malformed snapshot state: {exc}"
+            ) from exc
         self.rng = np.random.default_rng(
             (self.seed, zlib.crc32(system.name.encode()) & 0xFFFF)
         )

@@ -17,8 +17,8 @@ each stream once per key and shares it everywhere:
 The key covers everything the frames depend on: scenario name, the full
 segment schedule (domains + durations), the :class:`DomainModel` geometry
 (feature_dim, geometry_seed), fps, the stream seed, the active
-:class:`~repro.numeric.NumericPolicy` (float32 and float64 streams are
-distinct artifacts), and :data:`STREAM_CACHE_VERSION`.  The disk tier inherits the cache root from
+:class:`~repro.numeric.NumericPolicy`'s digest namespace, and
+:data:`STREAM_CACHE_VERSION`.  The disk tier inherits the cache root from
 :func:`repro.cache.cache_dir` (``$REPRO_CACHE_DIR``; empty value disables
 disk, keeping the LRU).  All disk failures are soft -- a missing, corrupt,
 or unwritable entry falls back to in-memory generation, which is
@@ -27,9 +27,9 @@ bit-identical.
 Layout of one entry::
 
     streams/<sha256 of the key>/
-        features.npy   # (n, feature_dim) policy dtype (float64/float32)
+        features.npy   # (n, feature_dim) float64
         labels.npy     # (n,) int64
-        times.npy      # (n,) float64 under every policy (index structure)
+        times.npy      # (n,) float64
         meta.json      # human-readable key fields (debugging only)
 
 Entries are content-deterministic, so concurrent writers race benignly:
@@ -51,7 +51,7 @@ import numpy as np
 from repro.cache import cache_dir, write_atomic
 from repro.data.stream import FrameWindow, ScenarioStream
 from repro.errors import ScenarioError
-from repro.numeric import NumericPolicy, active_policy
+from repro.numeric import active_policy
 
 __all__ = [
     "ArtifactStore",
@@ -63,38 +63,22 @@ __all__ = [
 ]
 
 #: Layout/key version of stream cache entries (bump on generator changes).
-#: v2: the numeric policy entered the key (float32/float64 entries are
-#: distinct artifacts with distinct digests and on-disk dtypes).
+#: v2: the numeric policy entered the key.
 STREAM_CACHE_VERSION = 2
 
-
-def _entry_arrays(policy: NumericPolicy) -> tuple[tuple[str, np.dtype], ...]:
-    """Array files of one entry with their expected dtypes under a policy.
-
-    Features follow the policy; timestamps are always float64 (they are
-    window-boundary index structure, see
-    :meth:`repro.data.stream.ScenarioStream._frame_times`).
-    """
-    return (
-        ("features", policy.dtype),
-        ("labels", np.dtype(np.int64)),
-        ("times", np.dtype(np.float64)),
-    )
+#: Array files of one entry with their dtypes.
+_ENTRY_ARRAYS = (
+    ("features", np.dtype(np.float64)),
+    ("labels", np.dtype(np.int64)),
+    ("times", np.dtype(np.float64)),
+)
 
 
-def stream_key(
-    stream: ScenarioStream, seed: int, policy: NumericPolicy | None = None
-) -> str:
-    """Hex digest covering every input the materialized frames depend on.
-
-    The active numeric policy's digest namespace is part of the key, so a
-    float32 stream and its float64 counterpart can never collide in the
-    LRU or on disk.
-    """
-    policy = policy or active_policy()
+def stream_key(stream: ScenarioStream, seed: int) -> str:
+    """Hex digest covering every input the materialized frames depend on."""
     parts = [
         f"v{STREAM_CACHE_VERSION}",
-        policy.digest_namespace,
+        active_policy().digest_namespace,
         stream.name,
         repr(float(stream.fps)),
         str(int(seed)),
@@ -133,14 +117,8 @@ class ArtifactStore:
         self._lock = threading.Lock()
 
     def get(self, stream: ScenarioStream, seed: int = 0) -> FrameWindow:
-        """The materialized stream, shared across callers of the same key.
-
-        The active numeric policy is part of the key (via
-        :func:`stream_key`), so requests under different policies resolve
-        to different windows even within one process.
-        """
-        policy = active_policy()
-        digest = stream_key(stream, seed, policy)
+        """The materialized stream, shared across callers of the same key."""
+        digest = stream_key(stream, seed)
         root = cache_dir()
         # The LRU key includes the disk root so repointing $REPRO_CACHE_DIR
         # (tests do, per-case) never serves windows from the old tier.
@@ -152,10 +130,10 @@ class ArtifactStore:
                 self.hits += 1
                 return window
             self.misses += 1
-        window = self._load(root, digest, stream, policy)
+        window = self._load(root, digest, stream)
         if window is None:
             window = stream.generate(seed)
-            stored = self._store(root, digest, stream, seed, window, policy)
+            stored = self._store(root, digest, stream, seed, window)
             if stored is not None:
                 window = stored
             else:
@@ -193,7 +171,6 @@ class ArtifactStore:
         root: Path | None,
         digest: str,
         stream: ScenarioStream,
-        policy: NumericPolicy,
     ) -> FrameWindow | None:
         """Memmap-open a disk entry, or None on any miss/corruption."""
         if root is None:
@@ -201,7 +178,7 @@ class ArtifactStore:
         entry = self._entry_dir(root, digest)
         arrays = {}
         try:
-            for name, dtype in _entry_arrays(policy):
+            for name, dtype in _ENTRY_ARRAYS:
                 arrays[name] = np.load(
                     entry / f"{name}.npy", mmap_mode="r"
                 )
@@ -227,7 +204,6 @@ class ArtifactStore:
         stream: ScenarioStream,
         seed: int,
         window: FrameWindow,
-        policy: NumericPolicy,
     ) -> FrameWindow | None:
         """Persist a generated stream; return its memmap-backed reopen.
 
@@ -244,7 +220,7 @@ class ArtifactStore:
         }
         try:
             entry.mkdir(parents=True, exist_ok=True)
-            for name, _ in _entry_arrays(policy):
+            for name, _ in _ENTRY_ARRAYS:
                 write_atomic(
                     entry / f"{name}.npy",
                     lambda handle, array=arrays[name]: np.save(
@@ -258,7 +234,7 @@ class ArtifactStore:
                 "num_frames": int(stream.num_frames),
                 "feature_dim": int(stream.model.feature_dim),
                 "geometry_seed": int(stream.model.geometry_seed),
-                "dtype": policy.name,
+                "dtype": "float64",
                 "version": STREAM_CACHE_VERSION,
             }
             write_atomic(
@@ -269,7 +245,7 @@ class ArtifactStore:
             )
         except OSError:
             return None
-        return self._load(root, digest, stream, policy)
+        return self._load(root, digest, stream)
 
 
 #: The process-wide store every ``ScenarioStream.materialize`` routes through.

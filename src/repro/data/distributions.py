@@ -44,7 +44,6 @@ from repro.data.attributes import (
     Weather,
 )
 from repro.errors import ScenarioError
-from repro.numeric import active_policy
 
 __all__ = ["DomainModel"]
 
@@ -180,19 +179,13 @@ class DomainModel:
     def class_means(self, domain: Domain) -> np.ndarray:
         """Per-class means in a domain, shape ``(num_classes, feature_dim)``.
 
-        Returned in the active :class:`~repro.numeric.NumericPolicy` dtype.
-        The geometry itself is always *built* in float64 (``expm``/``qr``
-        have no float32 benefit and the construction is shared), then cast
-        once per domain.  Results are cached per (time, location, weather,
-        dtype) since the label distribution does not affect the geometry
-        and one model may serve both policies within a process.
+        Results are cached per (time, location, weather) since the label
+        distribution does not affect the geometry.
         """
-        policy = active_policy()
-        key = (domain.time, domain.location, domain.weather, policy.name)
+        key = (domain.time, domain.location, domain.weather)
         cache: dict = self._means_cache
         if key not in cache:
-            means = self._means @ self.rotation(domain).T
-            cache[key] = means.astype(policy.dtype, copy=False)
+            cache[key] = self._means @ self.rotation(domain).T
         return cache[key]
 
     def sigma(self, domain: Domain) -> float:
@@ -240,26 +233,19 @@ class DomainModel:
         """Draw ``n`` labeled frames from a domain.
 
         Args:
-            out_features: Optional ``(n, feature_dim)`` buffer in the active
-                policy dtype the features are generated *into* (the batched
-                stream generator passes preallocated slices to skip the
+            out_features: Optional ``(n, feature_dim)`` float64 buffer the
+                features are generated *into* (the batched stream
+                generator passes preallocated slices to skip the
                 concatenation copy).
             out_labels: Optional ``(n,)`` int64 buffer for the labels.
 
         The randomness consumed -- one ``choice`` draw for the labels, one
         standard-normal block for the noise -- is identical with or without
-        the output buffers *and under every numeric policy*: labels use
-        float64 priors and the noise always comes from the float64 normal
-        stream.  Under float32 the draws are rounded once into the output
-        buffer, so a float32 stream is the same random realization as its
-        float64 counterpart to within one rounding -- which is what makes
-        per-cell accuracies directly comparable across policies (and the
-        0.5pp acceptance bound meaningful).
+        the output buffers.
 
         Returns:
-            ``(X, y)`` with ``X`` of shape ``(n, feature_dim)`` in the
-            policy dtype and integer labels ``y`` indexing
-            :data:`ALL_CLASSES`.
+            ``(X, y)`` with ``X`` of shape ``(n, feature_dim)`` and integer
+            labels ``y`` indexing :data:`ALL_CLASSES`.
         """
         if n < 0:
             raise ScenarioError("sample size must be non-negative")
@@ -271,18 +257,8 @@ class DomainModel:
         means = self.class_means(domain)
         sigma = self.sigma(domain)
         if out_features is None:
-            out_features = np.empty(
-                (n, self.feature_dim), dtype=active_policy().dtype
-            )
-        if out_features.dtype == np.float64:
-            rng.standard_normal(out=out_features)
-        else:
-            # Same float64 draws, cast once: keeps the realization shared
-            # across policies (the narrower buffer still halves what gets
-            # stored, shipped, and computed on downstream).
-            out_features[...] = rng.standard_normal(
-                size=out_features.shape
-            )
+            out_features = np.empty((n, self.feature_dim))
+        rng.standard_normal(out=out_features)
         if sigma != 1.0:
             out_features *= sigma
         out_features += means[labels]

@@ -4,11 +4,8 @@ Every frame reaches inference; only a sampled subset is labeled by the
 teacher and considered for retraining.  The paper's workload study sweeps
 sampling rates of 3/5/10% (Figure 3).
 
-Samplers are numeric-policy-neutral by design: they return int64 *indices*
-and consume only the integer/choice RNG stream, so the frames a run labels
-are identical under float64 and float32 policies -- windowing a stream in
-either dtype selects the same subsets (`FrameWindow.subset` then yields
-views in whatever dtype the stream carries).
+Samplers return int64 *indices* and consume only the integer/choice RNG
+stream (`FrameWindow.subset` then yields views of the sampled frames).
 """
 
 from __future__ import annotations

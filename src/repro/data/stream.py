@@ -23,7 +23,6 @@ import numpy as np
 from repro.data.attributes import Domain
 from repro.data.distributions import DomainModel
 from repro.errors import ScenarioError
-from repro.numeric import active_policy
 
 __all__ = ["Segment", "FrameWindow", "ScenarioStream"]
 
@@ -188,18 +187,11 @@ class ScenarioStream:
         Per-segment substreams are seeded from ``(seed, segment index)``, so
         a segment's content does not depend on how earlier segments consumed
         randomness.  Frames are generated directly into preallocated arrays
-        and timestamps are computed in one vectorized pass.  Features and
-        timestamps are carried in the active
-        :class:`~repro.numeric.NumericPolicy` dtype (labels are always
-        int64); under ``float32`` that halves the stream's memory and
-        artifact-store footprint.
+        and timestamps are computed in one vectorized pass.
         """
         counts = self._frame_counts
         total = self.num_frames
-        policy = active_policy()
-        features = np.empty(
-            (total, self.model.feature_dim), dtype=policy.dtype
-        )
+        features = np.empty((total, self.model.feature_dim))
         labels = np.empty(total, dtype=np.int64)
         position = 0
         for index, segment in enumerate(self.segments):
@@ -216,17 +208,7 @@ class ScenarioStream:
         return FrameWindow(features, labels, self._frame_times())
 
     def _frame_times(self) -> np.ndarray:
-        """All frame timestamps: per-segment ``start + arange(count)/fps``.
-
-        Always float64, under every numeric policy.  Timestamps are index
-        structure, not payload: phase windows are cut with ``searchsorted``
-        against float64 phase boundaries, and a timestamp that rounded
-        across a boundary in float32 would shift a frame between windows --
-        changing ``len(window)`` and thereby every subsequent random draw
-        of the run, which would make float32 accuracies incomparable to
-        float64 ones.  At 24 features per frame the bandwidth cost of one
-        float64 per frame is ~4%.
-        """
+        """All frame timestamps: per-segment ``start + arange(count)/fps``."""
         counts = np.asarray(self._frame_counts)
         ends = self._segment_ends
         starts = np.concatenate(([0.0], ends[:-1]))

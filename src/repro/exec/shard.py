@@ -145,9 +145,9 @@ def run_job(job: CellJob) -> CellOutcome:
     ``job.snapshot`` (window ``i``'s encoded safe point), only the
     stream-seconds past the snapshot's clock are simulated; the result is
     bit-identical to a full prefix run.  An *incompatible* snapshot --
-    wrong version, policy, cell identity, or an origin not aligned to the
-    stream's segment grid -- falls back to a full prefix run: slower,
-    never wrong.
+    wrong version, policy, cell identity, an origin not aligned to the
+    stream's segment grid, or state that does not fit the system -- falls
+    back to a full prefix run: slower, never wrong.
 
     With ``job.emit_snapshot``, the run's final safe point comes back
     encoded (None when the cell's duration is not segment-aligned, since

@@ -41,8 +41,8 @@ def format_table(rows: list[dict], floatfmt: str = ".3f") -> str:
 
     def fmt(value: object) -> str:
         # np.floating covers float32 scalars, which are not ``float``
-        # subclasses (float64 is) -- without it, float32-policy rows print
-        # raw numpy reprs instead of honoring floatfmt.
+        # subclasses (float64 is) -- without it, they print raw numpy
+        # reprs instead of honoring floatfmt.
         if isinstance(value, (float, np.floating)):
             return format(float(value), floatfmt)
         if value is None:

@@ -2,9 +2,11 @@
 
 The numeric dtype, cross-camera sharing, lockstep batching and the
 execution backend are each one :class:`Knob`, declared next to its values
-(README "Policies").  Also here: the parsers behind every count- and
-duration-like environment variable.  This module imports only
-:mod:`repro.errors`, so every layer can import it at module scope.
+(README "Policies"); the numeric knob declares one value, float64, and
+refuses every other spelling like any knob does.  Also here: the parsers
+behind every count- and duration-like environment variable.  This module
+imports only :mod:`repro.errors`, so every layer can import it at module
+scope.
 """
 
 from __future__ import annotations

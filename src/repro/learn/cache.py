@@ -8,11 +8,10 @@ pretraining is computed once per machine instead of once per process.
 
 Cache keys include :data:`repro.learn.train.TRAINER_VERSION`, this
 module's :data:`CACHE_VERSION`, and the active numeric policy's digest
-namespace (float32 and float64 pretrained weights are distinct entries),
-so stale entries are ignored (never migrated) whenever the pretraining
-numerics change.  Writes are atomic
-(temp file + rename), making concurrent writers race-safe: every writer
-produces byte-identical content, and readers only ever see complete files.
+namespace, so stale entries are ignored (never migrated) whenever the
+pretraining numerics change.  Writes are atomic (temp file + rename),
+making concurrent writers race-safe: every writer produces byte-identical
+content, and readers only ever see complete files.
 
 The cache location comes from :func:`repro.cache.cache_dir`
 (``$REPRO_CACHE_DIR`` when set, an empty value disabling caching entirely,
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 #: Layout/key version of the cache files themselves.  v2: the numeric
-#: policy's digest namespace entered the entry name, so float32 and
-#: float64 pretrained weights are distinct entries that can never collide.
+#: policy's digest namespace entered the entry name.
 CACHE_VERSION = 2
 
 
@@ -79,11 +77,10 @@ def _entry_path(
     safe_key = "".join(
         c if c.isalnum() or c in "._-" else "_" for c in pretrain_key
     )
-    policy = active_policy()
     name = (
         f"{role}-{model_name}-g{geometry_seed}-s{seed}"
         f"-v{CACHE_VERSION}-t{TRAINER_VERSION}"
-        f"-{policy.digest_namespace}-p{safe_key}.npz"
+        f"-{active_policy().digest_namespace}-p{safe_key}.npz"
     )
     return base / name
 
@@ -105,16 +102,15 @@ def load_pretrained(
     path = _entry_path(role, model_name, geometry_seed, seed, pretrain_key)
     if path is None:
         return None
-    dtype = active_policy().dtype
     try:
         with np.load(path) as data:
             num_layers = int(data["num_layers"])
             weights = [
-                np.ascontiguousarray(data[f"w{i}"], dtype=dtype)
+                np.ascontiguousarray(data[f"w{i}"], dtype=np.float64)
                 for i in range(num_layers)
             ]
             biases = [
-                np.ascontiguousarray(data[f"b{i}"], dtype=dtype)
+                np.ascontiguousarray(data[f"b{i}"], dtype=np.float64)
                 for i in range(num_layers)
             ]
     except (OSError, KeyError, ValueError, zipfile.BadZipFile):

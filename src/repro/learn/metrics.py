@@ -47,10 +47,9 @@ def windowed_accuracy(
     Returns:
         ``(window_starts, accuracies)``; windows without frames score 0.
     """
-    # Accumulation site: times/correct are deliberately upcast to float64
-    # under every numeric policy -- window binning must land float32 frame
-    # timestamps in the same windows as float64 ones, and the per-window
-    # bincount sums would lose counts past 2**24 frames at float32.
+    # Accumulation site: times/correct arrive as floats, ints or bools and
+    # are binned and summed in float64 (a float32 bincount sum would lose
+    # counts past 2**24 frames).
     times = np.asarray(times, dtype=np.float64)
     correct = np.asarray(correct, dtype=np.float64)
     if times.shape != correct.shape:
@@ -76,8 +75,8 @@ def windowed_accuracy(
 def geometric_mean(values: np.ndarray) -> float:
     """Geometric mean of positive values (Figure 9's gmean columns).
 
-    Accumulation site: always computed in float64 -- the log-mean-exp over
-    a float32 grid would wobble in the reported third decimal.
+    Accumulation site: always computed in float64, whatever dtype the
+    values arrive in.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:

@@ -35,7 +35,6 @@ from repro.learn.ops import (
 )
 from repro.learn.quantized import effective_quantize, quantize_operands
 from repro.mx import MXFormat
-from repro.numeric import active_policy
 
 __all__ = ["BatchedMLPBank", "MLPClassifier"]
 
@@ -69,34 +68,22 @@ class MLPClassifier:
         num_classes: int,
         rng: np.random.Generator,
     ) -> "MLPClassifier":
-        """He-initialized network ``input -> hidden... -> classes``.
-
-        Parameters are allocated in the active
-        :class:`~repro.numeric.NumericPolicy` dtype; the He draws consume
-        the same float64 random stream under every policy and are cast
-        once, so float32 initial weights are exactly the rounded float64
-        ones.
-        """
+        """He-initialized network ``input -> hidden... -> classes``."""
         if input_dim < 1 or num_classes < 2:
             raise ConfigurationError("invalid MLP dimensions")
-        dtype = active_policy().dtype
         dims = (input_dim, *hidden_sizes, num_classes)
         weights = [
-            he_init(dims[i], dims[i + 1], rng, dtype=dtype)
-            for i in range(len(dims) - 1)
+            he_init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
-        biases = [
-            np.zeros(dims[i + 1], dtype=dtype) for i in range(len(dims) - 1)
-        ]
+        biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
         return cls(weights=weights, biases=biases)
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype parameters and activations are carried in.
 
-        Fixed at construction from the then-active numeric policy; inputs
-        are cast to it on entry, so a model keeps computing at its own
-        precision even if the ambient policy later changes.
+        Float64 from :meth:`create`; a model built from arrays carries
+        theirs.  Inputs are cast to it on entry.
         """
         return self.weights[0].dtype
 
@@ -261,18 +248,6 @@ class MLPClassifier:
         """Independent copy of this model."""
         weights, biases = self.snapshot()
         return MLPClassifier(weights=weights, biases=biases)
-
-    def astype(self, dtype: np.dtype) -> "MLPClassifier":
-        """A copy carrying its parameters in ``dtype``.
-
-        How pretrained float64 weights get deployed under the float32
-        policy: one rounding at the precision boundary, exactly like
-        quantizing a cloud-trained model for the edge.
-        """
-        return MLPClassifier(
-            weights=[w.astype(dtype) for w in self.weights],
-            biases=[b.astype(dtype) for b in self.biases],
-        )
 
 
 class BatchedMLPBank:

@@ -54,24 +54,13 @@ def reset_dispatch() -> None:
 
 
 def he_init(
-    fan_in: int,
-    fan_out: int,
-    rng: np.random.Generator,
-    dtype: np.dtype | None = None,
+    fan_in: int, fan_out: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """He-normal weight initialization for ReLU networks.
-
-    The draw always consumes the float64 random stream (so the drawn
-    values -- before rounding -- are identical under every numeric policy)
-    and is then cast to ``dtype`` when one is given.
-    """
+    """He-normal weight initialization for ReLU networks."""
     if fan_in < 1 or fan_out < 1:
         raise ConfigurationError("fan_in and fan_out must be >= 1")
     scale = np.sqrt(2.0 / fan_in)
-    weights = rng.normal(scale=scale, size=(fan_in, fan_out))
-    if dtype is not None:
-        weights = weights.astype(dtype, copy=False)
-    return weights
+    return rng.normal(scale=scale, size=(fan_in, fan_out))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -98,9 +87,8 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of integer ``labels`` under ``logits``.
 
     The softmax/log run in the logits' dtype; the final mean accumulates
-    in float64 under every policy (a float32 sum over thousands of batch
-    losses would drift past test tolerances).  The 1e-12 clip floor is
-    exactly representable in float32, so it is policy-invariant.
+    in float64 whatever that dtype is, so the loss of a float32 model (one
+    built from float32 arrays) is not a float32 sum over the batch.
     """
     if len(logits) != len(labels):
         raise ConfigurationError("logits and labels must align")

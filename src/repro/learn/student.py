@@ -27,7 +27,6 @@ from repro.learn.mlp import MLPClassifier
 from repro.learn.train import TrainConfig, train_sgd
 from repro.models.zoo import get_proxy_config
 from repro.mx import MXFormat
-from repro.numeric import FLOAT64, active_policy, resolve_policy, use_policy
 from repro.share.runtime import active_cluster_runtime
 
 __all__ = ["StudentModel", "make_student"]
@@ -120,24 +119,10 @@ class StudentModel:
 
 @lru_cache(maxsize=None)
 def _pretrained_mlp(
-    model_name: str, geometry_seed: int, seed: int, policy_name: str
+    model_name: str, geometry_seed: int, seed: int
 ) -> MLPClassifier:
-    """The shared pretrained student per (model, geometry, seed, policy).
-
-    Pretraining is the *offline* step of the paper's workflow, so it always
-    runs at float64 regardless of the active policy -- the float32 student
-    is the float64-pretrained one cast once at deployment, exactly as a
-    cloud-trained model is quantized for the edge.  (It also keeps the two
-    policies' deployed weights within one rounding of each other, so their
-    runs are directly comparable instead of starting from independently
-    diverged pretrainings.)  ``policy_name`` keys the memo and the disk
-    entry; the disk tier stores the already-cast weights.
-    """
-    # The argument, not the ambient context, is the policy of record --
-    # re-install it so the disk-cache key and the returned dtype always
-    # agree with the memo key, whatever the caller's environment says.
-    with profiling.scope(profiling.PRETRAIN), use_policy(policy_name):
-        policy = resolve_policy(policy_name)
+    """The shared pretrained student per (model, geometry, seed)."""
+    with profiling.scope(profiling.PRETRAIN):
         cache_key = _pretrain_cache_key(model_name)
         cached = load_pretrained(
             "student", model_name, geometry_seed, seed, cache_key
@@ -149,26 +134,23 @@ def _pretrained_mlp(
         rng = np.random.default_rng(
             (seed, zlib.crc32(model_name.encode()) & 0xFFFF, 1)
         )
-        with use_policy(FLOAT64):
-            base_domain = Domain(labels=LabelDistribution.ALL)
-            x, y = domain_model.sample(base_domain, _PRETRAIN_SAMPLES, rng)
-            mlp = MLPClassifier.create(
-                domain_model.feature_dim,
-                config.hidden_sizes,
-                domain_model.num_classes,
-                rng,
-            )
-            train_sgd(
-                mlp, x, y,
-                TrainConfig(
-                    learning_rate=_PRETRAIN_LR,
-                    batch_size=_PRETRAIN_BATCH,
-                    epochs=_PRETRAIN_EPOCHS,
-                ),
-                rng,
-            )
-        if policy.dtype != mlp.dtype:
-            mlp = mlp.astype(policy.dtype)
+        base_domain = Domain(labels=LabelDistribution.ALL)
+        x, y = domain_model.sample(base_domain, _PRETRAIN_SAMPLES, rng)
+        mlp = MLPClassifier.create(
+            domain_model.feature_dim,
+            config.hidden_sizes,
+            domain_model.num_classes,
+            rng,
+        )
+        train_sgd(
+            mlp, x, y,
+            TrainConfig(
+                learning_rate=_PRETRAIN_LR,
+                batch_size=_PRETRAIN_BATCH,
+                epochs=_PRETRAIN_EPOCHS,
+            ),
+            rng,
+        )
         store_pretrained(
             "student", model_name, geometry_seed, seed, mlp, cache_key
         )
@@ -189,9 +171,7 @@ def make_student(
     """
     domain_model = domain_model or DomainModel()
     config = get_proxy_config(model_name)
-    mlp = _pretrained_mlp(
-        model_name, domain_model.geometry_seed, seed, active_policy().name
-    )
+    mlp = _pretrained_mlp(model_name, domain_model.geometry_seed, seed)
     cloned = mlp.clone()
     # Cross-camera sharing (opt-in): within a cluster, the first member's
     # pretrain becomes the cluster base and later members warm-start from

@@ -36,7 +36,6 @@ from repro.learn.mlp import MLPClassifier
 from repro.learn.train import TrainConfig, train_sgd
 from repro.models.zoo import get_proxy_config
 from repro.mx import MXFormat
-from repro.numeric import FLOAT64, active_policy, resolve_policy, use_policy
 
 __all__ = ["TeacherModel", "make_teacher", "pretraining_corpus"]
 
@@ -126,23 +125,10 @@ class TeacherModel:
 
 @lru_cache(maxsize=None)
 def _pretrained_mlp(
-    model_name: str, geometry_seed: int, seed: int, policy_name: str
+    model_name: str, geometry_seed: int, seed: int
 ) -> MLPClassifier:
-    """The shared pretrained teacher per (model, geometry, seed, policy).
-
-    Like the student, pretraining is offline work and always runs at
-    float64; the float32 teacher is the float64 one cast once at
-    deployment (cloud-pretrain, quantize, ship).  This matters doubly for
-    the teacher: its labels feed every retraining, so a natively-float32
-    pretrained teacher would disagree with the float64 one on whole
-    percents of samples and make cross-policy accuracy comparisons
-    meaningless.  ``policy_name`` keys the memo and the disk entry.
-    """
-    # The argument, not the ambient context, is the policy of record --
-    # re-install it so the disk-cache key and the returned dtype always
-    # agree with the memo key, whatever the caller's environment says.
-    with profiling.scope(profiling.PRETRAIN), use_policy(policy_name):
-        policy = resolve_policy(policy_name)
+    """The shared pretrained teacher per (model, geometry, seed)."""
+    with profiling.scope(profiling.PRETRAIN):
         cache_key = _pretrain_cache_key(model_name)
         cached = load_pretrained(
             "teacher", model_name, geometry_seed, seed, cache_key
@@ -154,27 +140,24 @@ def _pretrained_mlp(
         rng = np.random.default_rng(
             (seed, zlib.crc32(model_name.encode()) & 0xFFFF)
         )
-        with use_policy(FLOAT64):
-            x, y = pretraining_corpus(
-                domain_model, _PRETRAIN_SAMPLES_PER_DOMAIN, rng
-            )
-            mlp = MLPClassifier.create(
-                domain_model.feature_dim,
-                config.hidden_sizes,
-                domain_model.num_classes,
-                rng,
-            )
-            train_sgd(
-                mlp, x, y,
-                TrainConfig(
-                    learning_rate=_PRETRAIN_LR,
-                    batch_size=_PRETRAIN_BATCH,
-                    epochs=_PRETRAIN_EPOCHS,
-                ),
-                rng,
-            )
-        if policy.dtype != mlp.dtype:
-            mlp = mlp.astype(policy.dtype)
+        x, y = pretraining_corpus(
+            domain_model, _PRETRAIN_SAMPLES_PER_DOMAIN, rng
+        )
+        mlp = MLPClassifier.create(
+            domain_model.feature_dim,
+            config.hidden_sizes,
+            domain_model.num_classes,
+            rng,
+        )
+        train_sgd(
+            mlp, x, y,
+            TrainConfig(
+                learning_rate=_PRETRAIN_LR,
+                batch_size=_PRETRAIN_BATCH,
+                epochs=_PRETRAIN_EPOCHS,
+            ),
+            rng,
+        )
         store_pretrained(
             "teacher", model_name, geometry_seed, seed, mlp, cache_key
         )
@@ -197,9 +180,7 @@ def make_teacher(
     """
     domain_model = domain_model or DomainModel()
     config = get_proxy_config(model_name)
-    mlp = _pretrained_mlp(
-        model_name, domain_model.geometry_seed, seed, active_policy().name
-    )
+    mlp = _pretrained_mlp(model_name, domain_model.geometry_seed, seed)
     return TeacherModel(
         name=model_name,
         mlp=mlp.clone(),

@@ -72,10 +72,9 @@ def train_sgd(
 ) -> list[float]:
     """Train ``model`` in place; returns per-epoch mean losses.
 
-    The batch is cast once to the model's own dtype (set by the numeric
-    policy at model construction); per-epoch loss means accumulate in
-    float64 regardless of policy (they are Python floats from
-    :func:`~repro.learn.ops.cross_entropy_loss`).
+    The batch is cast once to the model's own dtype; per-epoch loss means
+    accumulate in float64 whatever that dtype is (they are Python floats
+    from :func:`~repro.learn.ops.cross_entropy_loss`).
 
     Under the batched executor a lane is installed on this thread and the
     call routes through the lockstep conductor, which either runs it as

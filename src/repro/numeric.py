@@ -1,31 +1,20 @@
-"""The numeric policy: one explicit dtype decision threaded everywhere.
+"""The numeric policy: the one host dtype every float-producing layer uses.
 
-Historically every float-producing layer hardcoded ``np.float64``.  That is
-the safe default -- all reference digests were frozen under it -- but it is
-also double the memory traffic and half the SIMD throughput the experiments
-could have on bandwidth-starved hosts (the same scarcity DaCapo itself is
-built around).  This module makes the dtype an explicit *policy* object:
-
-- :data:`FLOAT64` -- the default.  Bit-identical to the historical
-  behavior; the frozen reference digests in ``tests/reference/`` are
-  re-verified against it.
-- :data:`FLOAT32` -- the opt-in fast path (``REPRO_DTYPE=float32``).
-  Streams, proxy weights, and MX tensors are generated and carried in
-  float32; it has its *own* frozen reference digests and accuracy-delta
-  bounds against float64.
+:data:`FLOAT64` is the only policy.  The frozen reference digests in
+``tests/reference/`` are verified against it, and its name and
+``f64`` namespace are written into the shard wire, both journal
+fingerprints, run snapshots and the stream-artifact and pretrain cache
+keys.  The paper's precision flexibility is modelled on the simulated
+accelerator (MX formats), not by the host dtype.
 
 The policy is one :class:`~repro.knobs.Knob`, :data:`NUMERIC`
 (``REPRO_DTYPE``, default float64); README "Policies" gives its sweep-spec
-key and the resolution order every knob shares.
+key and the resolution order every knob shares.  A spelling it does not
+declare, ``float32`` included, raises
+:class:`~repro.errors.ConfigurationError`.
 
-Layering contract: the *data-producing* layers (streams, proxy models,
-buffers, caches) consult :func:`active_policy` when they allocate, and from
-then on arrays are self-describing -- the MX kernels and the accelerator
-functional models are policy-free and simply preserve whatever float dtype
-reaches them (:func:`ensure_float`).  Reductions that would drift past test
-tolerances in float32 (loss means, SQNR statistics, windowed-accuracy
-accumulation, geometric means) accumulate in float64 regardless of policy;
-each such site is documented where it lives.
+The MX kernels and the accelerator functional models are policy-free:
+they preserve whatever float dtype reaches them (:func:`ensure_float`).
 """
 
 from __future__ import annotations
@@ -38,7 +27,6 @@ from repro.knobs import Knob
 
 __all__ = [
     "DTYPE_ENV",
-    "FLOAT32",
     "FLOAT64",
     "NUMERIC",
     "POLICIES",
@@ -59,36 +47,20 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Every dtype-dependent constant, resolved once and threaded through.
+    """The host dtype and the names it is written under.
 
     Attributes:
-        name: Canonical policy name (``"float64"`` / ``"float32"``) -- the
-            value ``REPRO_DTYPE`` takes and the token cache keys embed.
+        name: Canonical policy name (``"float64"``) -- the value
+            ``REPRO_DTYPE`` takes and the name the wire, the journals and
+            the snapshots carry.
         dtype: The numpy dtype streams, weights, and activations carry.
-        atol: Absolute tolerance for closeness assertions at this precision.
-        rtol: Relative tolerance for closeness assertions at this precision.
         digest_namespace: Short token namespacing content-addressed cache
-            keys and reference-digest files, so float32 and float64
-            artifacts can never collide.
+            keys and reference-digest files.
     """
 
     name: str
     dtype: np.dtype
-    atol: float
-    rtol: float
     digest_namespace: str
-
-    def asarray(self, values) -> np.ndarray:
-        """``values`` as an array of the policy dtype (no copy if already)."""
-        return np.asarray(values, dtype=self.dtype)
-
-    def empty(self, shape) -> np.ndarray:
-        """An uninitialized array of the policy dtype."""
-        return np.empty(shape, dtype=self.dtype)
-
-    def zeros(self, shape) -> np.ndarray:
-        """A zero array of the policy dtype."""
-        return np.zeros(shape, dtype=self.dtype)
 
     def __str__(self) -> str:
         return self.name
@@ -97,17 +69,7 @@ class NumericPolicy:
 FLOAT64 = NumericPolicy(
     name="float64",
     dtype=np.dtype(np.float64),
-    atol=1e-9,
-    rtol=1e-9,
     digest_namespace="f64",
-)
-
-FLOAT32 = NumericPolicy(
-    name="float32",
-    dtype=np.dtype(np.float32),
-    atol=1e-4,
-    rtol=1e-4,
-    digest_namespace="f32",
 )
 
 #: The numeric knob, with its accepted spellings (environment values, CLI
@@ -123,11 +85,6 @@ NUMERIC = Knob(
         "f64": FLOAT64,
         "64": FLOAT64,
         "double": FLOAT64,
-        "float32": FLOAT32,
-        "fp32": FLOAT32,
-        "f32": FLOAT32,
-        "32": FLOAT32,
-        "single": FLOAT32,
     },
 )
 
@@ -143,7 +100,7 @@ def ensure_float(values) -> np.ndarray:
     """``values`` as a float32/float64 array, preserving which one it is.
 
     The dtype-polymorphic layers (MX kernels, DPE functional model) accept
-    either policy dtype without silently upcasting float32 work to float64;
+    either float dtype without silently upcasting float32 work to float64;
     non-float inputs (ints, bools, lists) are cast to float64, matching the
     historical behavior for those call sites.
     """

@@ -1,16 +1,12 @@
-"""Frozen reference digests: the bit-identity contract per numeric policy.
+"""Frozen reference digests: the bit-identity contract.
 
 A *reference digest* is a sha256 over everything a :class:`RunResult`'s
 consumers can observe -- frame timestamps, per-frame correctness and drop
 flags, and the full phase trace -- so two runs share a digest iff they are
-bit-identical.  Each :class:`~repro.numeric.NumericPolicy` owns one frozen
-digest file (``tests/reference/digests_<policy>.json``):
-
-- ``digests_float64.json`` was generated on the tree *before* the numeric-
-  policy refactor; the default policy must keep matching it forever (the
-  refactor changed no float64 bits).
-- ``digests_float32.json`` freezes the opt-in fast path, proving float32
-  runs are deterministic across processes, runs, and worker counts.
+bit-identical.  The numeric policy's frozen digest file is
+``tests/reference/digests_float64.json``.  It was generated on the tree
+*before* the numeric-policy refactor, and runs must keep matching it
+forever.
 
 Sections, by cost:
 
@@ -20,17 +16,13 @@ Sections, by cost:
   2 scenarios x 2 seeds at 600 s, the full-length 1200 s DaCapo cell, and
   4 raw streams); checked when ``REPRO_FULL_DIGESTS=1``.
 - ``fig9`` -- per-cell digests *and accuracies* of the full Figure 9 grid
-  (108 cells at 1200 s).  The stored accuracies back the float32
-  acceptance bound: every cell within :data:`FIG9_ACCURACY_BOUND_PP`
-  percentage points of its float64 counterpart.
+  (108 cells at 1200 s).
 
-Regenerate a policy's file with::
+Recompute sections into another file to compare with the checked-in one,
+which is never overwritten::
 
-    PYTHONPATH=src REPRO_DTYPE=float32 python -m repro.reference \
-        --out tests/reference/digests_float32.json
-
-(only ever regenerate the float32 file after an intentional numerics
-change; the float64 file is the pre-refactor ground truth).
+    PYTHONPATH=src python -m repro.reference --sections smoke \
+        --out new_digests.json
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ from repro.exec.run import run_cells
 from repro.numeric import active_policy
 
 __all__ = [
-    "FIG9_ACCURACY_BOUND_PP",
     "REFERENCE_VERSION",
     "compute_section",
     "reference_cells",
@@ -62,10 +53,6 @@ __all__ = [
 
 #: Schema version of the digest files.
 REFERENCE_VERSION = 1
-
-#: Maximum per-cell |accuracy(float32) - accuracy(float64)| on the full
-#: Figure 9 grid, in percentage points (acceptance bound).
-FIG9_ACCURACY_BOUND_PP = 0.5
 
 _SMOKE_SYSTEMS = (
     "OrinLow-Ekya",

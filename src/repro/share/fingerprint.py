@@ -7,14 +7,14 @@ correlated content.  Two sources:
 - :func:`schedule_fingerprint` -- for streams with a known scenario, the
   domain schedule itself.  ``build_scenario`` seeds its flips from the
   scenario's *own* registry seed (``data/scenarios._SPECS``), never from
-  the cell seed or the numeric policy, so the fingerprint is a pure
-  function of (scenario name, duration): identical across processes, jobs
-  counts, numeric policies, and camera seeds.  It is also cheap -- the
-  schedule is built without materializing a single frame.
+  the cell seed, so the fingerprint is a pure function of (scenario name,
+  duration): identical across processes, jobs counts, and camera seeds.
+  It is also cheap -- the schedule is built without materializing a
+  single frame.
 - :func:`feature_fingerprint` -- for streams without a known schedule, a
   per-segment feature-statistics signature: segment feature means are
   accumulated in float64 and quantized onto a coarse grid before hashing,
-  so float32 and float64 materializations of the same stream agree.
+  so rounding-level differences in the features never change a token.
 
 Distance between fingerprints is the fraction of aligned segments whose
 tokens differ (length mismatches count as differing), in [0, 1].
@@ -37,10 +37,10 @@ __all__ = [
     "schedule_fingerprint",
 ]
 
-#: Quantization grid for feature-statistics tokens.  Coarse enough that the
-#: ~1e-7 float32/float64 divergence of a segment mean can essentially never
-#: move a value across a bin edge; fine enough to separate the synthetic
-#: domain geometries (which shift class centers by O(1)).
+#: Quantization grid for feature-statistics tokens.  Coarse enough that
+#: rounding noise in a segment mean can essentially never move a value
+#: across a bin edge; fine enough to separate the synthetic domain
+#: geometries (which shift class centers by O(1)).
 _FEATURE_GRID = 0.25
 
 
@@ -94,8 +94,8 @@ def feature_fingerprint(
     """A feature-statistics fingerprint for a stream with no known schedule.
 
     Per segment, the feature mean vector is accumulated in float64 and
-    snapped to a coarse grid before hashing, so the token survives numeric
-    policy changes; empty segments hash to a fixed sentinel.
+    snapped to a coarse grid before hashing, so the token survives
+    rounding-level differences; empty segments hash to a fixed sentinel.
     """
     features = np.asarray(features, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)

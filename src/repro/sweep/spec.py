@@ -245,7 +245,7 @@ def _check_axis_values(axis: str, values: tuple, source: str) -> tuple:
 def _canonical_match_value(axis: str, value):
     """Normalize a match value the way its axis' own values normalize.
 
-    Policy aliases become canonical names ("f32" -> "float32"; an
+    Policy aliases become canonical names ("fp64" -> "float64"; an
     unresolvable alias is left as-is for the never-fires check to report)
     and numeric durations become floats, so matches compare equal to the
     canonicalized axis values they target.

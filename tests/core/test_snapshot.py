@@ -287,6 +287,18 @@ class TestIncrementalFallbacks:
         result, _ = run_incremental(longer, snapshot=bad)
         assert run_digest(result) == run_digest(run_cell(longer))
 
+    def test_non_bool_frame_flags_fall_back_to_prefix(self):
+        # Flags cast into the bool prefix would resume a different run.
+        cell = SystemCell("DaCapo-Spatiotemporal", PAIR, "S4", 0, 120.0)
+        _, snapshot = run_incremental(cell, emit_snapshot=True)
+        bad = json.loads(json.dumps(snapshot))
+        correct = decode_array(bad["correct"])
+        assert len(correct)
+        bad["correct"] = encode_array(np.full(len(correct), 0.5))
+        longer = replace(cell, duration_s=180.0)
+        result, _ = run_incremental(longer, snapshot=bad)
+        assert run_digest(result) == run_digest(run_cell(longer))
+
     def test_corrupt_weights_fall_back_to_prefix(self):
         # Decode succeeds but restore blows up mid-way: the run must be
         # rebuilt fresh, not resumed from half-restored state.
@@ -297,6 +309,74 @@ class TestIncrementalFallbacks:
         corrupt["correct"] = encode_array(np.zeros(3, dtype=bool))
         result, _ = run_incremental(longer, snapshot=corrupt)
         assert run_digest(result) == run_digest(run_cell(longer))
+
+
+def _set(path, value):
+    """A damage that sets ``path`` (keys and indices) to ``value(old)``."""
+    def damage(payload):
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value(target[last])
+        return payload
+    return damage
+
+
+class TestDamagedSnapshots:
+    """A damaged snapshot falls back to the prefix run instead of raising.
+
+    A 60 s snapshot resumes the same run to 120 s.  Each damage but the
+    last once raised out of ``run_job``; the last is a snapshot from a
+    session run under the removed float32 policy.
+    """
+
+    CELL = SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 60.0)
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        _, snapshot = run_incremental(self.CELL, emit_snapshot=True)
+        assert snapshot is not None
+        return snapshot
+
+    @pytest.fixture(scope="class")
+    def prefix_digest(self):
+        return run_digest(run_cell(replace(self.CELL, duration_s=120.0)))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: [payload],
+            _set(["rng"], lambda rng: {
+                key: value for key, value in rng.items() if key != "state"
+            }),
+            _set(["rng", "bit_generator"], lambda _: "MT19937"),
+            _set(["rng"], lambda _: "PCG64"),
+            _set(["student", "weights", 0, "shape"], lambda s: s[::-1]),
+            _set(["student", "weights"], lambda weights: weights[:-1]),
+            _set(["buffer", "features"], lambda _: encode_array(
+                np.zeros((0, 3))
+            )),
+            _set(["scheduler", "used"], lambda _: "x"),
+            _set(["policy"], lambda _: "float32"),
+        ],
+        ids=[
+            "payload-is-a-list",
+            "rng-without-state",
+            "rng-mt19937",
+            "rng-is-a-string",
+            "student-weight-transposed",
+            "student-one-layer-short",
+            "buffer-features-too-narrow",
+            "scheduler-value-not-a-number",
+            "policy-float32",
+        ],
+    )
+    def test_falls_back_to_prefix(self, snapshot, prefix_digest, damage):
+        damaged = damage(json.loads(json.dumps(snapshot)))
+        longer = replace(self.CELL, duration_s=120.0)
+        result, _ = run_incremental(longer, snapshot=damaged)
+        assert run_digest(result) == prefix_digest
 
 
 class TestEncodeIdentity:

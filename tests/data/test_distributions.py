@@ -5,7 +5,6 @@ import pytest
 
 from repro.data import Domain, DomainModel, LabelDistribution, Location, TimeOfDay, Weather
 from repro.errors import ScenarioError
-from repro.numeric import use_policy
 
 MODEL = DomainModel()
 
@@ -23,15 +22,10 @@ class TestGeometry:
         assert not np.allclose(day, night)
 
     def test_rotations_compose_multiplicatively(self):
-        # The composition identity is a float64 geometry property; pin the
-        # policy so the means are not pre-rounded by an ambient float32.
-        with use_policy("float64"):
-            both = MODEL.class_means(
-                Domain().with_(
-                    time=TimeOfDay.NIGHT, location=Location.HIGHWAY
-                )
-            )
-            base = MODEL.class_means(Domain())
+        both = MODEL.class_means(
+            Domain().with_(time=TimeOfDay.NIGHT, location=Location.HIGHWAY)
+        )
+        base = MODEL.class_means(Domain())
         r_night = MODEL.rotation(Domain().with_(time=TimeOfDay.NIGHT))
         r_highway = MODEL.rotation(Domain().with_(location=Location.HIGHWAY))
         # rotation() applies night first, then highway: R = R_hwy @ R_night.
@@ -44,11 +38,9 @@ class TestGeometry:
         )
 
     def test_rotations_preserve_pairwise_distances(self):
-        # The core difficulty-preservation property of the drift design
-        # (checked at float64; float32 means are these rounded once).
-        with use_policy("float64"):
-            base = MODEL.class_means(Domain())
-            night = MODEL.class_means(Domain().with_(time=TimeOfDay.NIGHT))
+        # The core difficulty-preservation property of the drift design.
+        base = MODEL.class_means(Domain())
+        night = MODEL.class_means(Domain().with_(time=TimeOfDay.NIGHT))
         dist = lambda m: np.linalg.norm(m[:, None] - m[None, :], axis=-1)
         np.testing.assert_allclose(dist(base), dist(night), atol=1e-9)
 

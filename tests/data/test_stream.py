@@ -12,7 +12,6 @@ from repro.data import (
     build_scenario,
 )
 from repro.errors import ScenarioError
-from repro.numeric import use_policy
 
 
 def two_segment_stream() -> ScenarioStream:
@@ -123,30 +122,12 @@ def per_segment_generate(stream: ScenarioStream, seed: int):
 
 class TestGenerateReference:
     def test_matches_the_per_segment_generator(self):
-        # Exact at float64; at float32 the same draws rounded once.
         stream = build_scenario("S4", duration_s=300.0)
-        with use_policy("float64"):
-            features, labels, times = per_segment_generate(stream, 0)
-            exact = stream.generate(0)
-        with use_policy("float32"):
-            rounded = stream.generate(0)
+        features, labels, times = per_segment_generate(stream, 0)
+        exact = stream.generate(0)
         np.testing.assert_array_equal(exact.features, features)
-        np.testing.assert_allclose(
-            rounded.features, features.astype(np.float32),
-            rtol=1e-5, atol=1e-5,
-        )
-        for window in (exact, rounded):
-            np.testing.assert_array_equal(window.labels, labels)
-            np.testing.assert_array_equal(window.times, times)
-
-        # Features halve; int64 labels and float64 times do not.
-        def nbytes(window):
-            return sum(
-                array.nbytes
-                for array in (window.features, window.labels, window.times)
-            )
-
-        assert nbytes(exact) > 1.7 * nbytes(rounded)
+        np.testing.assert_array_equal(exact.labels, labels)
+        np.testing.assert_array_equal(exact.times, times)
 
 
 class TestFrameWindow:

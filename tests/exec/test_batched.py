@@ -35,7 +35,6 @@ from repro.exec.shard import (
     batch_signature,
     cell_key,
     execute_shard,
-    make_shard_specs,
     note_shard_observation,
     observed_cost,
     plan_shards,
@@ -169,20 +168,6 @@ class TestPlanner:
         assert batch_signature(CELLS[0]) == ("system", "resnet18_wrn50")
         # System, scenario, seed, duration are deliberately ignored.
         assert batch_signature(CELLS[0]) == batch_signature(CELLS[2])
-
-    def test_mixed_policies_never_share_a_batch_key(self):
-        # A spec carries one numeric policy and its key folds the policy
-        # in: cells under different policies never co-batch.
-        with use_batching(ON):
-            with use_policy("float64"):
-                (f64,) = make_shard_specs(CELLS, 1)
-            with use_policy("float32"):
-                (f32,) = make_shard_specs(CELLS, 1)
-        assert f64.cells == f32.cells == tuple(CELLS)
-        assert (f64.policies.numeric.name, f32.policies.numeric.name) == (
-            "float64", "float32"
-        )
-        assert f64.key != f32.key
 
     def test_off_path_plan_is_historical(self):
         shards = plan_shards(CELLS, 1)

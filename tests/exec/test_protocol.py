@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.batching import ON
 from repro.errors import ProtocolError
 from repro.exec import (
     CellJob,
@@ -19,8 +20,9 @@ from repro.exec import (
 from repro.exec import protocol
 from repro.core.phases import PhaseKind, PhaseRecord
 from repro.core.results import RunResult
-from repro.numeric import FLOAT32
+from repro.numeric import FLOAT64
 from repro.reference import run_digest
+from repro.share.policy import CLUSTER
 
 
 def synthetic_result(dtype=np.float64) -> RunResult:
@@ -140,7 +142,7 @@ class TestShardMessages:
                 ),
             ),
             indices=(5,),
-            policies=PolicySet(FLOAT32),
+            policies=PolicySet(FLOAT64, CLUSTER, ON),
             profile=True,
             cache_root="/tmp/cache",
         )
@@ -152,7 +154,7 @@ class TestShardMessages:
         )
         assert decoded.key == "abc123"
         assert decoded.cells == self.spec().cells
-        assert decoded.policies == PolicySet(FLOAT32)
+        assert decoded.policies == PolicySet(FLOAT64, CLUSTER, ON)
         assert decoded.profile is True
         assert decoded.cache_root == "/tmp/cache"
         # Worker-side indices are synthetic; the parent keeps the real ones.
@@ -213,12 +215,13 @@ class TestShardMessages:
             ("sharing", ["x"]),
             ("sharing", "on"),
             ("batch", True),
+            ("policy", "float32"),
         ],
     )
     def test_scalar_fields_are_refused_not_coerced(self, field, value):
-        # A wrong-typed scalar or a policy alias is a malformed message:
-        # the decoder never repairs it into something the parent did not
-        # send.
+        # A wrong-typed scalar, a policy alias or an undeclared policy is
+        # a malformed message: the decoder never repairs it into something
+        # the parent did not send.
         request = protocol.encode_shard_request(self.spec())
         request[field] = value
         with pytest.raises(ProtocolError, match=field):

@@ -215,7 +215,7 @@ SCALAR_FIELDS = {
     st.sampled_from(sorted(SCALAR_FIELDS)),
     json_values | st.sampled_from(
         [value.name for knob in POLICY_KNOBS.values() for value in knob.values]
-        + ["f32", "on", "yes", "FLOAT32"]
+        + ["float32", "fp64", "on", "yes", "FLOAT64"]
     ),
 )
 @settings(max_examples=300, deadline=None)

@@ -23,8 +23,9 @@ from repro.exec import (
     make_shard_specs,
 )
 from repro.exec.faults import FaultEntry, FaultPlan, save_plan
-from repro.numeric import FLOAT32, use_policy
+from repro.numeric import use_policy
 from repro.reference import run_digest
+from repro.share.policy import CLUSTER, use_sharing
 
 
 def tiny_result(seed: int = 0) -> RunResult:
@@ -283,11 +284,11 @@ class TestMakeShardSpecs:
             SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S1", 0, 60.0),
             SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S4", 0, 60.0),
         ]
-        with use_policy("float32"):
+        with use_sharing(CLUSTER):
             specs = make_shard_specs(
                 cells, 2, profile=True, cache_root="/tmp/somewhere"
             )
-        assert all(spec.policies.numeric is FLOAT32 for spec in specs)
+        assert all(spec.policies.sharing is CLUSTER for spec in specs)
         assert all(spec.profile for spec in specs)
         assert all(spec.cache_root == "/tmp/somewhere" for spec in specs)
         covered = sorted(i for spec in specs for i in spec.indices)
@@ -297,15 +298,6 @@ class TestMakeShardSpecs:
         first = specs_for(3, jobs=1)
         again = specs_for(3, jobs=1)
         assert [s.key for s in first] == [s.key for s in again]
-        # A different policy is a different identity.
-        cells = [
-            SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S1", 0, 60.0)
-        ]
-        with use_policy("float64"):
-            f64 = make_shard_specs(cells, 1)[0].key
-        with use_policy("float32"):
-            f32 = make_shard_specs(cells, 1)[0].key
-        assert f64 != f32
 
 
 #: The plan :meth:`TestSweepJournal.entry` journals into: its one cell.

@@ -27,15 +27,24 @@ from repro.mx import MX6, MX9
 K = 4
 
 
+def cast(model, dtype):
+    """A model built from ``model``'s parameters cast to ``dtype``."""
+    return MLPClassifier(
+        weights=[w.astype(dtype) for w in model.weights],
+        biases=[b.astype(dtype) for b in model.biases],
+    )
+
+
 def make_models(k=K, in_dim=6, hidden=(8,), classes=3, dtype=np.float64):
-    models = []
-    for seed in range(k):
-        rng = np.random.default_rng(100 + seed)
-        model = MLPClassifier.create(in_dim, hidden, classes, rng)
-        if dtype is not np.float64:
-            model = model.astype(dtype)
-        models.append(model)
-    return models
+    return [
+        cast(
+            MLPClassifier.create(
+                in_dim, hidden, classes, np.random.default_rng(100 + seed)
+            ),
+            dtype,
+        )
+        for seed in range(k)
+    ]
 
 
 def make_batches(k=K, n=32, in_dim=6, classes=3):
@@ -120,7 +129,7 @@ class TestBatchedBankForward:
         with pytest.raises(ConfigurationError):
             BatchedMLPBank([a, b])
         with pytest.raises(ConfigurationError):
-            BatchedMLPBank([a.astype(np.float64), a.astype(np.float32)])
+            BatchedMLPBank([a, cast(a, np.float32)])
         with pytest.raises(ConfigurationError):
             BatchedMLPBank([])
 

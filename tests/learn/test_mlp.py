@@ -65,12 +65,7 @@ class TestForward:
 class TestTrainStep:
     def test_gradient_check_through_network(self):
         # Numerically verify dLoss/dW for every parameter of a tiny net.
-        # Finite differences at eps=1e-6 need float64 parameters, so pin
-        # the policy rather than inherit an ambient float32.
-        from repro.numeric import use_policy
-
-        with use_policy("float64"):
-            mlp = MLPClassifier.create(3, (4,), 3, np.random.default_rng(4))
+        mlp = MLPClassifier.create(3, (4,), 3, np.random.default_rng(4))
         x = np.random.default_rng(5).normal(size=(5, 3))
         y = np.array([0, 1, 2, 0, 1])
 

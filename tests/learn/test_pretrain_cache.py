@@ -75,9 +75,9 @@ class TestDiskCache:
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         student_mod._pretrained_mlp.cache_clear()
-        cold = student_mod._pretrained_mlp("resnet18", 0, 1234, "float64")
+        cold = student_mod._pretrained_mlp("resnet18", 0, 1234)
         student_mod._pretrained_mlp.cache_clear()
-        warm = student_mod._pretrained_mlp("resnet18", 0, 1234, "float64")
+        warm = student_mod._pretrained_mlp("resnet18", 0, 1234)
         for a, b in zip(cold.weights, warm.weights):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(cold.biases, warm.biases):

@@ -7,13 +7,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec import protocol
 from repro.exec.shard import PolicySet, SystemCell, cell_key
-from repro.numeric import FLOAT32, FLOAT64
+from repro.numeric import FLOAT64
 from repro.service.degrade import DegradeLevel, Transition
 from repro.service.session import (
     SessionJournal,
     session_fingerprint,
     session_path,
 )
+from repro.share.policy import CLUSTER
 
 F64 = PolicySet(FLOAT64)
 FP = session_fingerprint(F64, 60.0)
@@ -28,7 +29,7 @@ def make(tmp_path, resume=False):
 class TestFingerprint:
     def test_pins_policy_and_window(self):
         assert session_fingerprint(F64, 60.0) != session_fingerprint(
-            PolicySet(FLOAT32), 60.0
+            PolicySet(FLOAT64, CLUSTER), 60.0
         )
         assert session_fingerprint(F64, 60.0) != session_fingerprint(
             F64, 30.0

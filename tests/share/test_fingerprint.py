@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.exec.shard import SystemCell
-from repro.numeric import FLOAT32, FLOAT64, use_policy
+from repro.numeric import NUMERIC, use_policy
 from repro.share.fingerprint import (
     cell_fingerprint,
     feature_fingerprint,
@@ -45,7 +45,7 @@ class TestScheduleFingerprint:
         digests = {cell_fingerprint(cell).digest() for cell in cells}
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("policy", [FLOAT64, FLOAT32], ids=lambda p: p.name)
+    @pytest.mark.parametrize("policy", NUMERIC.values, ids=lambda p: p.name)
     def test_numeric_policy_independent(self, policy):
         baseline = schedule_fingerprint("ES1", 180.0).digest()
         with use_policy(policy):

@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.core import Fig2Cell, SystemCell
+from repro.errors import ConfigurationError
 from repro.experiments.fig2 import FIG2_KINDS, FIG2_PAIRS, FIG2_PLATFORMS
 from repro.experiments.fig9 import FIG9_PAIRS, FIG9_SCENARIOS, FIG9_SYSTEMS
 from repro.numeric import use_policy
@@ -91,19 +94,23 @@ class TestPolicies:
             "systems": ["DaCapo-Spatiotemporal"],
             "pairs": ["resnet18_wrn50"],
             "scenarios": ["S1"],
-            "policies": ["float64", "float32"],
         }
+        ambient = compile_plan(make_spec(axes=data_axes))
+        data_axes["policies"] = ["fp64"]
         plan = compile_plan(make_spec(axes=data_axes))
-        assert [g.policy.name for g in plan.groups] == [
-            "float64", "float32"
-        ]
-        assert plan.groups[0].cells == plan.groups[1].cells
+        assert [g.policy.name for g in plan.groups] == ["float64"]
+        assert plan.groups[0].cells == ambient.groups[0].cells
 
-    def test_ambient_policy_resolved_at_plan_time(self):
+    def test_ambient_policy_resolved_at_plan_time(self, monkeypatch):
+        # The spec loads whatever the environment says; compiling it
+        # reads REPRO_DTYPE and refuses an undeclared policy.
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
         spec = make_spec()
-        with use_policy("float32"):
+        with pytest.raises(ConfigurationError, match="'float32'"):
+            compile_plan(spec)
+        with use_policy("float64"):
             plan = compile_plan(spec)
-        assert [g.policy.name for g in plan.groups] == ["float32"]
+        assert [g.policy.name for g in plan.groups] == ["float64"]
 
 
 class TestExamples:
@@ -132,19 +139,15 @@ class TestExamples:
         assert group.cells == expected
 
     def test_fleet_smoke_example(self):
-        spec = load_spec(EXAMPLES / "fleet_smoke.toml")
-        plan = compile_plan(spec)
-        assert [g.policy.name for g in plan.groups] == [
-            "float64", "float32"
-        ]
-        # The override shortens camera S4 in both policy groups.
-        for group in plan.groups:
-            durations = {(c.scenario, c.duration_s) for c in group.cells}
-            assert durations == {("S1", 120.0), ("S4", 60.0)}
-        # Two cameras x two policies, each on its own policy-scoped stream.
+        plan = compile_plan(load_spec(EXAMPLES / "fleet_smoke.toml"))
+        (group,) = plan.groups
+        # The override shortens camera S4.
+        durations = {(c.scenario, c.duration_s) for c in group.cells}
+        assert durations == {("S1", 120.0), ("S4", 60.0)}
+        # Two cameras, each on its own stream.
         estimate = plan.estimate(jobs=2)
-        assert estimate.cells == 4
-        assert estimate.distinct_streams == 4
+        assert estimate.cells == 2
+        assert estimate.distinct_streams == 2
         assert estimate.distinct_stream_seconds <= estimate.stream_seconds
 
 
@@ -156,15 +159,14 @@ class TestEstimate:
             "scenarios": ["S1", "S4"],
             "seeds": [0, 1],
             "durations": [120.0],
-            "policies": ["float64", "float32"],
         })
         est = compile_plan(spec).estimate(jobs=4)
-        assert est.cells == 2 * 2 * 2 * 2
-        # Streams are policy-namespaced: 2 scenarios x 2 seeds x 2 policies.
-        assert est.distinct_streams == 8
+        assert est.cells == 2 * 2 * 2
+        # 2 scenarios x 2 seeds.
+        assert est.distinct_streams == 4
         assert est.stream_seconds == est.cells * 120.0
-        assert est.distinct_stream_seconds == 8 * 120.0
-        assert est.pretrained_models == 2 * 2  # (pair, seed) per policy
+        assert est.distinct_stream_seconds == 4 * 120.0
+        assert est.pretrained_models == 2  # (pair, seed)
         assert est.jobs == 4
         assert est.shards >= 2
         assert est.largest_shard_cells >= 1

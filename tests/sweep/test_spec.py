@@ -32,7 +32,7 @@ pairs = ["resnet18_wrn50"]
 scenarios = ["S1", "S4"]
 seeds = [0, 1]
 durations = [120.0]
-policies = ["fp64", "fp32"]
+policies = ["fp64"]
 
 [[override]]
 match = { scenario = "S4" }
@@ -55,7 +55,7 @@ class TestLoaders:
             "DaCapo-Spatiotemporal", "OrinHigh-Ekya"
         )
         # Policy aliases canonicalize at load time.
-        assert spec.axes["policy"] == ("float64", "float32")
+        assert spec.axes["policy"] == ("float64",)
         assert spec.overrides[0].match == (("scenario", ("S4",)),)
         assert spec.overrides[0].axes == (("duration", (60.0,)),)
 
@@ -103,7 +103,7 @@ class TestValidation:
         ({"systems": ["H100"]}, "unknown system"),
         ({"pairs": ["resnet18"]}, "unknown pair"),
         ({"scenarios": ["S9"]}, "unknown scenario"),
-        ({"policies": ["float16"]}, "unknown numeric policy"),
+        ({"policies": ["float32"]}, "unknown numeric policy"),
         ({"seeds": [-1]}, "non-negative"),
         ({"seeds": [0.5]}, "non-negative"),
         ({"durations": [0.0]}, "positive"),
@@ -217,10 +217,10 @@ class TestOverrideValidation:
         assert spec.overrides[0].axes == (("duration", (60.0,)),)
 
     def test_policy_alias_in_match_canonicalized(self):
-        data = self.override(match={"policy": "f32"}, durations=[60.0])
-        data["axes"]["policies"] = ["f64", "f32"]
+        data = self.override(match={"policy": "fp64"}, durations=[60.0])
+        data["axes"]["policies"] = ["f64"]
         spec = spec_from_mapping(data)
-        assert spec.overrides[0].match == (("policy", ("float32",)),)
+        assert spec.overrides[0].match == (("policy", ("float64",)),)
 
     def test_match_may_name_value_introduced_by_another_override(self):
         # seed 5 only exists via override[0]'s replacement, but override[1]

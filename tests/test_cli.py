@@ -162,14 +162,21 @@ class TestPolicyFlags:
                 "unknown batching policy 'bogus' "
                 "(set REPRO_BATCH to one of: off, on)",
             ),
+            (
+                [], {"REPRO_DTYPE": "float32"},
+                "unknown numeric policy 'float32' "
+                "(set REPRO_DTYPE to one of: float64)",
+            ),
         ],
         ids=["--sharing", "--batch", "--backend", "REPRO_SHARING",
-             "REPRO_BATCH"],
+             "REPRO_BATCH", "REPRO_DTYPE"],
     )
     def test_bad_policy_exits_2_with_the_error_line(
         self, flags, env, text, capsys, monkeypatch
     ):
-        for name in ("REPRO_SHARING", "REPRO_BATCH", "REPRO_BACKEND"):
+        for name in (
+            "REPRO_SHARING", "REPRO_BATCH", "REPRO_BACKEND", "REPRO_DTYPE"
+        ):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -383,15 +390,21 @@ class TestServe:
         assert err.count("\n") == 1 and "window index 7 is outside" in err
 
     def test_multi_policy_spec_exits_2(self, tmp_path, capsys):
+        # float32 is no numeric policy: a spec naming it is refused by
+        # both commands with one line, before anything runs.
         spec = json.loads(json.dumps(TINY_SWEEP))
         spec["axes"]["policies"] = ["float64", "float32"]
         path = tmp_path / "multi.json"
         path.write_text(json.dumps(spec))
-        code = main([
-            "serve", str(path), "--out", str(tmp_path / "svc"),
-        ])
-        assert code == 2
-        assert "single-policy" in capsys.readouterr().err
+        for argv in (
+            ["serve", str(path), "--out", str(tmp_path / "svc")],
+            ["sweep", str(path), "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "'float32'" in err
+        assert not (tmp_path / "svc").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_missing_spec_exits_2(self, tmp_path, capsys):
         code = main([

@@ -5,9 +5,10 @@ execution backend all resolve through one :class:`repro.knobs.Knob`
 chain -- override > environment variable > default -- so one suite,
 parametrized over the four, checks each: its accepted spellings, its
 default and declared values, a blank or garbage variable, a garbage
-override (with the exact error text the CLI prints), and overrides that
-beat the variable, nest and restore.  Every test clears all four
-variables first, so the suite also passes under ``REPRO_DTYPE=float32``.
+override (with the exact error text the CLI prints), and -- for each knob
+with two values -- overrides that beat the variable, nest and restore.
+Every test clears all four variables first, so the suite passes whatever
+the environment sets.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.batching import BATCH, ON
 from repro.batching import OFF as BATCH_OFF
 from repro.errors import ConfigurationError
 from repro.exec.backends import BACKEND, parse_backend
-from repro.numeric import FLOAT32, FLOAT64, NUMERIC
+from repro.numeric import FLOAT64, NUMERIC
 from repro.share.policy import CLUSTER, SHARING
 from repro.share.policy import OFF as SHARING_OFF
 
@@ -37,9 +38,8 @@ SPELLINGS = {
         ("float64", FLOAT64),
         ("FP64", FLOAT64),
         ("double", FLOAT64),
-        ("float32", FLOAT32),
-        ("f32", FLOAT32),
-        (" Single ", FLOAT32),
+        ("f64", FLOAT64),
+        (" 64 ", FLOAT64),
         ("", FLOAT64),
     ],
     "sharing": [
@@ -68,7 +68,7 @@ SPELLINGS = {
 
 #: Each knob's canonical values and default.
 DECLARED = {
-    "numeric": ((FLOAT64, FLOAT32), FLOAT64),
+    "numeric": ((FLOAT64,), FLOAT64),
     "sharing": ((SHARING_OFF, CLUSTER), SHARING_OFF),
     "batch": ((BATCH_OFF, ON), BATCH_OFF),
     "backend": ((), None),
@@ -77,9 +77,9 @@ DECLARED = {
 #: A garbage spelling of each knob and the exact error it raises.
 GARBAGE = {
     "numeric": (
-        "float16",
-        "unknown numeric policy 'float16' "
-        "(set REPRO_DTYPE to one of: float32, float64)",
+        "float32",
+        "unknown numeric policy 'float32' "
+        "(set REPRO_DTYPE to one of: float64)",
     ),
     "sharing": (
         "bogus",
@@ -98,9 +98,9 @@ GARBAGE = {
     ),
 }
 
-#: Two distinct values of each knob (by spelling), for override nesting.
+#: Two distinct values of each two-valued knob (by spelling), for override
+#: nesting.
 PAIRS = {
-    "numeric": ("float32", "float64"),
     "sharing": ("cluster", "off"),
     "batch": ("on", "off"),
     "backend": ("process:4", "serial"),
@@ -201,7 +201,7 @@ def test_non_string_garbage_is_a_configuration_error(name, garbage):
         KNOBS[name].resolve(garbage)
 
 
-@names
+@pytest.mark.parametrize("name", sorted(PAIRS))
 def test_override_beats_env_nests_and_restores(name, monkeypatch):
     knob = KNOBS[name]
     first, second = (knob.resolve(spelling) for spelling in PAIRS[name])

@@ -1,15 +1,12 @@
-"""Dtype-policy plumbing: resolution, threading, cache keys, stability.
+"""The numeric policy: resolution, the dtype every layer carries, MX dtypes.
 
-Parametrizes the stream -> learn -> MX substrate over both numeric
-policies and pins the contracts the refactor introduced:
+Pins the contracts of the one numeric policy:
 
-- policy resolution (env, aliases, ambient override, errors);
-- streams/models/buffers carry the policy dtype with no NaN/Inf and no
-  silent upcasts (timestamps deliberately stay float64);
-- artifact and pretrain cache keys differ by dtype, so the two policies
-  can never serve each other's bytes;
-- float32 results are deterministic: same digests across repeated runs
-  and across worker counts.
+- policy resolution (env, aliases, errors -- ``float32`` is refused);
+- streams, models and buffers carry each declared policy's dtype with no
+  NaN/Inf (timestamps stay float64);
+- the MX kernels, ``mx_matmul`` and ``effective_quantize`` preserve an
+  operand's float dtype, float32 included.
 """
 
 from __future__ import annotations
@@ -17,28 +14,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SampleBuffer, SystemCell
-from repro.data import build_scenario, get_store, stream_key
+from repro.core import SampleBuffer
+from repro.data import build_scenario
 from repro.errors import ConfigurationError
-from repro.exec import parallel_map, run_cells
 from repro.learn import MLPClassifier, TrainConfig, train_sgd
-from repro.learn.cache import load_pretrained, store_pretrained
 from repro.learn.executor import mx_forward
 from repro.learn.quantized import effective_quantize
 from repro.mx import MX6, MX9, dequantize, quantize, quantize_blocks
 from repro.mx.dot import mx_matmul
 from repro.numeric import (
     DTYPE_ENV,
-    FLOAT32,
     FLOAT64,
+    NUMERIC,
     active_policy,
     ensure_float,
     resolve_policy,
     use_policy,
 )
-from repro.reference import run_digest
 
-POLICIES = (FLOAT64, FLOAT32)
+#: Every declared policy, by name.
+policies = pytest.mark.parametrize(
+    "policy", NUMERIC.values, ids=lambda p: p.name
+)
 
 
 def small_stream(duration_s: float = 20.0):
@@ -56,9 +53,9 @@ class TestResolution:
             ("float64", FLOAT64),
             ("FP64", FLOAT64),
             ("double", FLOAT64),
-            ("float32", FLOAT32),
-            ("f32", FLOAT32),
-            (" Single ", FLOAT32),
+            ("f64", FLOAT64),
+            ("64", FLOAT64),
+            (" Double ", FLOAT64),
             ("", FLOAT64),
         ],
     )
@@ -67,21 +64,24 @@ class TestResolution:
         assert active_policy() is expected
 
     def test_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv(DTYPE_ENV, "float16")
-        with pytest.raises(ConfigurationError):
+        monkeypatch.setenv(DTYPE_ENV, "float32")
+        with pytest.raises(ConfigurationError, match="'float32'"):
             active_policy()
 
     def test_override_beats_env_and_nests(self, monkeypatch):
-        monkeypatch.setenv(DTYPE_ENV, "float64")
-        with use_policy("float32"):
-            assert active_policy() is FLOAT32
+        # While an override is installed the variable is not consulted,
+        # not even to refuse it; leaving the blocks restores the refusal.
+        monkeypatch.setenv(DTYPE_ENV, "float32")
+        with use_policy("double"):
+            assert active_policy() is FLOAT64
             with use_policy(FLOAT64):
                 assert active_policy() is FLOAT64
-            assert active_policy() is FLOAT32
-        assert active_policy() is FLOAT64
+            assert active_policy() is FLOAT64
+        with pytest.raises(ConfigurationError):
+            active_policy()
 
     def test_resolve_passthrough(self):
-        assert resolve_policy(FLOAT32) is FLOAT32
+        assert resolve_policy(FLOAT64) is FLOAT64
         assert resolve_policy(None) is FLOAT64
 
     def test_ensure_float_preserves_and_defaults(self):
@@ -90,14 +90,13 @@ class TestResolution:
         assert ensure_float([1, 2, 3]).dtype == np.float64
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@policies
 class TestStreamDtype:
     def test_generate_carries_policy_dtype(self, policy):
         with use_policy(policy):
             window = small_stream().generate(0)
         assert window.features.dtype == policy.dtype
         assert window.labels.dtype == np.int64
-        # Timestamps are window-boundary index structure: always float64.
         assert window.times.dtype == np.float64
         assert np.isfinite(window.features).all()
 
@@ -114,66 +113,7 @@ class TestStreamDtype:
         assert buffer.features.dtype == policy.dtype
 
 
-class TestSharedRealization:
-    def test_float32_stream_is_rounded_float64_realization(self):
-        stream = small_stream()
-        with use_policy(FLOAT64):
-            w64 = stream.generate(3)
-        with use_policy(FLOAT32):
-            w32 = stream.generate(3)
-        np.testing.assert_array_equal(w64.labels, w32.labels)
-        np.testing.assert_array_equal(w64.times, w32.times)
-        np.testing.assert_allclose(
-            w32.features, w64.features.astype(np.float32),
-            rtol=FLOAT32.rtol, atol=FLOAT32.atol,
-        )
-
-
-class TestCacheKeysDifferByDtype:
-    def test_stream_keys_differ(self):
-        stream = small_stream()
-        assert (
-            stream_key(stream, 0, FLOAT64) != stream_key(stream, 0, FLOAT32)
-        )
-
-    def test_store_serves_each_policy_its_own_window(self):
-        stream = small_stream()
-        store = get_store()
-        store.clear()
-        with use_policy(FLOAT64):
-            w64 = stream.materialize(0)
-        with use_policy(FLOAT32):
-            w32 = stream.materialize(0)
-        assert w64.features.dtype == np.float64
-        assert w32.features.dtype == np.float32
-        with use_policy(FLOAT64):
-            assert stream.materialize(0).features.dtype == np.float64
-
-    def test_pretrain_entries_do_not_collide(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with use_policy(FLOAT64):
-            mlp = MLPClassifier.create(
-                4, (3,), 2, np.random.default_rng(0)
-            )
-            store_pretrained("student", "resnet18", 0, 0, mlp)
-            assert load_pretrained("student", "resnet18", 0, 0) is not None
-        with use_policy(FLOAT32):
-            # The float64 entry must be invisible under float32.
-            assert load_pretrained("student", "resnet18", 0, 0) is None
-
-    def test_pretrained_loads_in_policy_dtype(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with use_policy(FLOAT32):
-            mlp = MLPClassifier.create(
-                4, (3,), 2, np.random.default_rng(0)
-            )
-            store_pretrained("teacher", "wrn", 1, 2, mlp)
-            loaded = load_pretrained("teacher", "wrn", 1, 2)
-        assert loaded is not None
-        assert loaded.dtype == np.float32
-
-
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@policies
 class TestLearnDtype:
     def make_data(self, policy, n=64, dim=8, classes=4):
         rng = np.random.default_rng(7)
@@ -264,32 +204,3 @@ class TestMXDtypePolymorphism:
 
     def test_int_input_still_becomes_float64(self):
         assert quantize(np.arange(16), MX6).dtype == np.float64
-
-
-class TestFloat32Determinism:
-    CELLS = [
-        SystemCell("DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", 0, 120.0),
-        SystemCell("OrinHigh-EOMU", "resnet18_wrn50", "S1", 0, 120.0),
-    ]
-
-    def digests(self, jobs: int) -> list[str]:
-        with use_policy(FLOAT32):
-            return [run_digest(r) for r in run_cells(self.CELLS, jobs=jobs)]
-
-    def test_digests_stable_across_runs(self):
-        assert self.digests(jobs=1) == self.digests(jobs=1)
-
-    def test_digests_stable_across_jobs_counts(self):
-        # Workers re-install the parent's policy explicitly, so the
-        # ambient use_policy override survives into the pool.
-        assert self.digests(jobs=1) == self.digests(jobs=2)
-
-    def test_parallel_map_threads_policy(self):
-        with use_policy(FLOAT32):
-            dtypes = parallel_map(_worker_policy_dtype, [0, 1], jobs=2)
-        assert dtypes == ["float32", "float32"]
-
-
-def _worker_policy_dtype(_item) -> str:
-    """Report the worker's active policy (module-level for pickling)."""
-    return active_policy().name

@@ -1,22 +1,27 @@
 """Pins on what the policy mechanism must never move.
 
 Old ``--out`` directories resume only while both journal fingerprints
-keep their bytes, and mixed-version fleets interoperate only while the
-``shard`` message keeps its bytes.  The values below were taken from the
-tree before the policies were carried as one
-:class:`~repro.exec.shard.PolicySet`; a change that moves any of them
-breaks resume or the wire.
+keep their bytes, mixed-version fleets interoperate only while the
+``shard`` message keeps its bytes, and warm caches stay warm only while
+the stream-artifact and pretrain cache keys keep theirs.  The values below
+were taken from the tree before the policies were carried as one
+:class:`~repro.exec.shard.PolicySet`, and before float32 was removed; a
+change that moves any of them breaks resume, the wire or the caches.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.batching import ON
+from repro.data import build_scenario, stream_key
 from repro.exec import PolicySet, protocol
 from repro.exec.shard import CellJob, ShardSpec, SystemCell
-from repro.numeric import FLOAT32, FLOAT64, use_policy
+from repro.learn import MLPClassifier
+from repro.learn.cache import CACHE_ENV, store_pretrained
+from repro.numeric import FLOAT64, use_policy
 from repro.service.session import session_fingerprint
 from repro.share.policy import CLUSTER, use_sharing
 from repro.sweep import compile_plan, load_spec
@@ -56,9 +61,9 @@ def test_plan_fingerprint(example, sharing, expected):
             "a769b7b55fd949641cf3b95649706b25025498a0af13ebed9c1bad71e3d22d8e",
         ),
         (
-            PolicySet(FLOAT32),
+            PolicySet(FLOAT64),
             10.0,
-            "aaac71a5ea0d776adaf25ece84b8bb06cd87ddb1b39208ec50fd4b587d83a775",
+            "c48bdcf6086a52aa6630d7aa53d93d74ac7730c947d89efccb3a9676818849fb",
         ),
     ],
 )
@@ -86,11 +91,11 @@ CELLS = (
                 "k2",
                 tuple(map(CellJob, CELLS)),
                 (0, 1),
-                PolicySet(FLOAT32, CLUSTER, ON),
+                PolicySet(FLOAT64, CLUSTER, ON),
                 profile=True,
                 cache_root="/c",
             ),
-            "6ac545228cef4563",
+            "58c0267d71acb8c3",
         ),
     ],
     ids=["default-policies", "every-policy-set"],
@@ -99,3 +104,18 @@ def test_shard_request_bytes(spec, expected):
     line = protocol.encode_message(protocol.encode_shard_request(spec))
     assert hashlib.sha256(line.encode()).hexdigest()[:16] == expected
     assert protocol.decode_shard_spec(protocol.decode_message(line)) == spec
+
+
+def test_stream_artifact_key():
+    assert stream_key(build_scenario("S4", duration_s=300.0), 0) == (
+        "1051f1aeb8ab4f352c903132791247b1ccedb540da5884c59baaf500d0f4e4b6"
+    )
+
+
+def test_pretrain_cache_file_name(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    mlp = MLPClassifier.create(4, (3,), 2, np.random.default_rng(0))
+    store_pretrained("student", "resnet18", 0, 0, mlp, "k")
+    assert [path.name for path in tmp_path.iterdir()] == [
+        "student-resnet18-g0-s0-v2-t1-f64-pk.npz"
+    ]

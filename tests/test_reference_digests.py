@@ -1,20 +1,10 @@
 """The bit-identity contract against the frozen reference digests.
 
-Tier-1 recomputes the cheap ``smoke`` section under both policies and
-compares against the checked-in files; the heavyweight ``full`` (the
+Tier-1 recomputes the cheap ``smoke`` section under every numeric policy
+and compares against the checked-in file; the heavyweight ``full`` (the
 29-entry fixed-seed set) and ``fig9`` (108 cells at 1200 s) sections run
-when ``REPRO_FULL_DIGESTS=1``.
-
-The float32-vs-float64 accuracy bound on the full Figure 9 grid is checked
-from the *stored* per-cell accuracies on every run (it is a pure file
-comparison); the gated run additionally proves the stored float32 numbers
-are still reproducible.
-
-Regeneration (float32 only -- the float64 file is pre-refactor ground
-truth and must never change)::
-
-    PYTHONPATH=src REPRO_DTYPE=float32 python -m repro.reference \
-        --out tests/reference/digests_float32.json
+when ``REPRO_FULL_DIGESTS=1``.  The float64 file is pre-refactor ground
+truth and must never change.
 """
 
 from __future__ import annotations
@@ -24,14 +14,13 @@ import os
 
 import pytest
 
-from repro.numeric import FLOAT32, FLOAT64, use_policy
-from repro.reference import (
-    FIG9_ACCURACY_BOUND_PP,
-    compute_section,
-    reference_path,
-)
+from repro.numeric import NUMERIC, use_policy
+from repro.reference import compute_section, reference_path
 
-POLICIES = (FLOAT64, FLOAT32)
+#: Every declared policy, by name.
+policies = pytest.mark.parametrize(
+    "policy", NUMERIC.values, ids=lambda p: p.name
+)
 
 FULL = os.environ.get("REPRO_FULL_DIGESTS", "") == "1"
 
@@ -44,7 +33,7 @@ def load_reference(policy):
     return payload
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@policies
 def test_smoke_digests_match_reference(policy):
     reference = load_reference(policy)["smoke"]
     with use_policy(policy):
@@ -60,27 +49,11 @@ def test_smoke_digests_match_reference(policy):
     )
 
 
-def test_fig9_accuracy_bound_between_policies():
-    """Every fig9 cell: |acc(f32) - acc(f64)| within the frozen bound."""
-    ref64 = load_reference(FLOAT64)["fig9"]
-    ref32 = load_reference(FLOAT32)["fig9"]
-    assert set(ref64) == set(ref32)
-    bound = FIG9_ACCURACY_BOUND_PP / 100.0
-    violations = {
-        key: (ref64[key]["accuracy"], ref32[key]["accuracy"])
-        for key in ref64
-        if abs(ref64[key]["accuracy"] - ref32[key]["accuracy"]) > bound
-    }
-    assert not violations, (
-        f"cells past the {FIG9_ACCURACY_BOUND_PP}pp bound: {violations}"
-    )
-
-
 @pytest.mark.skipif(
     not FULL, reason="set REPRO_FULL_DIGESTS=1 for the full digest sweep"
 )
 @pytest.mark.parametrize("section", ["full", "fig9"])
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@policies
 def test_full_sections_match_reference(policy, section):
     reference = load_reference(policy)[section]
     with use_policy(policy):
