@@ -44,7 +44,9 @@ seconds across every process.
 The run-wide policies -- numeric dtype (``REPRO_DTYPE``), sharing
 (``--sharing``), batching (``--batch``) and backend (``--backend``) --
 each resolve CLI flag > spec key > environment variable > default; see
-README "Policies".
+README "Policies".  Every command but ``list`` and ``worker`` resolves
+the first three once before it starts, so a bad value of their variables
+exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 
 from repro import profiling
-from repro.batching import use_batching
+from repro.batching import BATCH, use_batching
 from repro.core import SYSTEM_BUILDERS, build_system, run_on_scenario
 from repro.core.tuning import tune_hyperparameters
 from repro.data.scenarios import SCENARIO_NAMES
@@ -68,8 +70,8 @@ from repro.experiments import (
     supports_jobs,
 )
 from repro.models import MODEL_PAIRS
-from repro.numeric import use_policy
-from repro.share.policy import use_sharing
+from repro.numeric import NUMERIC, use_policy
+from repro.share.policy import SHARING, use_sharing
 from repro.sweep import compile_plan, load_spec, run_sweep, write_outputs
 
 
@@ -408,6 +410,11 @@ def main(argv: list[str] | None = None) -> int:
         "tune": _cmd_tune,
     }
     try:
+        if args.command not in ("list", "worker"):
+            # Refuse a bad policy variable now, not where a cell first
+            # looks it up after minutes of pretraining.
+            for knob in (NUMERIC, SHARING, BATCH):
+                knob.active()
         return handlers[args.command](args)
     except ConfigurationError as exc:
         # A bad name, spec, or --jobs value is an operator mistake, not a

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, qr
 
+from repro.arrays import decode_array
 from repro.data.attributes import (
     ALL_CLASSES,
     Domain,
@@ -43,7 +43,7 @@ from repro.data.attributes import (
     TimeOfDay,
     Weather,
 )
-from repro.errors import ScenarioError
+from repro.errors import ConfigurationError, ScenarioError
 
 __all__ = ["DomainModel"]
 
@@ -80,54 +80,87 @@ _HIGHWAY_TILT = np.array([1.3, 1.6, 0.9, 0.5, 0.9, 0.2, 0.2, 0.2, 0.6, 0.3])
 _GEOMETRY_SEED = 20240614
 
 
-def _in_span_rotation(
-    span_basis: np.ndarray,
-    angle: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """A rotation supported on ``span_basis``'s column space.
-
-    Built as ``expm(angle * Q A Q^T)`` with ``A`` a random antisymmetric
-    matrix normalized to unit spectral norm, so ``angle`` is the largest
-    principal rotation angle in radians.
-    """
-    k = span_basis.shape[1]
-    g = rng.normal(size=(k, k))
-    antisym = g - g.T
-    antisym /= np.linalg.norm(antisym, 2)
-    return expm(angle * (span_basis @ antisym @ span_basis.T))
+#: The rotated attributes and their angles, in the order the geometry's
+#: generator draws them.
+_ROTATED = (
+    (TimeOfDay.NIGHT, ROTATION_ANGLE),
+    (Location.HIGHWAY, ROTATION_ANGLE),
+    (Weather.OVERCAST, OVERCAST_ANGLE),
+    (Weather.SNOWY, ROTATION_ANGLE),
+    (Weather.RAINY, ROTATION_ANGLE),
+)
 
 
-@lru_cache(maxsize=None)
-def _geometry(
+def _build_geometry(
     feature_dim: int, geometry_seed: int
 ) -> tuple[np.ndarray, dict]:
-    """The (means, rotations) geometry for one seed, computed once.
+    """Build the (means, rotations) geometry for one seed with scipy.
 
-    Every :class:`DomainModel` with the same (feature_dim, geometry_seed)
-    shares these arrays -- the ``expm``/``qr`` construction is the dominant
-    cost of building a model, and experiment grids build one per cell.  The
-    arrays are frozen read-only since they are shared.
+    The class means are random unit directions scaled by
+    :data:`CLASS_SEPARATION`.  Each attribute's rotation is
+    ``expm(angle * Q A Q^T)``, with ``Q`` an orthonormal basis of the
+    means' span and ``A`` a random antisymmetric matrix normalized to unit
+    spectral norm, so ``angle`` is the largest principal rotation angle in
+    radians.
+
+    Raises:
+        ConfigurationError: scipy is not installed.
     """
+    try:
+        # Deferred: only a geometry other than the frozen default needs
+        # scipy, so no run-time import loads it.
+        from scipy.linalg import expm, qr
+    except ImportError:
+        raise ConfigurationError(
+            f"the geometry with feature_dim={feature_dim} and "
+            f"geometry_seed={geometry_seed} is built with scipy, which is "
+            f"not installed; only the default ({FEATURE_DIM}, "
+            f"{_GEOMETRY_SEED}) ships as a frozen table"
+        ) from None
     rng = np.random.default_rng(geometry_seed)
     n = len(ALL_CLASSES)
     directions = rng.normal(size=(n, feature_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = CLASS_SEPARATION * directions
     span, _ = qr(means.T, mode="economic")
-
+    k = span.shape[1]
     rotations: dict[object, np.ndarray] = {}
-    for attribute, angle in (
-        (TimeOfDay.NIGHT, ROTATION_ANGLE),
-        (Location.HIGHWAY, ROTATION_ANGLE),
-        (Weather.OVERCAST, OVERCAST_ANGLE),
-        (Weather.SNOWY, ROTATION_ANGLE),
-        (Weather.RAINY, ROTATION_ANGLE),
-    ):
-        rotation = _in_span_rotation(span, angle, rng)
-        rotation.setflags(write=False)
-        rotations[attribute] = rotation
+    for attribute, angle in _ROTATED:
+        g = rng.normal(size=(k, k))
+        antisym = g - g.T
+        antisym /= np.linalg.norm(antisym, 2)
+        rotations[attribute] = expm(angle * (span @ antisym @ span.T))
+    return means, rotations
+
+
+@lru_cache(maxsize=None)
+def _geometry(
+    feature_dim: int, geometry_seed: int
+) -> tuple[np.ndarray, dict]:
+    """The (means, rotations) geometry for one seed, made on first use.
+
+    The default geometry, the one every run uses, is read from the frozen
+    table in :mod:`repro.data.default_geometry`: the exact bytes
+    :func:`_build_geometry` computes, so a run needs no scipy.  Any other
+    is built.  Every :class:`DomainModel` with the same (feature_dim,
+    geometry_seed) shares these arrays, frozen read-only.
+    """
+    if (feature_dim, geometry_seed) == (FEATURE_DIM, _GEOMETRY_SEED):
+        # Deferred: the table is read on first use, so importing the data
+        # layer reads no file.
+        from repro.data import default_geometry
+
+        table = default_geometry.ROTATIONS
+        means = decode_array(default_geometry.MEANS)
+        rotations = {
+            attribute: decode_array(table[attribute.name])
+            for attribute, _ in _ROTATED
+        }
+    else:
+        means, rotations = _build_geometry(feature_dim, geometry_seed)
     means.setflags(write=False)
+    for rotation in rotations.values():
+        rotation.setflags(write=False)
     return means, rotations
 
 
@@ -138,7 +171,8 @@ class DomainModel:
     The geometry (class means, attribute rotations) is derived from
     ``geometry_seed`` alone, so two DomainModels with the same seed generate
     identically distributed data; sampling randomness comes from the
-    caller's generator.
+    caller's generator.  The first model of a (feature_dim, geometry_seed)
+    makes the geometry (:func:`_geometry`) and later ones share it.
 
     Attributes:
         feature_dim: Embedding dimensionality.

@@ -15,7 +15,7 @@ is the raw (uncached) generator underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,13 +112,14 @@ class ScenarioStream:
     Attributes:
         name: Scenario name (``"S1"`` .. ``"ES2"``).
         segments: Chronological segments.
-        model: Generative geometry shared by all segments.
+        model: Generative geometry shared by all segments (by default
+            the default geometry, made when the first stream is).
         fps: Frame rate.
     """
 
     name: str
     segments: tuple[Segment, ...]
-    model: DomainModel = DomainModel()
+    model: DomainModel = field(default_factory=DomainModel)
     fps: float = DEFAULT_FPS
 
     def __post_init__(self) -> None:

@@ -13,7 +13,7 @@ incremental snapshots, cross-camera sharing and lockstep batching
 compose.  An :class:`~repro.exec.backends.ExecutionBackend` decides where
 that call runs: in-process (:class:`SerialBackend`), on the historical
 fork pool (:class:`ProcessPoolBackend`), over the versioned JSON-lines
-stdio protocol to ``python -m repro worker`` children
+stdio protocol to ``python -m repro.exec.worker`` children
 (:class:`SubprocessWorkerBackend`, ssh-able via ``$REPRO_WORKER_CMD``),
 or pulled from a file-system job queue with worker leases and heartbeats
 (:class:`~repro.exec.queue.QueueBackend` -- the transport that survives

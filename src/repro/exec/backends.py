@@ -15,11 +15,11 @@ Four transports:
 - :class:`ProcessPoolBackend` -- the historical ``--jobs N`` process pool;
   ``BrokenProcessPool`` is mapped to per-shard failures and the pool is
   rebuilt for the next round.
-- :class:`SubprocessWorkerBackend` -- long-lived ``python -m repro worker``
-  children speaking the JSON-lines shard protocol over stdio.  Dead
-  workers are retired and replaced (bounded respawn budget); the launch
-  command is overridable (``$REPRO_WORKER_CMD``), which is all an
-  ``ssh host python -m repro worker`` deployment needs.
+- :class:`SubprocessWorkerBackend` -- long-lived ``python -m
+  repro.exec.worker`` children speaking the JSON-lines shard protocol over
+  stdio.  Dead workers are retired and replaced (bounded respawn budget);
+  the launch command is overridable (``$REPRO_WORKER_CMD``), which is all
+  an ``ssh host python -m repro worker`` deployment needs.
 - :class:`~repro.exec.queue.QueueBackend` -- the pull model: shards become
   claimable message files in a queue directory, workers claim them by
   atomic rename and heartbeat their leases, and an expired lease (not a
@@ -44,6 +44,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -93,6 +94,10 @@ SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
 
 #: The recognized backend kinds, in documentation order.
 BACKEND_KINDS = ("serial", "process", "subprocess", "queue")
+
+#: Seconds the subprocess backend's workers get, together, to exit after
+#: their shutdown message before the ones still running are killed.
+SHUTDOWN_GRACE_S = 5.0
 
 
 @runtime_checkable
@@ -322,15 +327,17 @@ def reply_outcome(
 def default_worker_command() -> list[str]:
     """The shard-worker launch command (``$REPRO_WORKER_CMD`` overrides).
 
-    The override is how the same backend dispatches over a remote
-    transport: ``REPRO_WORKER_CMD="ssh host python -m repro worker"``
-    gives every worker slot a remote child speaking the identical
-    protocol over the ssh-forwarded stdio.
+    A local worker runs the worker module itself, which imports what a
+    worker runs and not the CLI's experiments, sweeps and service.  The
+    override is how the same backend dispatches over a remote transport:
+    ``REPRO_WORKER_CMD="ssh host python -m repro worker"`` gives every
+    worker slot a remote child speaking the identical protocol over the
+    ssh-forwarded stdio.
     """
     override = os.environ.get(WORKER_CMD_ENV, "").strip()
     if override:
         return shlex.split(override)
-    return [sys.executable, "-m", "repro", "worker"]
+    return [sys.executable, "-m", "repro.exec.worker"]
 
 
 def _worker_env() -> dict[str, str]:
@@ -433,7 +440,7 @@ class _WorkerHandle:
         return outcome
 
     def shutdown(self) -> None:
-        """Ask the worker to drain and exit; kill it if it lingers."""
+        """Ask the worker to drain and exit."""
         try:
             protocol.write_message(
                 self.proc.stdin,
@@ -441,8 +448,11 @@ class _WorkerHandle:
             )
         except (BrokenPipeError, OSError, ValueError):
             pass
+
+    def wait(self, timeout_s: float) -> None:
+        """Wait up to ``timeout_s`` for the worker to exit, then kill it."""
         try:
-            self.proc.wait(timeout=5)
+            self.proc.wait(timeout=timeout_s)
         except subprocess.TimeoutExpired:
             self.kill()
 
@@ -453,7 +463,7 @@ class _WorkerHandle:
 
 
 class SubprocessWorkerBackend:
-    """Dispatch shards to ``python -m repro worker`` children over stdio.
+    """Dispatch shards to ``python -m repro.exec.worker`` children over stdio.
 
     Workers are spawned lazily (one per slot, up to ``workers``) and kept
     alive across batches; each serves one shard at a time over the
@@ -576,11 +586,20 @@ class SubprocessWorkerBackend:
         return outcomes
 
     def close(self) -> None:
+        """Shut every worker down at once, under one shared deadline.
+
+        Each worker gets its shutdown message before the first wait, so
+        they exit together; one still running :data:`SHUTDOWN_GRACE_S`
+        after the messages went out is killed.
+        """
         with self._lock:
             handles = list(self._handles.values())
             self._handles.clear()
         for handle in handles:
             handle.shutdown()
+        deadline = time.monotonic() + SHUTDOWN_GRACE_S
+        for handle in handles:
+            handle.wait(max(0.0, deadline - time.monotonic()))
 
     def __del__(self) -> None:
         try:

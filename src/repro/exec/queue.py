@@ -183,7 +183,7 @@ class QueueBackend:
             removed on :meth:`close`; point it somewhere shared (and
             durable) to attach external workers or inspect the queue.
         command: Worker launch command override (defaults to
-            ``python -m repro worker``; ``$REPRO_WORKER_CMD`` also
+            ``python -m repro.exec.worker``; ``$REPRO_WORKER_CMD`` also
             applies, so ``ssh host python -m repro worker`` works when
             the queue directory is a shared filesystem).
         lease_ttl_s: Heartbeat staleness bound before a lease is

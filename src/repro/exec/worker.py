@@ -1,11 +1,12 @@
-"""The shard worker: ``python -m repro worker``.
+"""The shard worker: ``python -m repro.exec.worker``, or ``repro worker``.
 
 A long-lived child serving the JSON-lines shard protocol over stdio: read
 a ``shard`` message, run it through :func:`run_shard_message` -- the one
 worker-side step, shared with the queue worker -- and reply with a
 bit-exact ``result`` message, or an ``error`` message if the shard
 raised, after which the worker keeps serving (a deterministic cell bug
-must not look like a dead worker).
+must not look like a dead worker).  The local backends start it as
+``python -m repro.exec.worker``, which imports only what a worker runs.
 
 The *real* stdout belongs to the protocol: its fd is duplicated at
 startup and ``sys.stdout`` is repointed at stderr, so a stray ``print``

@@ -1,11 +1,16 @@
 """Tests for the execution backends: parsing, equivalence, worker death."""
 
+import io
 import json
+import shlex
+import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec import backends, protocol
 from repro.exec import (
     BACKEND_ENV,
     FAULT_PLAN_ENV,
@@ -137,6 +142,29 @@ class TestSmokeGridDigests:
                 f"|seed{cell.seed}|{cell.duration_s:g}s"
             )
             assert reference[key]["digest"] == run_digest(result), key
+
+    def test_worker_without_scipy_matches_frozen_reference(
+        self, monkeypatch
+    ):
+        # The default geometry is a frozen table, so a worker in which
+        # scipy cannot be imported still computes the frozen digest.
+        worker = (
+            "import runpy, sys; sys.modules['scipy'] = None; "
+            "runpy.run_module('repro.exec.worker', run_name='__main__', "
+            "alter_sys=True)"
+        )
+        monkeypatch.setenv(
+            backends.WORKER_CMD_ENV, shlex.join([sys.executable, "-c", worker])
+        )
+        key = "DaCapo-Spatiotemporal|resnet18_wrn50|S4|seed0|300s"
+        reference = json.loads(
+            reference_path(active_policy().name).read_text()
+        )["smoke"][key]
+        cell = SystemCell(
+            "DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", 0, 300.0
+        )
+        (result,) = run_cells([cell], backend="subprocess:1")
+        assert run_digest(result) == reference["digest"]
 
 
 def arm_one_death(tmp_path, monkeypatch):
@@ -302,6 +330,90 @@ class TestWorkerDeath:
         assert "w0:pid1" in str(final)
         assert "EOF" in str(final)
         assert "attempts: 3" in str(final)
+
+
+class _FakeWorker:
+    """A stand-in worker process that logs what the backend does to it.
+
+    It exits ``exit_s`` clock seconds into the first wait after its
+    shutdown message, or never (None) until it is killed.
+    """
+
+    def __init__(self, pid, log, clock, exit_s):
+        self.pid, self.log, self.clock, self.exit_s = pid, log, clock, exit_s
+        self.returncode = None
+        self.stdin = self
+        self.stdout = io.StringIO(protocol.encode_message(
+            {"v": protocol.PROTOCOL_VERSION, "kind": "hello", "pid": pid}
+        ) + "\n")
+
+    def write(self, line):
+        kind = protocol.decode_message(line)["kind"]
+        self.log.append((kind, self.pid, self.clock.now))
+
+    def flush(self):
+        pass
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        self.log.append(("wait", self.pid, timeout))
+        if self.returncode is None:
+            if self.exit_s is None or self.exit_s > timeout:
+                self.clock.now += timeout
+                raise subprocess.TimeoutExpired("worker", timeout)
+            self.clock.now += self.exit_s
+            self.returncode = 0
+        return self.returncode
+
+    def kill(self):
+        self.log.append(("kill", self.pid, self.clock.now))
+        self.returncode = -9
+
+
+class TestShutdown:
+    def close_workers(self, monkeypatch, *exit_s):
+        """Close a backend whose workers exit after ``exit_s``; the log."""
+        log, clock = [], SimpleNamespace(now=0.0)
+        workers = iter(
+            _FakeWorker(pid, log, clock, seconds)
+            for pid, seconds in enumerate(exit_s)
+        )
+        monkeypatch.setattr(
+            backends.subprocess, "Popen", lambda *a, **k: next(workers)
+        )
+        monkeypatch.setattr(
+            backends, "time", SimpleNamespace(monotonic=lambda: clock.now)
+        )
+        backend = SubprocessWorkerBackend(len(exit_s))
+        for slot in range(len(exit_s)):
+            backend._spawn(slot)
+        backend.close()
+        return log
+
+    def test_every_worker_is_told_before_the_first_wait(self, monkeypatch):
+        grace = backends.SHUTDOWN_GRACE_S
+        assert self.close_workers(monkeypatch, 0.5, 0.5) == [
+            ("shutdown", 0, 0.0),
+            ("shutdown", 1, 0.0),
+            ("wait", 0, grace),
+            ("wait", 1, grace - 0.5),
+        ]
+
+    def test_a_worker_ignoring_shutdown_is_killed_at_the_shared_deadline(
+        self, monkeypatch
+    ):
+        grace = backends.SHUTDOWN_GRACE_S
+        log = self.close_workers(monkeypatch, 3.0, None)
+        assert log[:4] == [
+            ("shutdown", 0, 0.0),
+            ("shutdown", 1, 0.0),
+            ("wait", 0, grace),
+            ("wait", 1, grace - 3.0),
+        ]
+        assert ("kill", 1, grace) in log
+        assert not [entry for entry in log if entry[:2] == ("kill", 0)]
 
 
 class TestWorkerExclusion:

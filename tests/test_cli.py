@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.learn import student, teacher
 
 TINY_SWEEP = {
     "sweep": {"name": "cli-tiny", "title": "CLI tiny fleet"},
@@ -201,6 +202,45 @@ class TestPolicyFlags:
         out = capsys.readouterr().out
         assert "sharing " not in out
         assert "batching           on" in out
+
+
+RUN = ["run", "DaCapo-Ekya", "resnet18_wrn50", "S1", "--duration", "60"]
+
+
+class TestPolicyVariablesRefusedBeforeWork:
+    def test_float32_exits_2_without_pretraining(self, capsys, monkeypatch):
+        def pretrain(*args):
+            raise AssertionError("pretrained before refusing REPRO_DTYPE")
+
+        monkeypatch.setattr(student, "_pretrained_mlp", pretrain)
+        monkeypatch.setattr(teacher, "_pretrained_mlp", pretrain)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        assert main(RUN) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: unknown numeric policy 'float32' "
+            "(set REPRO_DTYPE to one of: float64)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("REPRO_SHARING", "unknown sharing policy 'bogus' "
+             "(set REPRO_SHARING to one of: cluster, off)"),
+            ("REPRO_BATCH", "unknown batching policy 'bogus' "
+             "(set REPRO_BATCH to one of: off, on)"),
+        ],
+        ids=["REPRO_SHARING", "REPRO_BATCH"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [RUN, ["experiment", "table2"]], ids=["run", "experiment"]
+    )
+    def test_bogus_value_exits_2(self, argv, name, text, capsys, monkeypatch):
+        monkeypatch.setenv(name, "bogus")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: {text}\n"
+        assert captured.out == ""
 
 
 class TestBackend:
