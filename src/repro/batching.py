@@ -14,8 +14,9 @@ policy is one :class:`~repro.knobs.Knob`, :data:`BATCH` (``REPRO_BATCH``,
   cells, and the batched driver (:mod:`repro.exec.batched`) runs each
   group's cells in lockstep lanes, stacking identically-shaped
   forward/train requests into one numpy call.  Per-cell results are
-  bit-identical to the serial path and pinned in
-  ``tests/reference/digests_batched.json``.
+  bit-identical to the serial path, so batching never selects a section
+  of the reference registry (:mod:`repro.reference`): a batched run
+  checks against the same frozen digests as a serial one.
 
 This module also owns the *lane* plumbing the batched driver uses to
 intercept model compute: each cell of a batch group runs on its own lane

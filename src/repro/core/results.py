@@ -4,10 +4,15 @@ The paper's accuracy metric averages accuracy over time slices of the
 baseline window period (section VII-A); :meth:`RunResult.average_accuracy`
 implements that, and :meth:`RunResult.accuracy_series` produces the
 15-second series of Figures 10 and 12.
+
+:func:`run_digest` is a run's identity: two runs share a digest iff they
+are bit-identical (the frozen digests of :mod:`repro.reference` and the
+service's journaled windows).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +21,7 @@ from repro.core.phases import PhaseKind, PhaseRecord, phase_time_breakdown
 from repro.errors import ScheduleError
 from repro.learn.metrics import windowed_accuracy
 
-__all__ = ["RunResult"]
+__all__ = ["RunResult", "run_digest", "stream_digest"]
 
 
 @dataclass(frozen=True)
@@ -146,3 +151,38 @@ class RunResult:
             ],
         }
         return json.dumps(payload, indent=2)
+
+
+def _array_bytes(array: np.ndarray) -> bytes:
+    """Dtype-tagged contiguous bytes (the dtype is part of the identity)."""
+    array = np.ascontiguousarray(array)
+    return str(array.dtype).encode() + b"|" + array.tobytes()
+
+
+def run_digest(result: RunResult) -> str:
+    """Hex sha256 over every observable field of one run."""
+    hasher = hashlib.sha256()
+    hasher.update(
+        f"{result.system}|{result.scenario}|{result.pair}|"
+        f"{result.duration_s.hex()}".encode()
+    )
+    hasher.update(_array_bytes(result.times))
+    hasher.update(_array_bytes(np.asarray(result.correct)))
+    hasher.update(_array_bytes(np.asarray(result.dropped)))
+    for phase in result.phases:
+        hasher.update(
+            f"{phase.kind.name}|{phase.start_s.hex()}|{phase.end_s.hex()}|"
+            f"{phase.samples}|{int(phase.drift_detected)}".encode()
+        )
+    return hasher.hexdigest()
+
+
+def stream_digest(window) -> str:
+    """Hex sha256 over a materialized stream's raw arrays.
+
+    ``window`` is a :class:`~repro.data.stream.FrameWindow`.
+    """
+    hasher = hashlib.sha256()
+    for array in (window.features, window.labels, window.times):
+        hasher.update(_array_bytes(np.asarray(array)))
+    return hasher.hexdigest()

@@ -383,14 +383,14 @@ class _WorkerHandle:
             # An ssh banner/MOTD or a version-skewed peer on the line:
             # as much a failed handshake as silence, and it must surface
             # as the typed failure serve() knows how to absorb.
-            self.kill()
+            self.discard()
             raise ShardFailure(
                 "worker did not complete the protocol handshake",
                 worker=self.id,
                 cause=str(exc),
             )
         if hello is None or hello.get("kind") != "hello":
-            self.kill()
+            self.discard()
             raise ShardFailure(
                 "worker did not complete the protocol handshake",
                 worker=self.id,
@@ -455,11 +455,26 @@ class _WorkerHandle:
             self.proc.wait(timeout=timeout_s)
         except subprocess.TimeoutExpired:
             self.kill()
+        self._close_pipes()
 
     def kill(self) -> None:
+        # Leaves the pipes open: the shard watchdog calls this from its
+        # timer thread while the reader may still be blocked on stdout.
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait()
+
+    def discard(self) -> None:
+        """Kill the worker and close its pipes; nothing reads them now."""
+        self.kill()
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass  # a buffered write to a dead worker
 
 
 class SubprocessWorkerBackend:
@@ -522,7 +537,7 @@ class SubprocessWorkerBackend:
         with self._lock:
             handle = self._handles.pop(slot, None)
         if handle is not None:
-            handle.kill()
+            handle.discard()
 
     def run(
         self,

@@ -1,60 +1,109 @@
-"""Frozen reference digests: the bit-identity contract.
+"""The reference registry: every frozen digest, one lookup, one writer.
 
-A *reference digest* is a sha256 over everything a :class:`RunResult`'s
-consumers can observe -- frame timestamps, per-frame correctness and drop
-flags, and the full phase trace -- so two runs share a digest iff they are
-bit-identical.  The numeric policy's frozen digest file is
-``tests/reference/digests_float64.json``.  It was generated on the tree
-*before* the numeric-policy refactor, and runs must keep matching it
-forever.
+The bit-identity contract is the frozen :func:`run_digest` values in
+``tests/reference/``: runs must keep matching them, and a change that
+moves one names it and says why.  Each case in :data:`CASES` lists its
+cells and, for each sharing policy its digests hold under, the file and
+section that store them.  Batching never selects a section: it is
+bit-identical by contract.
 
-Sections, by cost:
+- ``smoke``: the six systems on one short S4 stream, plus that stream;
+  each system founds its own cluster, so it holds with sharing too.
+- ``full`` and ``fig9``: the 29-entry fixed-seed set and the 108-cell
+  Figure 9 grid at 1200 s, checked when ``REPRO_FULL_DIGESTS=1``.
+- ``sharing``: ``examples/fleet_shared.toml``'s four correlated cameras,
+  sharing off and on.
+- ``service`` and ``service-shared``: every window of an eager service
+  session over ``examples/fleet_service.toml``'s three streams, sharing
+  off and on.
 
-- ``smoke`` -- 6 systems on one short scenario + its raw stream; cheap
-  enough for tier-1 (``tests/test_reference_digests.py``).
-- ``full`` -- the 29-entry fixed-seed set carried since PR 1 (6 systems x
-  2 scenarios x 2 seeds at 600 s, the full-length 1200 s DaCapo cell, and
-  4 raw streams); checked when ``REPRO_FULL_DIGESTS=1``.
-- ``fig9`` -- per-cell digests *and accuracies* of the full Figure 9 grid
-  (108 cells at 1200 s).
+Readers ask :func:`expected_digest`; :func:`mismatches` recomputes a
+whole case.  One command writes every file, into a named directory (a
+file already there keeps its other sections)::
 
-Recompute sections into another file to compare with the checked-in one,
-which is never overwritten::
+    PYTHONPATH=src python -m repro.reference --case NAME --out DIR
 
-    PYTHONPATH=src python -m repro.reference --sections smoke \
-        --out new_digests.json
+Compare the result with ``tests/reference/`` and copy it over only for an
+intentional, named refreeze.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.results import RunResult
-from repro.core.runner import SystemCell
+from repro.core.results import run_digest, stream_digest
 from repro.data.scenarios import build_scenario
-from repro.data.stream import FrameWindow
+from repro.errors import ConfigurationError
 from repro.exec.run import run_cells
-from repro.numeric import active_policy
+from repro.exec.shard import PolicySet, SystemCell, cell_key, cell_label
+from repro.service import FleetService, ServiceConfig
+from repro.service.pacing import window_count
+from repro.share.policy import SHARING
 
 __all__ = [
-    "REFERENCE_VERSION",
-    "compute_section",
-    "reference_cells",
+    "CASES",
+    "REFERENCE_DIR",
+    "Case",
+    "expected_digest",
+    "main",
+    "mismatches",
     "reference_path",
+    "render",
     "run_digest",
-    "stream_digest",
 ]
 
-#: Schema version of the digest files.
-REFERENCE_VERSION = 1
+#: Where the frozen files live.
+REFERENCE_DIR = Path(__file__).resolve().parents[2] / "tests" / "reference"
 
-_SMOKE_SYSTEMS = (
+#: The one numeric policy, as the files name it.
+_POLICY = "float64"
+
+#: Each file's fixed top-level fields beside its sections.  The float64
+#: file keys a cell as ``system|pair|scenario|seedN|Ns`` and stores
+#: ``{"digest", "accuracy"}``; the others key it by its ``cell_key``
+#: (``|wN`` appended per window) and store the bare digest.
+_FLOAT64 = "digests_float64.json"
+_HEADERS = {
+    _FLOAT64: {"version": 1, "policy": _POLICY, "digest_namespace": "f64"},
+    "digests_sharing.json": {"policy": _POLICY, "sharing": "cluster"},
+    "digests_service.json": {"policy": _POLICY, "window_s": 60.0},
+    "digests_service_shared.json": {
+        "policy": _POLICY, "sharing": "cluster", "window_s": 60.0
+    },
+}
+
+
+@dataclass(frozen=True)
+class Case:
+    """A set of cells whose digests are frozen.
+
+    ``sections`` maps each sharing policy name the digests hold under to
+    ``(file name, path of keys to the section)``.  ``streams`` are
+    ``(scenario, seed, duration_s)`` raw streams pinned beside the cells.
+    A service case sets ``window_s``: its digests are the windows of one
+    eager session.
+    """
+
+    cells: tuple[SystemCell, ...]
+    sections: dict[str, tuple[str, tuple[str, ...]]]
+    streams: tuple[tuple[str, int, float], ...] = ()
+    window_s: float | None = None
+
+    def windows(self) -> list[tuple[SystemCell, int]]:
+        """Every ``(cell, window index)`` a service case freezes."""
+        return [
+            (cell, index)
+            for cell in self.cells
+            for index in range(window_count(cell.duration_s, self.window_s))
+        ]
+
+
+_SYSTEMS = (
     "OrinLow-Ekya",
     "OrinHigh-Ekya",
     "OrinHigh-EOMU",
@@ -62,151 +111,210 @@ _SMOKE_SYSTEMS = (
     "DaCapo-Spatial",
     "DaCapo-Spatiotemporal",
 )
-_FULL_SCENARIOS = ("S1", "S4")
-_FULL_SEEDS = (0, 1)
 _PAIR = "resnet18_wrn50"
+_DACAPO = "DaCapo-Spatiotemporal"
+_SERVICE_CELLS = tuple(
+    SystemCell(_DACAPO, _PAIR, scenario, seed, 120.0)
+    for scenario, seed in (("S1", 0), ("S4", 0), ("S4", 1))
+)
 
-_FIG9_SYSTEMS = _SMOKE_SYSTEMS
-_FIG9_SCENARIOS = ("S1", "S2", "S3", "S4", "S5", "S6")
-_FIG9_PAIRS = ("resnet18_wrn50", "vit_b32_b16", "resnet34_wrn101")
-
-
-def _array_bytes(array: np.ndarray) -> bytes:
-    """Dtype-tagged contiguous bytes (the dtype is part of the identity)."""
-    array = np.ascontiguousarray(array)
-    return str(array.dtype).encode() + b"|" + array.tobytes()
-
-
-def run_digest(result: RunResult) -> str:
-    """Hex sha256 over every observable field of one run."""
-    hasher = hashlib.sha256()
-    hasher.update(
-        f"{result.system}|{result.scenario}|{result.pair}|"
-        f"{result.duration_s.hex()}".encode()
-    )
-    hasher.update(_array_bytes(result.times))
-    hasher.update(_array_bytes(np.asarray(result.correct)))
-    hasher.update(_array_bytes(np.asarray(result.dropped)))
-    for phase in result.phases:
-        hasher.update(
-            f"{phase.kind.name}|{phase.start_s.hex()}|{phase.end_s.hex()}|"
-            f"{phase.samples}|{int(phase.drift_detected)}".encode()
-        )
-    return hasher.hexdigest()
-
-
-def stream_digest(window: FrameWindow) -> str:
-    """Hex sha256 over a materialized stream's raw arrays."""
-    hasher = hashlib.sha256()
-    for array in (window.features, window.labels, window.times):
-        hasher.update(_array_bytes(np.asarray(array)))
-    return hasher.hexdigest()
-
-
-def _cell_key(cell: SystemCell) -> str:
-    return (
-        f"{cell.system}|{cell.pair}|{cell.scenario}"
-        f"|seed{cell.seed}|{cell.duration_s:g}s"
-    )
-
-
-def _stream_key(scenario: str, seed: int, duration_s: float) -> str:
-    return f"stream|{scenario}|seed{seed}|{duration_s:g}s"
-
-
-def reference_cells(section: str) -> list[SystemCell]:
-    """The fixed-seed grid one section runs."""
-    if section == "smoke":
-        return [
-            SystemCell(system, _PAIR, "S4", 0, 300.0)
-            for system in _SMOKE_SYSTEMS
-        ]
-    if section == "full":
-        cells = [
+#: Every frozen case, by name.
+CASES: dict[str, Case] = {
+    "smoke": Case(
+        tuple(SystemCell(s, _PAIR, "S4", 0, 300.0) for s in _SYSTEMS),
+        {"off": (_FLOAT64, ("smoke",)), "cluster": (_FLOAT64, ("smoke",))},
+        streams=(("S4", 0, 300.0),),
+    ),
+    "full": Case(
+        tuple(
             SystemCell(system, _PAIR, scenario, seed, 600.0)
-            for system in _SMOKE_SYSTEMS
-            for scenario in _FULL_SCENARIOS
-            for seed in _FULL_SEEDS
-        ]
-        cells.append(
-            SystemCell("DaCapo-Spatiotemporal", _PAIR, "S4", 0, 1200.0)
+            for system in _SYSTEMS
+            for scenario in ("S1", "S4")
+            for seed in (0, 1)
         )
-        return cells
-    if section == "fig9":
-        return [
-            SystemCell(system, pair, scenario, 0, 1200.0)
-            for pair in _FIG9_PAIRS
-            for system in _FIG9_SYSTEMS
-            for scenario in _FIG9_SCENARIOS
-        ]
-    raise ValueError(f"unknown reference section {section!r}")
-
-
-def _section_streams(section: str) -> list[tuple[str, int, float]]:
-    """(scenario, seed, duration) triples whose raw streams a section pins."""
-    if section == "smoke":
-        return [("S4", 0, 300.0)]
-    if section == "full":
-        return [
+        + (SystemCell(_DACAPO, _PAIR, "S4", 0, 1200.0),),
+        {"off": (_FLOAT64, ("full",))},
+        streams=tuple(
             (scenario, seed, 1200.0)
-            for scenario in _FULL_SCENARIOS
-            for seed in _FULL_SEEDS
-        ]
-    return []
+            for scenario in ("S1", "S4")
+            for seed in (0, 1)
+        ),
+    ),
+    "fig9": Case(
+        tuple(
+            SystemCell(system, pair, scenario, 0, 1200.0)
+            for pair in (_PAIR, "vit_b32_b16", "resnet34_wrn101")
+            for system in _SYSTEMS
+            for scenario in ("S1", "S2", "S3", "S4", "S5", "S6")
+        ),
+        {"off": (_FLOAT64, ("fig9",))},
+    ),
+    "sharing": Case(
+        tuple(
+            SystemCell(_DACAPO, _PAIR, "S4", seed, 240.0) for seed in range(4)
+        ),
+        {
+            "off": ("digests_sharing.json", ("digests", "independent")),
+            "cluster": ("digests_sharing.json", ("digests", "shared")),
+        },
+    ),
+    "service": Case(
+        _SERVICE_CELLS,
+        {"off": ("digests_service.json", ("windows",))},
+        window_s=60.0,
+    ),
+    "service-shared": Case(
+        _SERVICE_CELLS,
+        {"cluster": ("digests_service_shared.json", ("windows",))},
+        window_s=60.0,
+    ),
+}
 
 
-def compute_section(section: str, jobs: int = 1) -> dict[str, dict]:
-    """Digests (and accuracies) for one section under the active policy."""
-    cells = reference_cells(section)
-    results = run_cells(cells, jobs=jobs)
-    entries: dict[str, dict] = {}
-    for cell, result in zip(cells, results):
-        entries[_cell_key(cell)] = {
-            "digest": run_digest(result),
-            "accuracy": result.average_accuracy(),
-        }
-    for scenario, seed, duration_s in _section_streams(section):
+def _where(case: str, sharing: str) -> tuple[Case, str, tuple]:
+    """The case, and the file and section holding it under ``sharing``."""
+    if case not in CASES:
+        raise ConfigurationError(
+            f"unknown reference case {case!r}; known: {', '.join(CASES)}"
+        )
+    found = CASES[case]
+    if sharing not in found.sections:
+        raise ConfigurationError(
+            f"reference case {case!r} holds no digests under sharing "
+            f"{sharing!r}; it declares {', '.join(found.sections)}"
+        )
+    return (found, *found.sections[sharing])
+
+
+def _key(name: str, cell: SystemCell, window: int | None = None) -> str:
+    if name == _FLOAT64:
+        return (
+            f"{cell.system}|{cell.pair}|{cell.scenario}"
+            f"|seed{cell.seed}|{cell.duration_s:g}s"
+        )
+    key = cell_key(_POLICY, cell)
+    return key if window is None else f"{key}|w{window}"
+
+
+def _digest(name: str, entry) -> str | None:
+    return entry["digest"] if entry and name == _FLOAT64 else entry
+
+
+def _frozen(name: str, path: tuple) -> dict:
+    section = json.loads((REFERENCE_DIR / name).read_text())
+    for part in path:
+        section = section[part]
+    return section
+
+
+def expected_digest(
+    case: str,
+    cell: SystemCell,
+    policies: PolicySet,
+    window: int | None = None,
+) -> str:
+    """The frozen digest of ``cell`` (or its window) in ``case``.
+
+    ``policies.sharing`` selects the section; batching never does.
+
+    Raises:
+        ConfigurationError: The case is unknown, declares no digests
+            under ``policies.sharing``, or holds none for this cell or
+            window.
+    """
+    _, name, path = _where(case, policies.sharing.name)
+    digest = _digest(name, _frozen(name, path).get(_key(name, cell, window)))
+    if digest is None:
+        what = cell_label(cell) + ("" if window is None else f" w{window}")
+        raise ConfigurationError(
+            f"reference case {case!r} holds no digest for {what}"
+        )
+    return digest
+
+
+def _compute(found: Case, name: str, policies: PolicySet) -> dict:
+    """A case's section recomputed under ``policies``, as stored."""
+    with policies.use():
+        if found.window_s is not None:
+            return _serve(found, name)
+        results = run_cells(found.cells, jobs=1)
+    entries: dict = {}
+    for cell, result in zip(found.cells, results):
+        digest = run_digest(result)
+        entries[_key(name, cell)] = (
+            {"digest": digest, "accuracy": result.average_accuracy()}
+            if name == _FLOAT64
+            else digest
+        )
+    for scenario, seed, duration_s in found.streams:
         stream = build_scenario(scenario, duration_s=duration_s)
-        entries[_stream_key(scenario, seed, duration_s)] = {
+        entries[f"stream|{scenario}|seed{seed}|{duration_s:g}s"] = {
             "digest": stream_digest(stream.materialize(seed))
         }
     return entries
 
 
-def reference_path(policy_name: str, root: Path | None = None) -> Path:
-    """The checked-in digest file for one policy."""
-    if root is None:
-        root = Path(__file__).resolve().parents[2] / "tests" / "reference"
-    return root / f"digests_{policy_name}.json"
+def _serve(found: Case, name: str) -> dict[str, str]:
+    """The window digests of one eager session over a case's cells."""
+    with tempfile.TemporaryDirectory() as out:
+        config = ServiceConfig(out_dir=out, window_s=found.window_s)
+        service = FleetService(config, list(found.cells))
+        service.run()
+        streams = service.journal.streams
+        return {
+            _key(name, cell, index):
+                streams[cell_key(_POLICY, cell)].windows[index]["digest"]
+            for cell, index in found.windows()
+        }
+
+
+def mismatches(case: str, policies: PolicySet) -> list[str]:
+    """Recompute ``case`` under ``policies``: the keys whose digest
+    differs from the freeze, or is missing on either side."""
+    found, name, path = _where(case, policies.sharing.name)
+    frozen = _frozen(name, path)
+    computed = _compute(found, name, policies)
+    return sorted(
+        key
+        for key in frozen.keys() | computed.keys()
+        if _digest(name, frozen.get(key)) != _digest(name, computed.get(key))
+    )
+
+
+def render(payload: dict) -> str:
+    """The one serialization every reference file is written in."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def reference_path(policy_name: str) -> Path:
+    """The digest file of one numeric policy (the ``float64`` file)."""
+    return REFERENCE_DIR / f"digests_{policy_name}.json"
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Regenerate the active policy's digest file."""
+    """Recompute one case, under each sharing policy it declares, into a
+    directory; a file already there keeps its other sections."""
     parser = argparse.ArgumentParser(
         prog="repro.reference",
-        description="regenerate frozen reference digests",
+        description="recompute one reference case's digests into a "
+        "directory (compare it with tests/reference/)",
     )
-    parser.add_argument(
-        "--sections", nargs="+", default=["smoke", "full", "fig9"],
-        choices=["smoke", "full", "fig9"],
-    )
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--case", required=True, choices=list(CASES))
+    parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-
-    policy = active_policy()
-    out = args.out or reference_path(policy.name)
-    payload = {
-        "version": REFERENCE_VERSION,
-        "policy": policy.name,
-        "digest_namespace": policy.digest_namespace,
-    }
-    for section in args.sections:
-        payload[section] = compute_section(section, jobs=args.jobs)
-        print(f"[{policy.name}] {section}: {len(payload[section])} entries")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    for sharing in CASES[args.case].sections:
+        found, name, path = _where(args.case, sharing)
+        target = args.out / name
+        payload = json.loads(target.read_text()) if target.is_file() else {}
+        payload.update(_HEADERS[name])
+        node = payload
+        for part in path[:-1]:
+            node = node.setdefault(part, {})
+        policies = PolicySet(sharing=SHARING.by_name[sharing])
+        node[path[-1]] = _compute(found, name, policies)
+        args.out.mkdir(parents=True, exist_ok=True)
+        target.write_text(render(payload))
+        print(f"wrote {target} (sharing {sharing})")
     return 0
 
 

@@ -89,6 +89,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cache import CACHE_ENV
+from repro.core.results import run_digest
 from repro.core.runner import FIG2_KINDS, GPU_PLATFORMS, SYSTEM_BUILDERS
 from repro.core.snapshot import stream_prefix_aligned
 from repro.data.scenarios import SCENARIO_NAMES, build_scenario
@@ -108,7 +109,6 @@ from repro.exec.shard import (
 )
 from repro.journal import write_durable
 from repro.models.zoo import MODEL_PAIRS
-from repro.reference import run_digest
 from repro.service.control import ControlServer
 from repro.service.degrade import DegradationLadder, DegradeLevel
 from repro.service.pacing import FrameClock, StreamPacer

@@ -15,8 +15,9 @@ sweep spec's ``[sweep]`` table; README "Policies"), with two values:
   teacher labels are computed once and shared, retrains warm-start from the
   cluster's freshest student weights or substitute a neighbor's per-domain
   weight delta, and diverged deltas are merged DAM-style
-  (:data:`MERGE_ALPHA`).  This path freezes its *own* digests
-  (``tests/reference/digests_sharing.json``).
+  (:data:`MERGE_ALPHA`).  This path freezes its *own* digests: the
+  reference registry (:mod:`repro.reference`) selects a case's section by
+  sharing policy (the ``sharing`` and ``service-shared`` cases).
 
 ``CLUSTER`` is the only enabled value, so the reuse machinery
 (:mod:`repro.share.cluster`, :mod:`repro.share.runtime`) reads its

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.arrays import decode_state, encode_state
 from repro.errors import ConfigurationError, SnapshotError
 from repro.share.fingerprint import cell_fingerprint
-from repro.share.policy import CLUSTER, MERGE_ALPHA, resolve_sharing
+from repro.share.policy import CLUSTER, MERGE_ALPHA
 
 __all__ = [
     "ClusterRuntime",
@@ -276,34 +276,68 @@ def encode_cluster_state(runtime: ClusterRuntime) -> dict:
 def decode_cluster_state(payload: dict) -> ClusterRuntime:
     """Rebuild a cluster runtime from a journaled state payload.
 
-    A state journaled under a policy that shares nothing is refused.
+    Strict: a field of the wrong type or value is refused, never coerced,
+    so a state that decodes re-encodes to the payload it came from.  A
+    state journaled under a policy that shares nothing is refused.
     """
     try:
         version = payload["version"]
-        if version != CLUSTER_STATE_VERSION:
+        if type(version) is not int or version != CLUSTER_STATE_VERSION:
             raise SnapshotError(
-                f"cluster state version {version} != {CLUSTER_STATE_VERSION}"
+                f"cluster state version {version!r} != {CLUSTER_STATE_VERSION}"
             )
-        if not resolve_sharing(payload["policy"]).enabled:
+        if payload["policy"] != CLUSTER.name:
             raise SnapshotError(f"cluster state under {payload['policy']!r}")
         runtime = ClusterRuntime(
             cluster_id=payload["cluster"],
-            segment_s=float(payload.get("segment_s", 60.0)),
+            segment_s=payload.get("segment_s", 60.0),
             base_model=payload.get("base_model"),
         )
+        counters = payload.get("counters", runtime.counters)
+        deltas = payload.get("deltas", {})
+        _require(isinstance(runtime.cluster_id, str), "cluster")
+        _require(
+            type(runtime.segment_s) is float
+            and 0.0 < runtime.segment_s < float("inf"),
+            "segment_s",
+        )
+        _require(
+            runtime.base_model is None or isinstance(runtime.base_model, str),
+            "base_model",
+        )
+        _require(
+            isinstance(counters, dict)
+            and counters.keys() == runtime.counters.keys()
+            and all(
+                type(count) is int and count >= 0
+                for count in counters.values()
+            ),
+            "counters",
+        )
+        runtime.counters.update(counters)
+        _require(isinstance(deltas, dict), "deltas")
         if "base" in payload:
             runtime.base = decode_state(payload["base"])
         if "freshest" in payload:
             runtime.freshest = decode_state(payload["freshest"])
-        for domain, entry in payload.get("deltas", {}).items():
+        for domain, entry in deltas.items():
+            _require(
+                isinstance(entry, dict)
+                and entry.keys() == {"member", "slot", "state"}
+                and isinstance(entry["member"], str)
+                and type(entry["slot"]) is int,
+                f"delta {domain!r}",
+            )
             runtime.deltas[domain] = _DeltaEntry(
                 member=entry["member"],
-                slot=int(entry["slot"]),
+                slot=entry["slot"],
                 delta=decode_state(entry["state"]),
             )
-        counters = _fresh_counters()
-        counters.update(payload.get("counters", {}))
-        runtime.counters = counters
         return runtime
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SnapshotError(f"malformed cluster state: {exc}") from exc
+
+
+def _require(ok: bool, field: str) -> None:
+    if not ok:
+        raise SnapshotError(f"malformed cluster state: bad {field}")

@@ -1,7 +1,6 @@
 """Tests for the execution backends: parsing, equivalence, worker death."""
 
 import io
-import json
 import shlex
 import subprocess
 import sys
@@ -16,6 +15,7 @@ from repro.exec import (
     FAULT_PLAN_ENV,
     FaultEntry,
     FaultPlan,
+    PolicySet,
     ProcessPoolBackend,
     SerialBackend,
     ShardFailure,
@@ -29,8 +29,7 @@ from repro.exec import (
     use_backend,
 )
 from repro.exec.faults import tokens_dir
-from repro.numeric import active_policy
-from repro.reference import reference_path, run_digest
+from repro.reference import CASES, expected_digest, run_digest
 
 DURATION = 60.0
 
@@ -124,24 +123,13 @@ class TestSmokeGridDigests:
         reproduce through the subprocess transport (serial and process
         are covered by tests/test_reference_digests.py and the sweep
         suite)."""
-        policy = active_policy()
-        reference = json.loads(
-            reference_path(policy.name).read_text()
-        )["smoke"]
-        cells = [
-            SystemCell(system, "resnet18_wrn50", "S4", 0, 300.0)
-            for system in (
-                "OrinLow-Ekya", "OrinHigh-Ekya", "OrinHigh-EOMU",
-                "DaCapo-Ekya", "DaCapo-Spatial", "DaCapo-Spatiotemporal",
-            )
-        ]
+        cells = CASES["smoke"].cells
         results = run_cells(cells, backend="subprocess:2")
+        policies = PolicySet.active()
         for cell, result in zip(cells, results):
-            key = (
-                f"{cell.system}|{cell.pair}|{cell.scenario}"
-                f"|seed{cell.seed}|{cell.duration_s:g}s"
-            )
-            assert reference[key]["digest"] == run_digest(result), key
+            assert run_digest(result) == expected_digest(
+                "smoke", cell, policies
+            ), cell
 
     def test_worker_without_scipy_matches_frozen_reference(
         self, monkeypatch
@@ -156,15 +144,13 @@ class TestSmokeGridDigests:
         monkeypatch.setenv(
             backends.WORKER_CMD_ENV, shlex.join([sys.executable, "-c", worker])
         )
-        key = "DaCapo-Spatiotemporal|resnet18_wrn50|S4|seed0|300s"
-        reference = json.loads(
-            reference_path(active_policy().name).read_text()
-        )["smoke"][key]
         cell = SystemCell(
             "DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", 0, 300.0
         )
         (result,) = run_cells([cell], backend="subprocess:1")
-        assert run_digest(result) == reference["digest"]
+        assert run_digest(result) == expected_digest(
+            "smoke", cell, PolicySet.active()
+        )
 
 
 def arm_one_death(tmp_path, monkeypatch):
@@ -354,6 +340,9 @@ class _FakeWorker:
     def flush(self):
         pass
 
+    def close(self):
+        pass
+
     def poll(self):
         return self.returncode
 
@@ -414,6 +403,28 @@ class TestShutdown:
         ]
         assert ("kill", 1, grace) in log
         assert not [entry for entry in log if entry[:2] == ("kill", 0)]
+
+
+class TestPipes:
+    # A stand-in worker: says hello, then exits at its first input line
+    # (the shutdown message) or at EOF.
+    HELLO = (
+        "import json, os, sys\n"
+        "print(json.dumps({'v': %d, 'kind': 'hello', 'pid': os.getpid()}),"
+        " flush=True)\n"
+        "sys.stdin.readline()\n"
+    ) % protocol.PROTOCOL_VERSION
+
+    def test_both_pipes_close_after_close_and_after_retire(self):
+        backend = SubprocessWorkerBackend(
+            3, command=[sys.executable, "-c", self.HELLO]
+        )
+        handles = [backend._spawn(slot) for slot in range(3)]
+        backend._retire(2)
+        backend.close()
+        for handle in handles:
+            assert handle.proc.poll() is not None
+            assert handle.proc.stdin.closed and handle.proc.stdout.closed
 
 
 class TestWorkerExclusion:

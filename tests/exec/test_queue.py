@@ -545,15 +545,21 @@ class TestReplyChecks:
         )
         layout = backend.layout
         stop = threading.Event()
+        errors: list[Exception] = []
 
         def impostor():
             # Claims every posted shard and answers it out of protocol.
+            # The backend withdraws a shard's pending message and lease
+            # once it has its answer, so either may vanish under us.
             lease_dir = layout.leases / "q0-impostor"
             lease_dir.mkdir()
             while not stop.is_set():
                 for pending in sorted(layout.pending.glob("*.json")):
                     lease = lease_dir / pending.name
-                    os.rename(pending, lease)
+                    try:
+                        os.rename(pending, lease)
+                    except FileNotFoundError:
+                        continue
                     protocol.write_message_file(
                         layout.results / pending.name,
                         {
@@ -565,10 +571,16 @@ class TestReplyChecks:
                             **fields,
                         },
                     )
-                    lease.unlink()
+                    lease.unlink(missing_ok=True)
                 time.sleep(0.01)
 
-        thread = threading.Thread(target=impostor, daemon=True)
+        def run_impostor():
+            try:
+                impostor()
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run_impostor, daemon=True)
         thread.start()
         try:
             spec, = make_shard_specs(CELLS[:1], 1)
@@ -580,6 +592,7 @@ class TestReplyChecks:
             thread.join(timeout=10)
             backend.close()
         assert not thread.is_alive()
+        assert errors == []
         assert [path.name for path in tmp_path.iterdir()] == ["q"]
         assert info.value.retriable
         assert field in info.value.cause

@@ -2,21 +2,20 @@
 
 Every combination of the sharing {off, cluster} and batching {off, on}
 policies reaches the one worker-side call, ``execute_shard``, from two
-entries:
+entries, and every result must match its registry digest
+(:func:`repro.reference.expected_digest`):
 
 - a sweep: the cells planned into shards and executed in-process, and
   once more over ``subprocess:2`` so the version-2 codec carries every
-  combination.  Each cell must match its frozen digest: the correlated
-  fleet its ``digests_sharing.json`` section (``independent`` or
-  ``shared``), and the cells of other systems -- each founding a cluster
-  of its own under sharing, so running exactly as independently -- their
-  ``digests_float64.json`` (or, batched, ``digests_batched.json``) smoke
-  entries.  Batched in-process sweeps must actually run lockstep lanes;
+  combination.  The correlated fleet is the ``sharing`` case, and the
+  cells of other systems -- each founding a cluster of its own under
+  sharing, so running exactly as independently -- are ``smoke`` cells.
+  Batched in-process sweeps must actually run lockstep lanes;
 - a chained service session on ``serial``: incremental windows resuming
   their predecessors' snapshots and, with sharing, their cluster's state.
-  Sharing-off sessions must match ``digests_service.json``; shared
-  sessions, which have no frozen file, must reproduce the shared
-  unbatched session's window and cluster records byte for byte.
+  Its windows are the ``service`` case, or with sharing the
+  ``service-shared`` case.  Shared sessions must also reproduce the
+  shared unbatched session's window and cluster records byte for byte.
 """
 
 import json
@@ -24,69 +23,36 @@ from pathlib import Path
 
 import pytest
 
-from repro.batching import BATCH, use_batching
+from repro.batching import BATCH
 from repro.exec import (
+    PolicySet,
     SerialBackend,
     SubprocessWorkerBackend,
-    SystemCell,
     cell_key,
     execute_cells,
     shard,
 )
-from repro.numeric import use_policy
-from repro.reference import reference_path, run_digest
+from repro.reference import CASES, expected_digest, run_digest
 from repro.service import FleetService, ServiceConfig
-from repro.service.reference import (
-    SERVICE_REFERENCE_WINDOW_S,
-    service_reference_cells,
-    service_reference_path,
-)
 from repro.service.session import session_path
-from repro.share.policy import SHARING, use_sharing
-from repro.share.reference import (
-    sharing_reference_cells,
-    sharing_reference_path,
-)
+from repro.share.policy import CLUSTER, SHARING
 
 POLICY = "float64"
 
-FLEET = sharing_reference_cells()
+FLEET = CASES["sharing"].cells
 OTHERS = [
-    SystemCell(system, "resnet18_wrn50", "S4", 0, 300.0)
-    for system in ("DaCapo-Ekya", "OrinHigh-EOMU")
+    cell
+    for cell in CASES["smoke"].cells
+    if cell.system in ("DaCapo-Ekya", "OrinHigh-EOMU")
 ]
+SERVICE = CASES["service"]
 
-CASES = [
-    (entry, sharing.name, batch.name)
+MATRIX = [
+    (entry, PolicySet(sharing=sharing, batch=batch))
     for entry in ("sweep-serial", "sweep-subprocess", "service-serial")
     for sharing in SHARING.values
     for batch in BATCH.values
 ]
-
-
-def frozen(name: str) -> dict:
-    return json.loads(
-        (Path(__file__).resolve().parents[1] / "reference" / name)
-        .read_text()
-    )
-
-
-def expected_sweep_digests(sharing: str, batch: str) -> list[str]:
-    fleet = json.loads(sharing_reference_path().read_text())["digests"]
-    section = fleet["shared" if sharing == "cluster" else "independent"]
-    smoke_file = (
-        frozen("digests_batched.json")
-        if batch == "on"
-        else json.loads(reference_path(POLICY).read_text())
-    )
-    smoke = smoke_file["smoke"]
-    return [section[cell_key(POLICY, cell)] for cell in FLEET] + [
-        smoke[
-            f"{cell.system}|{cell.pair}|{cell.scenario}"
-            f"|seed{cell.seed}|{cell.duration_s:g}s"
-        ]["digest"]
-        for cell in OTHERS
-    ]
 
 
 def records(out: Path) -> tuple[dict, dict]:
@@ -104,10 +70,10 @@ def records(out: Path) -> tuple[dict, dict]:
     return windows, clusters
 
 
-def serve(out: Path, sharing: str, batch: str) -> tuple[dict, dict]:
-    config = ServiceConfig(out_dir=out, window_s=SERVICE_REFERENCE_WINDOW_S)
-    with use_policy(POLICY), use_sharing(sharing), use_batching(batch):
-        assert FleetService(config, service_reference_cells()).run() == 0
+def serve(out: Path, policies: PolicySet) -> tuple[dict, dict]:
+    config = ServiceConfig(out_dir=out, window_s=SERVICE.window_s)
+    with policies.use():
+        assert FleetService(config, list(SERVICE.cells)).run() == 0
     return records(out)
 
 
@@ -120,30 +86,39 @@ def subprocess_backend():
 
 @pytest.fixture(scope="module")
 def shared_session(tmp_path_factory):
-    """The shared unbatched session: the reference shared cases match."""
-    return serve(tmp_path_factory.mktemp("shared"), "cluster", "off")
+    """The shared unbatched session: the other shared sessions match."""
+    return serve(tmp_path_factory.mktemp("shared"), PolicySet(sharing=CLUSTER))
 
 
 @pytest.mark.parametrize(
-    "entry,sharing,batch", CASES, ids=["-".join(case) for case in CASES]
+    "entry,policies",
+    MATRIX,
+    ids=[
+        f"{entry}-{policies.sharing.name}-{policies.batch.name}"
+        for entry, policies in MATRIX
+    ],
 )
-def test_runner_matrix(entry, sharing, batch, request, tmp_path, monkeypatch):
+def test_runner_matrix(entry, policies, request, tmp_path, monkeypatch):
     if entry == "service-serial":
-        windows, clusters = serve(tmp_path, sharing, batch)
-        if sharing == "cluster":
+        windows, clusters = serve(tmp_path, policies)
+        case = "service-shared" if policies.sharing.enabled else "service"
+        journaled = {key: json.loads(text) for key, text in windows.items()}
+        assert {
+            key: (record["mode"], record["digest"])
+            for key, record in journaled.items()
+        } == {
+            (cell_key(POLICY, cell), index): (
+                "fresh",
+                expected_digest(case, cell, policies, window=index),
+            )
+            for cell, index in CASES[case].windows()
+        }
+        if policies.sharing.enabled:
             assert (windows, clusters) == request.getfixturevalue(
                 "shared_session"
             )
-            return
-        expected = json.loads(service_reference_path().read_text())
-        assert clusters == {}
-        assert len(windows) == len(expected["windows"])
-        for (stream, index), text in windows.items():
-            record = json.loads(text)
-            assert record["mode"] == "fresh"
-            assert record["digest"] == expected["windows"][
-                f"{stream}|w{index}"
-            ]
+        else:
+            assert clusters == {}
         return
 
     lanes: list[int] = []
@@ -158,11 +133,12 @@ def test_runner_matrix(entry, sharing, batch, request, tmp_path, monkeypatch):
         monkeypatch.setattr(shard, "run_lane_jobs", spy)
     else:
         backend, workers = request.getfixturevalue("subprocess_backend"), 2
-    cells = FLEET + OTHERS
-    with use_policy(POLICY), use_sharing(sharing), use_batching(batch):
-        results = execute_cells(cells, backend=backend, workers=workers)
-    assert [run_digest(result) for result in results] == (
-        expected_sweep_digests(sharing, batch)
-    )
+    with policies.use():
+        results = execute_cells(
+            list(FLEET) + OTHERS, backend=backend, workers=workers
+        )
+    assert [run_digest(result) for result in results] == [
+        expected_digest("sharing", cell, policies) for cell in FLEET
+    ] + [expected_digest("smoke", cell, policies) for cell in OTHERS]
     if entry == "sweep-serial":
-        assert (min(lanes, default=0) >= 2) == (batch == "on"), lanes
+        assert (min(lanes, default=0) >= 2) == policies.batch.enabled, lanes

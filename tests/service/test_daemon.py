@@ -13,16 +13,14 @@ import pytest
 
 from repro.exec import protocol
 from repro.exec.faults import DIE_EXIT_CODE, FaultEntry, FaultPlan, save_plan
-from repro.exec.shard import SystemCell, cell_key, run_cell
-from repro.reference import run_digest
+from repro.exec.shard import PolicySet, SystemCell, cell_key, run_cell
+from repro.reference import CASES, expected_digest, run_digest
 from repro.service import FleetService, ServiceConfig
 from repro.service.control import control_request
-from repro.service.reference import (
-    SERVICE_REFERENCE_WINDOW_S,
-    service_reference_cells,
-    service_reference_path,
-)
 from repro.service.session import session_path
+
+#: The registry's service fleet: three streams at 60 s windows.
+SERVICE = CASES["service"]
 
 CELLS = [
     SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S1", 0, 30.0),
@@ -108,16 +106,19 @@ class TestEagerSession:
             monkeypatch.setattr(
                 daemon, "stream_prefix_aligned", lambda end: False
             )
-        frozen = json.loads(service_reference_path().read_text())
-        config = ServiceConfig(
-            out_dir=tmp_path, window_s=SERVICE_REFERENCE_WINDOW_S
-        )
-        assert FleetService(config, service_reference_cells()).run() == 0
+        config = ServiceConfig(out_dir=tmp_path, window_s=SERVICE.window_s)
+        assert FleetService(config, list(SERVICE.cells)).run() == 0
         records = window_records(tmp_path)
-        assert len(records) == len(frozen["windows"])
-        for (stream, index), record in records.items():
-            assert record["mode"] == "fresh"
-            assert record["digest"] == frozen["windows"][f"{stream}|w{index}"]
+        assert {
+            key: (record["mode"], record["digest"])
+            for key, record in records.items()
+        } == {
+            (cell_key("float64", cell), index): (
+                "fresh",
+                expected_digest("service", cell, PolicySet(), window=index),
+            )
+            for cell, index in SERVICE.windows()
+        }
         snapshots = [
             line
             for line in session_path(tmp_path).read_text().splitlines()
@@ -516,11 +517,9 @@ class TestSharedService:
         # id, so each journaled state names the cluster it belongs to.
         from repro.share.policy import CLUSTER, use_sharing
 
-        config = ServiceConfig(
-            out_dir=tmp_path, window_s=SERVICE_REFERENCE_WINDOW_S
-        )
+        config = ServiceConfig(out_dir=tmp_path, window_s=SERVICE.window_s)
         with use_sharing(CLUSTER):
-            assert FleetService(config, service_reference_cells()).run() == 0
+            assert FleetService(config, list(SERVICE.cells)).run() == 0
         clusters = [
             json.loads(line)
             for line in session_path(tmp_path).read_text().splitlines()

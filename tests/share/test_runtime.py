@@ -1,7 +1,12 @@
 """ClusterRuntime behavior: labels, warm starts, deltas, state codec."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SnapshotError
 from repro.exec.shard import SystemCell
@@ -177,6 +182,53 @@ class TestStateCodec:
             payload["policy"] = name
             with pytest.raises(SnapshotError):
                 decode_cluster_state(payload)
+
+
+#: Any JSON value.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+#: A journaled state with a base, a freshest state and one delta.
+JOURNALED = json.loads(
+    json.dumps(encode_cluster_state(TestStateCodec().build()))
+)
+(DOMAIN,) = JOURNALED["deltas"]
+FIELDS = [(key,) for key in JOURNALED] + [
+    ("deltas", DOMAIN, key) for key in JOURNALED["deltas"][DOMAIN]
+]
+
+
+@given(field=st.sampled_from(FIELDS), value=json_values)
+@settings(max_examples=300, deadline=None)
+@example(field=("segment_s",), value="60")
+@example(field=("deltas", DOMAIN, "slot"), value="3")
+@example(field=("deltas", DOMAIN, "slot"), value=3.7)
+@example(field=("counters",), value=[["merges", 2]])
+@example(field=("deltas",), value=[])
+def test_a_replaced_field_round_trips_or_is_refused(field, value):
+    # Cluster state crosses the shard protocol and the session journal:
+    # a payload with one field replaced by any JSON value either decodes
+    # to a runtime that re-encodes to the same canonical text, or is
+    # refused with SnapshotError -- never coerced, never a raw error.
+    payload = copy.deepcopy(JOURNALED)
+    node = payload
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    text = json.dumps(payload, sort_keys=True)
+    try:
+        runtime = decode_cluster_state(json.loads(text))
+    except SnapshotError:
+        return
+    assert json.dumps(encode_cluster_state(runtime), sort_keys=True) == text
 
 
 class TestClusterCellsHelper:

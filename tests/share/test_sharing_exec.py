@@ -1,19 +1,17 @@
 """The sharing bit-identity contract, both paths, through the executor.
 
-Two frozen sections (``tests/reference/digests_sharing.json``):
+The registry's ``sharing`` case (:mod:`repro.reference`) freezes both:
 
-- ``independent``: the default off-path over the reference fleet must
-  stay byte-identical to the historical executor -- sharing machinery is
+- sharing off: the default off-path over the reference fleet must stay
+  byte-identical to the historical executor -- sharing machinery is
   opt-in and its *absence* is digest-pinned.
-- ``shared``: the cluster path is deterministic too (a cluster's cells
-  are co-located and run sequentially), so its digests are frozen with
-  the same severity.
+- sharing on (``cluster``): the cluster path is deterministic too (a
+  cluster's cells are co-located and run sequentially), so its digests
+  are frozen with the same severity.
 
 The saving itself is counted, not timed: the shared cluster's label and
 retrain work against the same cameras each alone in a singleton runtime.
 """
-
-import json
 
 import pytest
 
@@ -30,39 +28,47 @@ from repro.exec.shard import (
     shard_key,
 )
 from repro.numeric import use_policy
-from repro.reference import run_digest
+from repro.reference import CASES, expected_digest, run_digest
+from repro.share.cluster import cluster_cells
 from repro.share.policy import CLUSTER, use_sharing
-from repro.share.reference import (
-    run_shared_cells,
-    sharing_reference_cells,
-    sharing_reference_path,
-)
 from repro.share.runtime import ClusterRuntime
 
 POLICY = "float64"
+OFF = PolicySet()
+SHARED = PolicySet(sharing=CLUSTER)
 
 
-@pytest.fixture(scope="module")
-def frozen():
-    path = sharing_reference_path()
-    assert path.is_file(), f"missing reference file {path}"
-    payload = json.loads(path.read_text())
-    assert payload["policy"] == POLICY
-    return payload["digests"]
+def frozen(policies):
+    """The fleet's registry digests under ``policies``, in fleet order."""
+    return [
+        expected_digest("sharing", cell, policies)
+        for cell in CASES["sharing"].cells
+    ]
 
 
 @pytest.fixture(scope="module")
 def fleet():
-    return sharing_reference_cells()
+    return list(CASES["sharing"].cells)
 
 
 @pytest.fixture(scope="module")
 def shared_run(fleet):
-    return run_shared_cells(fleet)
+    """``fleet`` through one in-process cluster shard, as every backend
+    runs it: ``(results, {cluster id: ClusterRuntime})``."""
+    assignment = cluster_cells(fleet)
+    runtimes: dict[str, ClusterRuntime] = {}
+    results = []
+    with use_sharing(CLUSTER):
+        for cell in fleet:
+            cid = assignment.cluster_of(cell)
+            runtime = runtimes.setdefault(cid, ClusterRuntime(cid))
+            with runtime.activate(cell):
+                results.append(run_cell(cell))
+    return results, runtimes
 
 
 class TestOffPath:
-    def test_independent_digests_match_frozen(self, frozen, fleet):
+    def test_independent_digests_match_frozen(self, fleet):
         # The default path: no sharing context, plain executor.
         backend, workers, owned = resolve_backend("serial", 1, len(fleet))
         try:
@@ -70,32 +76,21 @@ class TestOffPath:
         finally:
             if owned:
                 backend.close()
-        computed = {
-            cell_key(POLICY, cell): run_digest(result)
-            for cell, result in zip(fleet, results)
-        }
-        assert computed == frozen["independent"]
+        assert [run_digest(result) for result in results] == frozen(OFF)
 
 
 class TestSharedPath:
-    def test_shared_digests_match_frozen(self, frozen, fleet, shared_run):
+    def test_shared_digests_match_frozen(self, shared_run):
         results, _ = shared_run
-        computed = {
-            cell_key(POLICY, cell): run_digest(result)
-            for cell, result in zip(fleet, results)
-        }
-        assert computed == frozen["shared"]
+        assert [run_digest(result) for result in results] == frozen(SHARED)
 
-    def test_founder_is_bit_identical_to_independent(
-        self, frozen, fleet
-    ):
+    def test_founder_is_bit_identical_to_independent(self):
         # The cluster founder adopts nothing -- it publishes.  Its result
         # is therefore byte-equal to its independent run; only later
         # members diverge (they inherit the founder's learning).
-        founder = cell_key(POLICY, fleet[0])
-        assert frozen["shared"][founder] == frozen["independent"][founder]
-        later = cell_key(POLICY, fleet[1])
-        assert frozen["shared"][later] != frozen["independent"][later]
+        independent, shared = frozen(OFF), frozen(SHARED)
+        assert shared[0] == independent[0]
+        assert shared[1] != independent[1]
 
     def test_counters_show_realized_reuse(self, shared_run):
         _, runtimes = shared_run
@@ -108,7 +103,7 @@ class TestSharedPath:
         assert counters["labels_shared"] > counters["labels_computed"]
 
     def test_cluster_does_less_work_at_no_accuracy_cost(
-        self, frozen, fleet, shared_run
+        self, fleet, shared_run
     ):
         # Each camera alone in a singleton cluster runtime reproduces the
         # independent digests, so its counters are an honest count of
@@ -121,10 +116,7 @@ class TestSharedPath:
                 runtimes.append(ClusterRuntime(f"i{index}"))
                 with runtimes[-1].activate(cell):
                     independent.append(run_cell(cell))
-        assert {
-            cell_key(POLICY, cell): run_digest(result)
-            for cell, result in zip(fleet, independent)
-        } == frozen["independent"]
+        assert [run_digest(result) for result in independent] == frozen(OFF)
         shared, shared_runtimes = shared_run
 
         def work(group):
@@ -142,17 +134,15 @@ class TestSharedPath:
                 >= alone.average_accuracy() - 0.01
             ), cell_key(POLICY, cell)
 
-    def test_shard_spec_path_matches(self, frozen, fleet):
+    def test_shard_spec_path_matches(self, fleet):
         # The worker-side entry point (what every backend executes) must
         # produce the same frozen digests as the direct runtime path.
         with use_sharing(CLUSTER), use_policy(POLICY):
             (spec,) = make_shard_specs(fleet, 1)
         assert {job.cluster for job in spec.jobs} == {"c0"}
-        computed = {
-            cell_key(POLICY, cell): run_digest(result)
-            for cell, result in zip(fleet, execute_shard(spec).results)
-        }
-        assert computed == frozen["shared"]
+        assert [
+            run_digest(result) for result in execute_shard(spec).results
+        ] == frozen(SHARED)
 
     def test_unstamped_job_is_refused(self, fleet):
         # Workers never re-cluster: a shared shard must say which cluster

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import run_cells
+from repro.exec import PolicySet, run_cells
 from repro.numeric import active_policy
-from repro.reference import reference_path, run_digest
+from repro.reference import CASES, expected_digest, run_digest
 from repro.sweep import (
     compile_plan,
     load_spec,
@@ -105,10 +105,6 @@ class TestFrozenDigests:
         """A spec of the reference smoke grid reproduces its frozen
         digests on every execution backend (the bit-identity acceptance
         contract of the pluggable dispatch layer)."""
-        policy = active_policy()
-        reference = json.loads(
-            reference_path(policy.name).read_text()
-        )["smoke"]
         spec = spec_from_mapping({
             "sweep": {"name": "smoke-ref", "title": "Smoke reference"},
             "axes": {
@@ -123,12 +119,11 @@ class TestFrozenDigests:
             },
         })
         result = run_sweep(spec, jobs=jobs, backend=backend)
+        policies = PolicySet.active()
         for _, cell, run in result.extras["results"]:
-            key = (
-                f"{cell.system}|{cell.pair}|{cell.scenario}"
-                f"|seed{cell.seed}|{cell.duration_s:g}s"
-            )
-            assert reference[key]["digest"] == run_digest(run), key
+            assert run_digest(run) == expected_digest(
+                "smoke", cell, policies
+            ), cell
 
     @pytest.mark.skipif(
         not FULL,
@@ -143,23 +138,14 @@ class TestFrozenDigests:
         """The shipped fig9 spec is bit-identical to `repro experiment
         fig9` per the frozen reference digests -- serial, sharded over
         the pool, and dispatched over the subprocess transport."""
-        policy = active_policy()
-        reference = json.loads(
-            reference_path(policy.name).read_text()
-        )["fig9"]
         spec = load_spec(EXAMPLES / "fig9_sweep.toml")
         result = run_sweep(spec, jobs=jobs, backend=backend)
-        computed = {}
-        for _, cell, run in result.extras["results"]:
-            key = (
-                f"{cell.system}|{cell.pair}|{cell.scenario}"
-                f"|seed{cell.seed}|{cell.duration_s:g}s"
-            )
-            computed[key] = run_digest(run)
-        assert set(computed) == set(reference)
+        policies = PolicySet.active()
+        runs = {cell: run for _, cell, run in result.extras["results"]}
+        assert set(runs) == set(CASES["fig9"].cells)
         mismatched = [
-            key for key in reference
-            if computed[key] != reference[key]["digest"]
+            cell for cell, run in runs.items()
+            if run_digest(run) != expected_digest("fig9", cell, policies)
         ]
         assert not mismatched, mismatched
 

@@ -37,10 +37,11 @@ LAYERS = (
     ("repro.learn",),
     ("repro.core",),
     ("repro.exec",),
-    # The sharing digest harness sits above exec, beside repro.reference.
-    ("repro.reference", "repro.experiments", "repro.share.reference"),
+    ("repro.experiments",),
     ("repro.sweep", "repro.service"),
-    ("repro.__main__",),
+    # The reference registry recomputes its cases through sweeps and
+    # service sessions, so it sits on top, beside the CLI.
+    ("repro.reference", "repro.__main__"),
 )
 
 _LAYER_OF = {

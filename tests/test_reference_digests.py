@@ -1,10 +1,10 @@
 """The bit-identity contract against the frozen reference digests.
 
-Tier-1 recomputes the cheap ``smoke`` section under every numeric policy
-and compares against the checked-in file; the heavyweight ``full`` (the
-29-entry fixed-seed set) and ``fig9`` (108 cells at 1200 s) sections run
-when ``REPRO_FULL_DIGESTS=1``.  The float64 file is pre-refactor ground
-truth and must never change.
+Tier-1 recomputes the cheap ``smoke`` case under every numeric policy and
+compares it with its freeze; the heavyweight ``full`` (the 29-entry
+fixed-seed set) and ``fig9`` (108 cells at 1200 s) cases run when
+``REPRO_FULL_DIGESTS=1``.  Every file under ``tests/reference/`` is
+exactly what the registry's one writer renders, and belongs to a case.
 """
 
 from __future__ import annotations
@@ -14,8 +14,18 @@ import os
 
 import pytest
 
-from repro.numeric import NUMERIC, use_policy
-from repro.reference import compute_section, reference_path
+from repro.errors import ConfigurationError
+from repro.exec.shard import PolicySet
+from repro.numeric import NUMERIC
+from repro.reference import (
+    CASES,
+    REFERENCE_DIR,
+    expected_digest,
+    main,
+    mismatches,
+    render,
+)
+from repro.share.policy import CLUSTER
 
 #: Every declared policy, by name.
 policies = pytest.mark.parametrize(
@@ -25,28 +35,9 @@ policies = pytest.mark.parametrize(
 FULL = os.environ.get("REPRO_FULL_DIGESTS", "") == "1"
 
 
-def load_reference(policy):
-    path = reference_path(policy.name)
-    assert path.is_file(), f"missing reference file {path}"
-    payload = json.loads(path.read_text())
-    assert payload["policy"] == policy.name
-    return payload
-
-
 @policies
 def test_smoke_digests_match_reference(policy):
-    reference = load_reference(policy)["smoke"]
-    with use_policy(policy):
-        computed = compute_section("smoke")
-    assert set(computed) == set(reference)
-    mismatched = [
-        key for key in reference
-        if computed[key]["digest"] != reference[key]["digest"]
-    ]
-    assert not mismatched, (
-        f"{policy.name} runs no longer match their frozen digests: "
-        f"{mismatched}"
-    )
+    assert mismatches("smoke", PolicySet(numeric=policy)) == []
 
 
 @pytest.mark.skipif(
@@ -55,12 +46,38 @@ def test_smoke_digests_match_reference(policy):
 @pytest.mark.parametrize("section", ["full", "fig9"])
 @policies
 def test_full_sections_match_reference(policy, section):
-    reference = load_reference(policy)[section]
-    with use_policy(policy):
-        computed = compute_section(section)
-    assert set(computed) == set(reference)
-    mismatched = [
-        key for key in reference
-        if computed[key]["digest"] != reference[key]["digest"]
-    ]
-    assert not mismatched, f"{policy.name}/{section}: {mismatched}"
+    assert mismatches(section, PolicySet(numeric=policy)) == []
+
+
+def test_every_file_is_a_case_file_in_the_writers_rendering():
+    # The bytes of each frozen file are what ``render`` makes of its own
+    # parsed payload, so regenerating it can reproduce it exactly.
+    declared = {
+        name for case in CASES.values() for name, _ in case.sections.values()
+    }
+    files = sorted(REFERENCE_DIR.glob("*.json"))
+    assert {path.name for path in files} == declared
+    for path in files:
+        text = path.read_text()
+        assert render(json.loads(text)) == text, path.name
+
+
+def test_a_policy_the_case_does_not_declare_is_refused():
+    # Under sharing, the full grid's seeds share clusters: its digests
+    # hold only with sharing off, and the lookup says so.
+    cell = CASES["full"].cells[0]
+    assert expected_digest("full", cell, PolicySet())
+    with pytest.raises(ConfigurationError, match="declares off"):
+        expected_digest("full", cell, PolicySet(sharing=CLUSTER))
+    with pytest.raises(ConfigurationError, match="no digest for"):
+        expected_digest("smoke", cell, PolicySet())
+    with pytest.raises(ConfigurationError, match="unknown reference case"):
+        expected_digest("fig10", cell, PolicySet())
+
+
+def test_the_command_needs_an_output_directory(capsys):
+    # Regenerating never writes into tests/reference/ by default.
+    with pytest.raises(SystemExit) as info:
+        main(["--case", "smoke"])
+    assert info.value.code == 2
+    assert "--out" in capsys.readouterr().err
