@@ -12,7 +12,7 @@ Systems:
 - :class:`~repro.core.system.DaCapoSystem` -- spatial partition + Algorithm 1
   (the paper's DaCapo-Spatiotemporal).
 - :class:`~repro.core.baselines.FixedWindowSystem` -- Ekya-style fixed-window
-  scheduling, usable on GPU platforms (OrinLow/High-Ekya), on DaCapo with
+  scheduling, usable on GPU platforms (OrinLow/High-Ekya, RTX3090-Ekya), on DaCapo with
   time-multiplexing (DaCapo-Ekya) or with the spatial partition
   (DaCapo-Spatial).
 - :class:`~repro.core.baselines.EomuSystem` -- EOMU-style short-window
@@ -35,7 +35,6 @@ from repro.core.baselines import (
 )
 from repro.core.runner import (
     SYSTEM_BUILDERS,
-    Fig2Cell,
     SystemCell,
     build_system,
     run_on_scenario,
@@ -52,7 +51,6 @@ __all__ = [
     "DaCapoConfig",
     "DaCapoSystem",
     "EomuSystem",
-    "Fig2Cell",
     "FixedWindowSystem",
     "KernelRates",
     "NoRetrainSystem",

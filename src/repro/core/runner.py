@@ -2,9 +2,9 @@
 
 ``build_system`` assembles any of the paper's evaluated systems by name for
 a given model pair; ``run_on_scenario`` executes it over a Table II
-scenario.  A grid cell (:class:`SystemCell`, :class:`Fig2Cell`) names one
-such run; :mod:`repro.exec` dispatches them.  The system names match the
-paper's Figure 9 legend:
+scenario.  A grid cell (:class:`SystemCell`) names one such run;
+:mod:`repro.exec` dispatches them.  The system names match the legends of
+the paper's Figure 9 and Figure 2:
 
 ========================  =====================================================
 Name                      Meaning
@@ -15,12 +15,18 @@ Name                      Meaning
 ``DaCapo-Ekya``           Ekya scheduling on time-shared DaCapo hardware
 ``DaCapo-Spatial``        fixed-window scheduling on partitioned DaCapo
 ``DaCapo-Spatiotemporal`` Algorithm 1 on partitioned DaCapo
+``RTX3090-Ekya``          Ekya scheduling on an RTX 3090 (Figure 2)
+``<GPU>-Student``         the frozen student on ``RTX3090``, ``OrinHigh`` or
+                          ``OrinLow`` (Figure 2)
+``<GPU>-Teacher``         the teacher deployed for inference on one of those
+                          GPUs (Figure 2)
 ========================  =====================================================
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.accelerator import SystolicArray
@@ -47,17 +53,11 @@ from repro.platform import (
     jetson_orin_low,
     rtx_3090,
 )
-from repro.platform.base import Platform
 
 __all__ = [
-    "CELL_TYPES",
-    "FIG2_KINDS",
-    "GPU_PLATFORMS",
     "SYSTEM_BUILDERS",
-    "Fig2Cell",
     "SystemCell",
     "build_system",
-    "build_fig2_system",
     "run_on_scenario",
     "warm_model_caches",
 ]
@@ -86,17 +86,31 @@ def _make_models(
     return student, teacher
 
 
-def _build_orin_low_ekya(pair, config, seed):
-    student, teacher = _make_models(pair, on_dacapo=False, seed=seed)
-    return FixedWindowSystem(
-        "OrinLow-Ekya", jetson_orin_low(), pair, student, teacher, config
-    )
+_GPUS = {
+    "RTX3090": rtx_3090,
+    "OrinHigh": jetson_orin_high,
+    "OrinLow": jetson_orin_low,
+}
 
 
-def _build_orin_high_ekya(pair, config, seed):
+def _build_gpu(gpu, kind, pair, config, seed):
+    """``<gpu>-<kind>``: Ekya's fixed windows, or a frozen model that never
+    retrains -- the student, or the teacher deployed for inference."""
     student, teacher = _make_models(pair, on_dacapo=False, seed=seed)
-    return FixedWindowSystem(
-        "OrinHigh-Ekya", jetson_orin_high(), pair, student, teacher, config
+    name = f"{gpu}-{kind}"
+    if kind == "Ekya":
+        return FixedWindowSystem(
+            name, _GPUS[gpu](), pair, student, teacher, config
+        )
+    if kind == "Teacher":
+        student = StudentModel(
+            name=teacher.name,
+            mlp=teacher.mlp.clone(),
+            sensitivity=teacher.sensitivity,
+        )
+    return NoRetrainSystem(
+        name, _GPUS[gpu](), pair, student, teacher, config,
+        deploy_teacher=kind == "Teacher",
     )
 
 
@@ -138,27 +152,23 @@ def _build_dacapo_spatiotemporal(pair, config, seed):
     )
 
 
-#: Figure 9's six systems, in the paper's legend order.
+#: Every system by name: Figure 9's six in the paper's legend order, then
+#: the rest of Figure 2's GPU study.
 SYSTEM_BUILDERS: dict[str, Callable] = {
-    "OrinLow-Ekya": _build_orin_low_ekya,
-    "OrinHigh-Ekya": _build_orin_high_ekya,
+    "OrinLow-Ekya": partial(_build_gpu, "OrinLow", "Ekya"),
+    "OrinHigh-Ekya": partial(_build_gpu, "OrinHigh", "Ekya"),
     "OrinHigh-EOMU": _build_orin_high_eomu,
     "DaCapo-Ekya": _build_dacapo_ekya,
     "DaCapo-Spatial": _build_dacapo_spatial,
     "DaCapo-Spatiotemporal": _build_dacapo_spatiotemporal,
+    "RTX3090-Student": partial(_build_gpu, "RTX3090", "Student"),
+    "RTX3090-Teacher": partial(_build_gpu, "RTX3090", "Teacher"),
+    "RTX3090-Ekya": partial(_build_gpu, "RTX3090", "Ekya"),
+    "OrinHigh-Student": partial(_build_gpu, "OrinHigh", "Student"),
+    "OrinHigh-Teacher": partial(_build_gpu, "OrinHigh", "Teacher"),
+    "OrinLow-Student": partial(_build_gpu, "OrinLow", "Student"),
+    "OrinLow-Teacher": partial(_build_gpu, "OrinLow", "Teacher"),
 }
-
-_GPU_PLATFORMS = {
-    "RTX3090": rtx_3090,
-    "OrinHigh": jetson_orin_high,
-    "OrinLow": jetson_orin_low,
-}
-
-#: GPU platform names accepted by :func:`build_fig2_system`.
-GPU_PLATFORMS: tuple[str, ...] = tuple(_GPU_PLATFORMS)
-
-#: System kinds accepted by :func:`build_fig2_system`.
-FIG2_KINDS: tuple[str, ...] = ("student", "teacher", "ekya")
 
 
 def build_system(
@@ -187,52 +197,6 @@ def build_system(
     return builder(pair, config or DaCapoConfig(), seed)
 
 
-def build_fig2_system(
-    kind: str,
-    platform_name: str,
-    pair_name: str,
-    config: DaCapoConfig | None = None,
-    seed: int = 0,
-) -> CLSystemBase:
-    """Figure 2 systems: frozen Student/Teacher or idealized Ekya on a GPU.
-
-    Args:
-        kind: ``"student"``, ``"teacher"``, or ``"ekya"``.
-        platform_name: ``"RTX3090"``, ``"OrinHigh"``, or ``"OrinLow"``.
-    """
-    config = config or DaCapoConfig()
-    pair = get_pair(pair_name)
-    try:
-        platform: Platform = _GPU_PLATFORMS[platform_name]()
-    except KeyError:
-        known = ", ".join(_GPU_PLATFORMS)
-        raise ConfigurationError(
-            f"unknown platform {platform_name!r}; known: {known}"
-        )
-    student, teacher = _make_models(pair, on_dacapo=False, seed=seed)
-    name = f"{platform_name}-{kind.capitalize()}"
-    if kind == "student":
-        return NoRetrainSystem(name, platform, pair, student, teacher, config)
-    if kind == "teacher":
-        deployed = StudentModel(
-            name=teacher.name,
-            mlp=teacher.mlp.clone(),
-            sensitivity=teacher.sensitivity,
-        )
-        return NoRetrainSystem(
-            name, platform, pair, deployed, teacher, config,
-            deploy_teacher=True,
-        )
-    if kind == "ekya":
-        return FixedWindowSystem(
-            name, platform, pair, student, teacher, config
-        )
-    raise ConfigurationError(
-        f"unknown Figure 2 system kind {kind!r}; "
-        "expected student, teacher, or ekya"
-    )
-
-
 def run_on_scenario(
     system: CLSystemBase,
     scenario: str | ScenarioStream,
@@ -252,7 +216,7 @@ def run_on_scenario(
 
 @dataclass(frozen=True)
 class SystemCell:
-    """One grid cell: a Figure-9-style system on one scenario.
+    """One grid cell: one system on one scenario.
 
     Attributes:
         system: System name from :data:`SYSTEM_BUILDERS`.
@@ -269,31 +233,6 @@ class SystemCell:
     duration_s: float | None = None
 
 
-@dataclass(frozen=True)
-class Fig2Cell:
-    """One Figure-2 cell: frozen student/teacher or idealized Ekya on a GPU.
-
-    Attributes:
-        kind: ``"student"``, ``"teacher"``, or ``"ekya"``.
-        platform: ``"RTX3090"``, ``"OrinHigh"``, or ``"OrinLow"``.
-        pair: Model-pair name.
-        scenario: Scenario name.
-        seed: Stream seed (model init uses the builder default, matching
-            the serial Figure 2 code).
-        duration_s: Stream length override.
-    """
-
-    kind: str
-    platform: str
-    pair: str
-    scenario: str
-    seed: int = 0
-    duration_s: float | None = None
-
-
-CELL_TYPES = (SystemCell, Fig2Cell)
-
-
 def warm_model_caches(cells: Iterable) -> None:
     """Pretrain every distinct (pair, seed) once in this process.
 
@@ -305,11 +244,10 @@ def warm_model_caches(cells: Iterable) -> None:
     """
     seen: set[tuple[str, int]] = set()
     for cell in cells:
-        model_seed = cell.seed if isinstance(cell, SystemCell) else 0
-        key = (cell.pair, model_seed)
+        key = (cell.pair, cell.seed)
         if key in seen:
             continue
         seen.add(key)
         pair = get_pair(cell.pair)
-        make_student(pair.student, seed=model_seed)
-        make_teacher(pair.teacher, seed=model_seed)
+        make_student(pair.student, seed=cell.seed)
+        make_teacher(pair.teacher, seed=cell.seed)

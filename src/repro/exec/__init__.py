@@ -33,7 +33,7 @@ so *where* a shard runs never changes
 every transport.
 """
 
-from repro.core.runner import Fig2Cell, SystemCell, warm_model_caches
+from repro.core.runner import SystemCell, warm_model_caches
 from repro.exec.backends import (
     BACKEND_ENV,
     BACKEND_KINDS,
@@ -112,7 +112,6 @@ __all__ = [
     "ExecutionBackend",
     "FaultEntry",
     "FaultPlan",
-    "Fig2Cell",
     "JOBS_ENV",
     "LEASE_TTL_ENV",
     "PolicySet",

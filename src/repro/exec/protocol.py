@@ -69,7 +69,7 @@ import numpy as np
 from repro.arrays import decode_array, encode_array
 from repro.core.phases import decode_phase, encode_phase
 from repro.core.results import RunResult
-from repro.core.runner import Fig2Cell, SystemCell
+from repro.core.runner import SystemCell
 from repro.errors import ProtocolError, ScheduleError
 from repro.exec.shard import (
     POLICY_KNOBS,
@@ -152,36 +152,23 @@ def decode_result(payload: dict) -> RunResult:
         raise ProtocolError(f"malformed result payload: {exc}")
 
 
-_FIG2_FIELDS = ("kind", "platform", "pair", "scenario", "seed", "duration_s")
-_SYSTEM_FIELDS = ("system", "pair", "scenario", "seed", "duration_s")
+_CELL_FIELDS = ("system", "pair", "scenario", "seed", "duration_s")
 
 
-def encode_cell(cell) -> dict:
+def encode_cell(cell: SystemCell) -> dict:
     """A grid cell as a JSON-safe dict (numpy scalars coerced)."""
-    if isinstance(cell, Fig2Cell):
-        return {
-            "type": "fig2",
-            "kind": cell.kind,
-            "platform": cell.platform,
-            "pair": cell.pair,
-            "scenario": cell.scenario,
-            "seed": int(cell.seed),
-            "duration_s": (
-                None if cell.duration_s is None else float(cell.duration_s)
-            ),
-        }
-    if isinstance(cell, SystemCell):
-        return {
-            "type": "system",
-            "system": cell.system,
-            "pair": cell.pair,
-            "scenario": cell.scenario,
-            "seed": int(cell.seed),
-            "duration_s": (
-                None if cell.duration_s is None else float(cell.duration_s)
-            ),
-        }
-    raise ProtocolError(f"unknown grid cell type {type(cell)!r}")
+    if not isinstance(cell, SystemCell):
+        raise ProtocolError(f"unknown grid cell type {type(cell)!r}")
+    return {
+        "type": "system",
+        "system": cell.system,
+        "pair": cell.pair,
+        "scenario": cell.scenario,
+        "seed": int(cell.seed),
+        "duration_s": (
+            None if cell.duration_s is None else float(cell.duration_s)
+        ),
+    }
 
 
 def _type_name(value) -> str:
@@ -189,13 +176,13 @@ def _type_name(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
-def _cell_fields(payload: dict, names: tuple[str, ...]) -> dict:
-    """The named fields of a cell payload, each of its expected type.
+def _cell_fields(payload: dict) -> dict:
+    """The fields of a cell payload, each of its expected type.
 
     Names are strings, the seed an int, and the duration null or a number.
     """
     try:
-        fields = {name: payload[name] for name in names}
+        fields = {name: payload[name] for name in _CELL_FIELDS}
     except KeyError as exc:
         raise ProtocolError(f"malformed cell payload: missing {exc}")
     for name, value in fields.items():
@@ -215,18 +202,16 @@ def _cell_fields(payload: dict, names: tuple[str, ...]) -> dict:
     return fields
 
 
-def decode_cell(payload: dict):
+def decode_cell(payload: dict) -> SystemCell:
     """The inverse of :func:`encode_cell`."""
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"cell payload must be an object, not {_type_name(payload)}"
         )
     kind = payload.get("type")
-    if kind == "fig2":
-        return Fig2Cell(**_cell_fields(payload, _FIG2_FIELDS))
-    if kind == "system":
-        return SystemCell(**_cell_fields(payload, _SYSTEM_FIELDS))
-    raise ProtocolError(f"unknown cell type {kind!r}")
+    if kind != "system":
+        raise ProtocolError(f"unknown cell type {kind!r}")
+    return SystemCell(**_cell_fields(payload))
 
 
 #: Each per-cell field on the wire, with its JSON type.  An entry holds

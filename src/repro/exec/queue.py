@@ -17,8 +17,10 @@ shards become claimable *messages*, and workers come to the queue:
   ``<queue>/leases/<worker>/`` -- the filesystem guarantees exactly one
   winner, with no coordinator in the loop.
 - **Heartbeat.**  While executing, the worker touches the lease file's
-  mtime every quarter-TTL.  *Liveness is the lease*, not a pipe: a
-  SIGKILLed, OOMed, or wedged worker simply stops beating.
+  mtime every quarter-TTL, taking the TTL and its poll interval from the
+  queue's ``config.json`` -- the backend's own values -- never from its
+  environment.  *Liveness is the lease*, not a pipe: a SIGKILLed, OOMed,
+  or wedged worker simply stops beating.
 - **Reclaim.**  The backend watches lease mtimes; one older than the TTL
   (``$REPRO_LEASE_TTL``, default :data:`DEFAULT_LEASE_TTL_S`) is
   reclaimed -- the lease is revoked and the shard reported as a typed,

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from repro.core.results import RunResult
-from repro.core.runner import Fig2Cell, SystemCell
+from repro.core.runner import SystemCell
 from repro.errors import ConfigurationError
 from repro.exec.backends import (
     ExecutionBackend,
@@ -134,7 +134,7 @@ def resolve_backend(backend, jobs: int, num_cells: int, queue_dir: str | None = 
 
 
 def run_cells(
-    cells: Sequence[SystemCell | Fig2Cell],
+    cells: Sequence[SystemCell],
     jobs: int = 1,
     backend=None,
 ) -> list[RunResult]:

@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 from repro import profiling
 from repro.cache import CACHE_ENV
 from repro.core.results import RunResult
-from repro.core.runner import CELL_TYPES, warm_model_caches
+from repro.core.runner import SystemCell, warm_model_caches
 from repro.errors import ConfigurationError
 from repro.exec import faults, protocol
 from repro.exec.backends import ExecutionBackend
@@ -376,7 +376,7 @@ def execute_cells(
     """
     cells = list(cells)
     for cell in cells:
-        if not isinstance(cell, CELL_TYPES):
+        if not isinstance(cell, SystemCell):
             raise ConfigurationError(
                 f"unknown grid cell type {type(cell)!r}"
             )

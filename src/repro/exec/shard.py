@@ -43,13 +43,7 @@ from typing import Sequence
 from repro import profiling
 from repro.batching import BATCH, BatchPolicy, active_batching
 from repro.core.results import RunResult
-from repro.core.runner import (
-    Fig2Cell,
-    SystemCell,
-    build_fig2_system,
-    build_system,
-    warm_model_caches,
-)
+from repro.core.runner import SystemCell, build_system, warm_model_caches
 from repro.core.snapshot import (
     decode_run_snapshot,
     encode_run_snapshot,
@@ -111,7 +105,7 @@ class CellJob:
         emit_cluster_state: Return the lane's cluster state after the job.
     """
 
-    cell: object
+    cell: SystemCell
     cluster: str | None = None
     snapshot: dict | None = None
     emit_snapshot: bool = False
@@ -155,13 +149,7 @@ def run_job(job: CellJob) -> CellOutcome:
     is the lane's business (:func:`execute_shard`), not the cell's.
     """
     cell = job.cell
-    if isinstance(cell, SystemCell):
-        build = partial(build_system, cell.system, cell.pair, seed=cell.seed)
-    elif isinstance(cell, Fig2Cell):
-        build = partial(build_fig2_system, cell.kind, cell.platform, cell.pair)
-    else:
-        raise ConfigurationError(f"unknown grid cell type {type(cell)!r}")
-    system = build()
+    system = build_system(cell.system, cell.pair, seed=cell.seed)
     stream = _stream(cell)
     policy = active_policy().name
     emit = job.emit_snapshot and stream_prefix_aligned(stream.duration_s)
@@ -186,7 +174,7 @@ def run_job(job: CellJob) -> CellOutcome:
     except SnapshotError:
         # A restore that fails partway may have touched the system's
         # weights/buffer; rebuild it fresh for the prefix fallback.
-        system = build()
+        system = build_system(cell.system, cell.pair, seed=cell.seed)
         execution = RunExecution(system, stream, cell.seed, capture=emit)
     execution.run_to_end()
 
@@ -211,12 +199,10 @@ def run_cell(cell) -> RunResult:
 
 def cell_label(cell) -> str:
     """Compact human-readable cell identity (for failure messages)."""
-    if isinstance(cell, Fig2Cell):
-        name = f"{cell.platform}-{cell.kind}"
-    else:
-        name = cell.system
     duration = "def" if cell.duration_s is None else f"{cell.duration_s:g}s"
-    return f"{name}/{cell.pair}/{cell.scenario}/s{cell.seed}/{duration}"
+    return (
+        f"{cell.system}/{cell.pair}/{cell.scenario}/s{cell.seed}/{duration}"
+    )
 
 
 def cell_key(policy_name: str, cell) -> str:
@@ -229,11 +215,10 @@ def cell_key(policy_name: str, cell) -> str:
     (``float.hex``): two cells differing past 6 significant digits must
     never collide in a journal or plan fingerprint.
     """
-    kind = "fig2" if isinstance(cell, Fig2Cell) else "system"
     duration = (
         "def" if cell.duration_s is None else float(cell.duration_s).hex()
     )
-    return f"{policy_name}|{kind}|{cell_label(cell)}|{duration}"
+    return f"{policy_name}|system|{cell_label(cell)}|{duration}"
 
 
 def stream_signature(cell) -> tuple:
@@ -258,8 +243,6 @@ def batch_signature(cell) -> tuple:
     shapes actually agree, so a coarse group can never change results,
     only how often stacking engages.
     """
-    if isinstance(cell, Fig2Cell):
-        return ("fig2", cell.kind, cell.platform, cell.pair)
     return ("system", cell.pair)
 
 

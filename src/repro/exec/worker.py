@@ -39,13 +39,11 @@ from repro.exec import faults, protocol
 from repro.exec.queue import (
     DEFAULT_LEASE_TTL_S,
     DEFAULT_POLL_S,
-    LEASE_TTL_ENV,
     PARENT_PID_ENV,
-    POLL_ENV,
     QueueLayout,
 )
 from repro.exec.shard import execute_shard
-from repro.knobs import positive_float_env, positive_seconds
+from repro.knobs import positive_seconds
 
 __all__ = [
     "GracefulShutdown",
@@ -199,18 +197,17 @@ def queue_worker_main(
         )
     config = layout.read_config()
 
-    def seconds(env: str, key: str, default: float) -> float:
-        # The environment, then the queue's config.json, then the default;
-        # a value that is present must be a duration, wherever it is.
-        value = positive_float_env(env)
-        if value is not None:
-            return value
+    def seconds(key: str, default: float) -> float:
+        # The timing contract is the one the backend wrote: the queue's
+        # config.json, else the default -- never this process's own
+        # environment, or a worker could beat slower than its backend
+        # reclaims.
         if key not in config:
             return default
         return positive_seconds(config[key], f"{layout.config_path} {key}")
 
-    lease_ttl_s = seconds(LEASE_TTL_ENV, "lease_ttl_s", DEFAULT_LEASE_TTL_S)
-    poll_s = seconds(POLL_ENV, "poll_s", DEFAULT_POLL_S)
+    lease_ttl_s = seconds("lease_ttl_s", DEFAULT_LEASE_TTL_S)
+    poll_s = seconds("poll_s", DEFAULT_POLL_S)
     parent_pid: int | None = None
     raw_parent = os.environ.get(PARENT_PID_ENV, "").strip()
     if raw_parent:

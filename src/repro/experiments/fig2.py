@@ -9,7 +9,7 @@ and Ekya lose accuracy, driven by frame drops and starved retraining.
 
 from __future__ import annotations
 
-from repro.core import Fig2Cell
+from repro.core import SystemCell
 from repro.exec import run_cells
 from repro.experiments.reporting import ExperimentResult, format_table
 
@@ -18,7 +18,8 @@ __all__ = ["run_fig2"]
 #: The paper evaluates these two pairs in Figure 2.
 FIG2_PAIRS = ("resnet18_wrn50", "resnet34_wrn101")
 FIG2_PLATFORMS = ("RTX3090", "OrinHigh")
-FIG2_KINDS = ("student", "teacher", "ekya")
+#: The bars per platform; each runs the system ``<platform>-<Bar>``.
+FIG2_BARS = ("student", "teacher", "ekya")
 
 
 def run_fig2(
@@ -29,26 +30,32 @@ def run_fig2(
 ) -> ExperimentResult:
     """Reproduce Figure 2's bars on a drifting scenario.
 
-    ``jobs > 1`` fans the independent (pair, platform, kind) cells across
+    ``jobs > 1`` fans the independent (pair, platform, bar) cells across
     worker processes with results identical to the serial run.
     """
-    cells = [
-        Fig2Cell(kind, platform, pair, scenario, seed, duration_s)
+    grid = [
+        (pair, platform, bar)
         for pair in FIG2_PAIRS
         for platform in FIG2_PLATFORMS
-        for kind in FIG2_KINDS
+        for bar in FIG2_BARS
+    ]
+    cells = [
+        SystemCell(
+            f"{platform}-{bar.capitalize()}", pair, scenario, seed, duration_s
+        )
+        for pair, platform, bar in grid
     ]
     results = run_cells(cells, jobs=jobs)
 
     rows = [
         {
-            "pair": cell.pair,
-            "platform": cell.platform,
-            "system": cell.kind,
+            "pair": pair,
+            "platform": platform,
+            "system": bar,
             "accuracy": result.average_accuracy(),
             "frame_drop_rate": result.frame_drop_rate,
         }
-        for cell, result in zip(cells, results)
+        for (pair, platform, bar), result in zip(grid, results)
     ]
     report = (
         "Figure 2: accuracy of student/teacher/Ekya on RTX 3090 vs Orin\n"

@@ -1,10 +1,12 @@
-"""On-disk cache for pretrained proxy MLPs.
+"""Pretrained proxy MLPs: one load-or-train path and its on-disk cache.
 
 Pretraining a student or teacher proxy is deterministic in (model name,
 data-geometry seed, pretraining seed) but costs seconds of SGD -- which
 every worker process of the parallel experiment runner would otherwise pay
-again.  This module persists the trained parameters as ``.npz`` files so a
-pretraining is computed once per machine instead of once per process.
+again.  :func:`pretrained_mlp` trains a role's proxy by its
+:class:`PretrainRecipe`, memoized per process, and persists the trained
+parameters as ``.npz`` files so a pretraining is computed once per machine
+instead of once per process.
 
 Cache keys include :data:`repro.learn.train.TRAINER_VERSION`, this
 module's :data:`CACHE_VERSION`, and the active numeric policy's digest
@@ -23,21 +25,30 @@ yields the exact same weights.
 from __future__ import annotations
 
 import zipfile
+import zlib
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from repro import profiling
 from repro.cache import CACHE_ENV, cache_dir, write_atomic
+from repro.data.distributions import DomainModel
 from repro.learn.mlp import MLPClassifier
-from repro.learn.train import TRAINER_VERSION
+from repro.learn.train import TRAINER_VERSION, TrainConfig, train_sgd
+from repro.models.zoo import get_proxy_config
 from repro.numeric import active_policy
 
 __all__ = [
     "CACHE_ENV",
     "CACHE_VERSION",
+    "PretrainRecipe",
     "cache_dir",
     "load_pretrained",
     "pretrain_cache_key",
+    "pretrained_mlp",
     "store_pretrained",
 ]
 
@@ -141,3 +152,74 @@ def store_pretrained(
         write_atomic(path, lambda handle: np.savez(handle, **arrays))
     except OSError:
         return
+
+
+@dataclass(frozen=True)
+class PretrainRecipe:
+    """How one role pretrains its proxies.
+
+    Attributes:
+        role: Cache-entry role (``"student"`` or ``"teacher"``).
+        samples: The corpus size argument passed to ``corpus``.
+        epochs, lr, batch_size: The SGD schedule.
+        corpus: ``(domain model, samples, rng) -> (x, y)``, the training
+            set drawn before the weights are initialized.
+        rng_key: Entries after ``(seed, crc32(model name) & 0xFFFF)`` in
+            the pretraining RNG's seed sequence.
+    """
+
+    role: str
+    samples: int
+    epochs: int
+    lr: float
+    batch_size: int
+    corpus: Callable[
+        [DomainModel, int, np.random.Generator], tuple[np.ndarray, np.ndarray]
+    ]
+    rng_key: tuple[int, ...] = ()
+
+
+@lru_cache(maxsize=None)
+def pretrained_mlp(
+    recipe: PretrainRecipe, model_name: str, geometry_seed: int, seed: int
+) -> MLPClassifier:
+    """The shared pretrained proxy per (recipe, model, geometry, seed):
+    from the disk cache, else trained by the recipe and stored there."""
+    with profiling.scope(profiling.PRETRAIN):
+        hidden_sizes = get_proxy_config(model_name).hidden_sizes
+        cache_key = pretrain_cache_key(
+            recipe.samples,
+            recipe.epochs,
+            recipe.lr,
+            recipe.batch_size,
+            hidden_sizes,
+        )
+        cached = load_pretrained(
+            recipe.role, model_name, geometry_seed, seed, cache_key
+        )
+        if cached is not None:
+            return cached
+        domain_model = DomainModel(geometry_seed=geometry_seed)
+        rng = np.random.default_rng(
+            (seed, zlib.crc32(model_name.encode()) & 0xFFFF, *recipe.rng_key)
+        )
+        x, y = recipe.corpus(domain_model, recipe.samples, rng)
+        mlp = MLPClassifier.create(
+            domain_model.feature_dim,
+            hidden_sizes,
+            domain_model.num_classes,
+            rng,
+        )
+        train_sgd(
+            mlp, x, y,
+            TrainConfig(
+                learning_rate=recipe.lr,
+                batch_size=recipe.batch_size,
+                epochs=recipe.epochs,
+            ),
+            rng,
+        )
+        store_pretrained(
+            recipe.role, model_name, geometry_seed, seed, mlp, cache_key
+        )
+        return mlp

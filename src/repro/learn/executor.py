@@ -14,16 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.learn.mlp import BatchedMLPBank, MLPClassifier
+from repro.learn.mlp import MLPClassifier
 from repro.learn.ops import relu
 from repro.mx import MXFormat, mx_matmul
 
-__all__ = [
-    "batched_forward",
-    "batched_predict",
-    "mx_forward",
-    "mx_predict",
-]
+__all__ = ["mx_forward", "mx_predict"]
 
 
 def mx_forward(
@@ -51,30 +46,3 @@ def mx_predict(
 ) -> np.ndarray:
     """Argmax predictions through the MX functional path."""
     return np.argmax(mx_forward(model, x, fmt), axis=-1)
-
-
-def batched_forward(
-    models: list[MLPClassifier],
-    xs: np.ndarray,
-    fmt: MXFormat | None = None,
-    sensitivity: float = 1.0,
-) -> np.ndarray:
-    """Stacked logits ``(K, n, C)`` for K same-geometry models.
-
-    The functional entry to the batched inference path: one transient
-    :class:`~repro.learn.mlp.BatchedMLPBank` forward.  Slice ``k`` is
-    bitwise ``models[k].forward(xs[k], fmt, sensitivity)``; the lockstep
-    conductor keeps persistent banks instead, to reuse the stacked-weight
-    cache across rounds.
-    """
-    return BatchedMLPBank(list(models)).forward(xs, fmt, sensitivity)
-
-
-def batched_predict(
-    models: list[MLPClassifier],
-    xs: np.ndarray,
-    fmt: MXFormat | None = None,
-    sensitivity: float = 1.0,
-) -> np.ndarray:
-    """Stacked argmax predictions ``(K, n)`` for K same-geometry models."""
-    return np.argmax(batched_forward(models, xs, fmt, sensitivity), axis=-1)

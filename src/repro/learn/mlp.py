@@ -332,12 +332,3 @@ class BatchedMLPBank:
             if i < self.num_layers - 1:
                 h = relu(h)
         return h
-
-    def predict(
-        self,
-        xs: np.ndarray,
-        fmt: MXFormat | None = None,
-        sensitivity: float = 1.0,
-    ) -> np.ndarray:
-        """Stacked argmax predictions ``(K, n)``."""
-        return np.argmax(self.forward(xs, fmt, sensitivity), axis=-1)

@@ -9,20 +9,12 @@ domain the stream currently shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import zlib
 
 import numpy as np
 
-from repro import profiling
 from repro.data.attributes import Domain, LabelDistribution
 from repro.data.distributions import DomainModel
-from repro.learn.cache import (
-    load_pretrained,
-    pretrain_cache_key,
-    store_pretrained,
-)
+from repro.learn.cache import PretrainRecipe, pretrained_mlp
 from repro.learn.mlp import MLPClassifier
 from repro.learn.train import TrainConfig, train_sgd
 from repro.models.zoo import get_proxy_config
@@ -31,26 +23,25 @@ from repro.share.runtime import active_cluster_runtime
 
 __all__ = ["StudentModel", "make_student"]
 
+
+def _base_domain_corpus(model: DomainModel, samples: int, rng):
+    return model.sample(Domain(labels=LabelDistribution.ALL), samples, rng)
+
+
 #: Generic pretraining: the student is pretrained "over the general dataset
 #: without having any specific context that the system is actually used
 #: for" (workflow step 1) -- here, the base (day/city/clear) domain with all
 #: ten classes.  Deployment domains are rotated away from it, so the
 #: student *needs* continuous learning to perform, exactly as in the paper.
-_PRETRAIN_SAMPLES = 800
-_PRETRAIN_EPOCHS = 8
-_PRETRAIN_LR = 5e-2
-_PRETRAIN_BATCH = 32
-
-
-def _pretrain_cache_key(model_name: str) -> str:
-    """Disk-cache key component for everything else the weights depend on."""
-    return pretrain_cache_key(
-        _PRETRAIN_SAMPLES,
-        _PRETRAIN_EPOCHS,
-        _PRETRAIN_LR,
-        _PRETRAIN_BATCH,
-        get_proxy_config(model_name).hidden_sizes,
-    )
+_PRETRAIN = PretrainRecipe(
+    role="student",
+    samples=800,
+    epochs=8,
+    lr=5e-2,
+    batch_size=32,
+    corpus=_base_domain_corpus,
+    rng_key=(1,),
+)
 
 
 @dataclass
@@ -117,46 +108,6 @@ class StudentModel:
         )
 
 
-@lru_cache(maxsize=None)
-def _pretrained_mlp(
-    model_name: str, geometry_seed: int, seed: int
-) -> MLPClassifier:
-    """The shared pretrained student per (model, geometry, seed)."""
-    with profiling.scope(profiling.PRETRAIN):
-        cache_key = _pretrain_cache_key(model_name)
-        cached = load_pretrained(
-            "student", model_name, geometry_seed, seed, cache_key
-        )
-        if cached is not None:
-            return cached
-        domain_model = DomainModel(geometry_seed=geometry_seed)
-        config = get_proxy_config(model_name)
-        rng = np.random.default_rng(
-            (seed, zlib.crc32(model_name.encode()) & 0xFFFF, 1)
-        )
-        base_domain = Domain(labels=LabelDistribution.ALL)
-        x, y = domain_model.sample(base_domain, _PRETRAIN_SAMPLES, rng)
-        mlp = MLPClassifier.create(
-            domain_model.feature_dim,
-            config.hidden_sizes,
-            domain_model.num_classes,
-            rng,
-        )
-        train_sgd(
-            mlp, x, y,
-            TrainConfig(
-                learning_rate=_PRETRAIN_LR,
-                batch_size=_PRETRAIN_BATCH,
-                epochs=_PRETRAIN_EPOCHS,
-            ),
-            rng,
-        )
-        store_pretrained(
-            "student", model_name, geometry_seed, seed, mlp, cache_key
-        )
-        return mlp
-
-
 def make_student(
     model_name: str,
     domain_model: DomainModel | None = None,
@@ -171,7 +122,9 @@ def make_student(
     """
     domain_model = domain_model or DomainModel()
     config = get_proxy_config(model_name)
-    mlp = _pretrained_mlp(model_name, domain_model.geometry_seed, seed)
+    mlp = pretrained_mlp(
+        _PRETRAIN, model_name, domain_model.geometry_seed, seed
+    )
     cloned = mlp.clone()
     # Cross-camera sharing (opt-in): within a cluster, the first member's
     # pretrain becomes the cluster base and later members warm-start from

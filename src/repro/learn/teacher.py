@@ -12,13 +12,9 @@ and shared across experiments in a process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import zlib
 
 import numpy as np
 
-from repro import profiling
 from repro.data.attributes import (
     Domain,
     LabelDistribution,
@@ -27,36 +23,12 @@ from repro.data.attributes import (
     Weather,
 )
 from repro.data.distributions import DomainModel
-from repro.learn.cache import (
-    load_pretrained,
-    pretrain_cache_key,
-    store_pretrained,
-)
+from repro.learn.cache import PretrainRecipe, pretrained_mlp
 from repro.learn.mlp import MLPClassifier
-from repro.learn.train import TrainConfig, train_sgd
 from repro.models.zoo import get_proxy_config
 from repro.mx import MXFormat
 
 __all__ = ["TeacherModel", "make_teacher", "pretraining_corpus"]
-
-#: Pretraining corpus size and schedule: enough for teachers to exceed ~90%
-#: in-domain accuracy while keeping construction fast.
-_PRETRAIN_SAMPLES_PER_DOMAIN = 400
-_PRETRAIN_EPOCHS = 50
-_PRETRAIN_LR = 5e-2
-_PRETRAIN_BATCH = 32
-
-
-def _pretrain_cache_key(model_name: str) -> str:
-    """Disk-cache key component for everything else the weights depend on."""
-    return pretrain_cache_key(
-        _PRETRAIN_SAMPLES_PER_DOMAIN,
-        _PRETRAIN_EPOCHS,
-        _PRETRAIN_LR,
-        _PRETRAIN_BATCH,
-        get_proxy_config(model_name).hidden_sizes,
-    )
-
 
 def _all_domains() -> list[Domain]:
     """Every attribute combination (the teacher's training coverage)."""
@@ -123,45 +95,16 @@ class TeacherModel:
         )
 
 
-@lru_cache(maxsize=None)
-def _pretrained_mlp(
-    model_name: str, geometry_seed: int, seed: int
-) -> MLPClassifier:
-    """The shared pretrained teacher per (model, geometry, seed)."""
-    with profiling.scope(profiling.PRETRAIN):
-        cache_key = _pretrain_cache_key(model_name)
-        cached = load_pretrained(
-            "teacher", model_name, geometry_seed, seed, cache_key
-        )
-        if cached is not None:
-            return cached
-        domain_model = DomainModel(geometry_seed=geometry_seed)
-        config = get_proxy_config(model_name)
-        rng = np.random.default_rng(
-            (seed, zlib.crc32(model_name.encode()) & 0xFFFF)
-        )
-        x, y = pretraining_corpus(
-            domain_model, _PRETRAIN_SAMPLES_PER_DOMAIN, rng
-        )
-        mlp = MLPClassifier.create(
-            domain_model.feature_dim,
-            config.hidden_sizes,
-            domain_model.num_classes,
-            rng,
-        )
-        train_sgd(
-            mlp, x, y,
-            TrainConfig(
-                learning_rate=_PRETRAIN_LR,
-                batch_size=_PRETRAIN_BATCH,
-                epochs=_PRETRAIN_EPOCHS,
-            ),
-            rng,
-        )
-        store_pretrained(
-            "teacher", model_name, geometry_seed, seed, mlp, cache_key
-        )
-        return mlp
+#: Pretraining corpus size (per domain) and schedule: enough for teachers
+#: to exceed ~90% in-domain accuracy while keeping construction fast.
+_PRETRAIN = PretrainRecipe(
+    role="teacher",
+    samples=400,
+    epochs=50,
+    lr=5e-2,
+    batch_size=32,
+    corpus=pretraining_corpus,
+)
 
 
 def make_teacher(
@@ -180,7 +123,9 @@ def make_teacher(
     """
     domain_model = domain_model or DomainModel()
     config = get_proxy_config(model_name)
-    mlp = _pretrained_mlp(model_name, domain_model.geometry_seed, seed)
+    mlp = pretrained_mlp(
+        _PRETRAIN, model_name, domain_model.geometry_seed, seed
+    )
     return TeacherModel(
         name=model_name,
         mlp=mlp.clone(),

@@ -16,6 +16,9 @@ bit-identical by contract.
 - ``service`` and ``service-shared``: every window of an eager service
   session over ``examples/fleet_service.toml``'s three streams, sharing
   off and on.
+- ``fig2``: Figure 2's six ``resnet18_wrn50`` cells (student, teacher
+  and Ekya on the RTX 3090 and the 60 W Orin) on S5 for 300 s, long
+  enough for Ekya to have retrained.
 
 Readers ask :func:`expected_digest`; :func:`mismatches` recomputes a
 whole case.  One command writes every file, into a named directory (a
@@ -75,6 +78,7 @@ _HEADERS = {
     "digests_service_shared.json": {
         "policy": _POLICY, "sharing": "cluster", "window_s": 60.0
     },
+    "digests_fig2.json": {"policy": _POLICY},
 }
 
 
@@ -167,6 +171,14 @@ CASES: dict[str, Case] = {
         _SERVICE_CELLS,
         {"cluster": ("digests_service_shared.json", ("windows",))},
         window_s=60.0,
+    ),
+    "fig2": Case(
+        tuple(
+            SystemCell(f"{gpu}-{bar}", _PAIR, "S5", 0, 300.0)
+            for gpu in ("RTX3090", "OrinHigh")
+            for bar in ("Student", "Teacher", "Ekya")
+        ),
+        {"off": ("digests_fig2.json", ("digests",))},
     ),
 }
 

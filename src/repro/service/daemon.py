@@ -90,7 +90,7 @@ import numpy as np
 
 from repro.cache import CACHE_ENV
 from repro.core.results import run_digest
-from repro.core.runner import FIG2_KINDS, GPU_PLATFORMS, SYSTEM_BUILDERS
+from repro.core.runner import SYSTEM_BUILDERS
 from repro.core.snapshot import stream_prefix_aligned
 from repro.data.scenarios import SCENARIO_NAMES, build_scenario
 from repro.errors import AdmissionRefused, ConfigurationError, ProtocolError
@@ -468,12 +468,8 @@ class FleetService:
 
     def _validate_cell(self, cell) -> None:
         checks = [("scenario", cell.scenario, tuple(SCENARIO_NAMES)),
-                  ("pair", cell.pair, tuple(MODEL_PAIRS))]
-        if hasattr(cell, "system"):
-            checks.append(("system", cell.system, tuple(SYSTEM_BUILDERS)))
-        else:
-            checks.append(("kind", cell.kind, tuple(FIG2_KINDS)))
-            checks.append(("platform", cell.platform, tuple(GPU_PLATFORMS)))
+                  ("pair", cell.pair, tuple(MODEL_PAIRS)),
+                  ("system", cell.system, tuple(SYSTEM_BUILDERS))]
         for field_name, value, known in checks:
             if value not in known:
                 raise ConfigurationError(

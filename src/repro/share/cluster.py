@@ -1,15 +1,15 @@
 """Threshold clustering of stream fingerprints into camera clusters.
 
-Cells are first partitioned by *work profile* -- the (cell kind, system or
-platform, model pair) tuple -- because labels and weights can only be
-shared between cells running the same models.  Within a partition, the
-distinct stream keys (scenario, duration) are fingerprinted and greedily
-clustered: keys are visited in sorted order (so the result is independent
-of camera order in the spec) and each joins the first existing cluster
+Cells are first partitioned by *work profile* -- the (system, model pair)
+tuple -- because labels and weights can only be shared between cells
+running the same models.  Within a partition, the distinct stream keys
+(scenario, duration) are fingerprinted and greedily clustered by one rule,
+:class:`ClusterTracker`: each new stream joins the first existing cluster
 whose representative fingerprint is within
-:data:`~repro.share.policy.THRESHOLD`, else founds a new one.  Cluster ids
-``c0, c1, ...`` are assigned over the sorted representatives, making the
-whole assignment a pure function of the cell *set* -- stable across
+:data:`~repro.share.policy.THRESHOLD`, else founds cluster ``c<n>``.  A
+resident service feeds the tracker in admission order; a sweep
+(:func:`cluster_cells`) feeds it the distinct streams in sorted order, so
+the assignment is a pure function of the cell *set* -- stable across
 processes, jobs counts, numeric policies, and permutations.
 """
 
@@ -32,19 +32,11 @@ __all__ = [
 ]
 
 
-def _partition_key(cell) -> tuple[str, ...]:
-    """The work profile sharing is allowed to cross seeds within."""
-    kind = type(cell).__name__
-    engine = getattr(cell, "system", None)
-    if engine is None:
-        engine = f"{getattr(cell, 'kind', '?')}@{getattr(cell, 'platform', '?')}"
-    return (kind, str(engine), str(cell.pair))
-
-
-def _stream_key(cell) -> tuple[str, str]:
-    """The distinct-stream key fingerprints are computed per."""
+def _member_key(cell) -> tuple[str, ...]:
+    """The work profile sharing may cross seeds within (system, pair),
+    then the distinct-stream key fingerprints are computed per."""
     duration = "def" if cell.duration_s is None else f"{cell.duration_s:g}"
-    return (cell.scenario, duration)
+    return (cell.system, cell.pair, cell.scenario, duration)
 
 
 @dataclass(frozen=True)
@@ -53,8 +45,8 @@ class ClusterAssignment:
 
     Attributes:
         clusters: Cluster id -> tuple of member keys, where a member key is
-            ``partition_key + stream_key``.  Insertion order of the dict is
-            the sorted-representative order the ids were assigned in.
+            ``(system, pair, scenario, duration)``.  Insertion order of the
+            dict is the order the ids were assigned in.
         members: Member key -> cluster id (the inverse mapping).
         fingerprints: Member key -> fingerprint (for describe/debug).
     """
@@ -65,7 +57,7 @@ class ClusterAssignment:
 
     def cluster_of(self, cell) -> str:
         """The cluster id a cell belongs to."""
-        return self.members[_partition_key(cell) + _stream_key(cell)]
+        return self.members[_member_key(cell)]
 
     def cluster_cells_of(self, cells) -> dict[str, list]:
         """Cells grouped by cluster id, preserving cell order within."""
@@ -75,83 +67,64 @@ class ClusterAssignment:
         return grouped
 
 
-def cluster_cells(cells) -> ClusterAssignment:
-    """Cluster a cell list's distinct streams."""
-    keys: dict[tuple, tuple[str, str]] = {}
-    for cell in cells:
-        member = _partition_key(cell) + _stream_key(cell)
-        if member not in keys:
-            keys[member] = (cell.scenario, cell.duration_s)
-    fingerprints = {
-        member: schedule_fingerprint(scenario, duration)
-        for member, (scenario, duration) in sorted(keys.items())
-    }
-    # Greedy threshold pass over sorted keys: join the first cluster whose
-    # representative (founder) is close enough, else found a new one.
-    reps: list[tuple[tuple, StreamFingerprint]] = []
-    groups: dict[tuple, list[tuple]] = {}
-    for member in sorted(fingerprints):
-        fp = fingerprints[member]
-        home = None
-        for rep_member, rep_fp in reps:
-            if rep_member[:3] != member[:3]:  # different work profile
-                continue
-            if fingerprint_distance(fp, rep_fp) <= THRESHOLD:
-                home = rep_member
-                break
-        if home is None:
-            reps.append((member, fp))
-            home = member
-            groups[home] = []
-        groups[home].append(member)
-    clusters: dict[str, tuple[tuple, ...]] = {}
-    members: dict[tuple, str] = {}
-    for index, (rep_member, _) in enumerate(reps):
-        cid = f"c{index}"
-        clusters[cid] = tuple(groups[rep_member])
-        for member in groups[rep_member]:
-            members[member] = cid
-    return ClusterAssignment(
-        clusters=clusters,
-        members=members,
-        fingerprints=fingerprints,
-    )
-
-
 class ClusterTracker:
-    """Incremental clustering for runtime-admitted streams.
+    """Incremental greedy clustering, one stream at a time.
 
-    A resident service admits streams one by one, so the batch
-    :func:`cluster_cells` pass (which needs the whole cell set up front)
-    does not fit.  The tracker applies the same greedy threshold rule
-    *in admission order*: each new stream joins the first existing
-    cluster whose founder shares its work profile and is within the
-    threshold, else founds cluster ``c<n>``.  Ids are therefore a
-    pure function of the admission sequence -- and a resumed session
-    replays admits in journal order, reproducing the same ids.
+    Each new stream joins the first existing cluster whose founder shares
+    its work profile and is within the threshold, else founds cluster
+    ``c<n>``.  Ids are therefore a pure function of the sequence of
+    streams assigned -- and a resumed service session replays admits in
+    journal order, reproducing the same ids.
     """
 
     def __init__(self) -> None:
         self._reps: list[tuple[tuple, StreamFingerprint, str]] = []
-        self._members: dict[tuple, str] = {}
+        #: Member key -> cluster id, in first-assignment order.
+        self.members: dict[tuple, str] = {}
+        #: Member key -> its stream's fingerprint.
+        self.fingerprints: dict[tuple, StreamFingerprint] = {}
 
     def assign(self, cell) -> str:
         """The cluster id for a cell, founding a new cluster if needed."""
-        member = _partition_key(cell) + _stream_key(cell)
-        known = self._members.get(member)
+        member = _member_key(cell)
+        known = self.members.get(member)
         if known is not None:
             return known
         fp = schedule_fingerprint(cell.scenario, cell.duration_s)
-        for rep_member, rep_fp, cid in self._reps:
-            if rep_member[:3] != member[:3]:  # different work profile
-                continue
-            if fingerprint_distance(fp, rep_fp) <= THRESHOLD:
-                self._members[member] = cid
-                return cid
-        cid = f"c{len(self._reps)}"
-        self._reps.append((member, fp, cid))
-        self._members[member] = cid
+        cid = next(
+            (
+                rep_cid
+                for rep_member, rep_fp, rep_cid in self._reps
+                if rep_member[:2] == member[:2]  # same work profile
+                and fingerprint_distance(fp, rep_fp) <= THRESHOLD
+            ),
+            None,
+        )
+        if cid is None:
+            cid = f"c{len(self._reps)}"
+            self._reps.append((member, fp, cid))
+        self.members[member] = cid
+        self.fingerprints[member] = fp
         return cid
+
+
+def cluster_cells(cells) -> ClusterAssignment:
+    """Cluster a cell list's distinct streams: a :class:`ClusterTracker`
+    fed one cell per distinct member key, in sorted key order."""
+    first: dict[tuple, object] = {}
+    for cell in cells:
+        first.setdefault(_member_key(cell), cell)
+    tracker = ClusterTracker()
+    for member in sorted(first):
+        tracker.assign(first[member])
+    clusters: dict[str, tuple[tuple, ...]] = {}
+    for member, cid in tracker.members.items():
+        clusters[cid] = clusters.get(cid, ()) + (member,)
+    return ClusterAssignment(
+        clusters=clusters,
+        members=tracker.members,
+        fingerprints=tracker.fingerprints,
+    )
 
 
 def describe_clusters(assignment: ClusterAssignment, cells) -> list[str]:
@@ -168,9 +141,7 @@ def describe_clusters(assignment: ClusterAssignment, cells) -> list[str]:
                 "def" if cell.duration_s is None else f"{cell.duration_s:g}s"
             )
             streams.append(f"{cell.scenario}/s{cell.seed}/{duration}")
-        fp = assignment.fingerprints[
-            _partition_key(members[0]) + _stream_key(members[0])
-        ]
+        fp = assignment.fingerprints[_member_key(members[0])]
         lines.append(
             f"{cid} [{len(members)} cells, fp {fp.digest()[:8]}]: "
             + " ".join(streams)

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.phases import PhaseKind
 from repro.core.results import RunResult
-from repro.core.runner import Fig2Cell
 from repro.errors import ConfigurationError
 from repro.learn.metrics import geometric_mean
 
@@ -44,22 +43,20 @@ SWEEP_SCHEMA_VERSION = 1
 
 def cell_row(policy_name: str, cell, result: RunResult) -> dict:
     """One flat per-cell row: identity columns then metric columns."""
-    row: dict = {"policy": policy_name}
-    if isinstance(cell, Fig2Cell):
-        row["platform"] = cell.platform
-        row["kind"] = cell.kind
-    row["system"] = result.system
-    row["pair"] = cell.pair
-    row["scenario"] = cell.scenario
-    row["seed"] = cell.seed
-    row["duration_s"] = float(result.duration_s)
     breakdown = result.phase_breakdown()
-    row["accuracy"] = result.average_accuracy()
-    row["drop_rate"] = result.frame_drop_rate
-    row["retrain_s"] = float(breakdown[PhaseKind.RETRAIN])
-    row["label_s"] = float(breakdown[PhaseKind.LABEL])
-    row["energy_j"] = float(result.energy_j)
-    return row
+    return {
+        "policy": policy_name,
+        "system": result.system,
+        "pair": cell.pair,
+        "scenario": cell.scenario,
+        "seed": cell.seed,
+        "duration_s": float(result.duration_s),
+        "accuracy": result.average_accuracy(),
+        "drop_rate": result.frame_drop_rate,
+        "retrain_s": float(breakdown[PhaseKind.RETRAIN]),
+        "label_s": float(breakdown[PhaseKind.LABEL]),
+        "energy_j": float(result.energy_j),
+    }
 
 
 def _reduce(values: list[float], percentiles: tuple[float, ...]) -> dict:

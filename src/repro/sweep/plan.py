@@ -1,11 +1,11 @@
 """Sweep planner: compile a spec into per-policy cell lists plus a cost model.
 
 Compilation walks the spec's axes in their documented order (see
-:data:`repro.sweep.spec.AXIS_ORDERS`), applying per-axis overrides to each
-bound prefix, and emits one :class:`~repro.core.runner.SystemCell` or
-:class:`~repro.core.runner.Fig2Cell` per grid point, grouped by numeric
-policy (a policy is ambient process state -- ``use_policy`` -- so cells of
-different policies cannot share one ``run_cells`` invocation).
+:data:`repro.sweep.spec.AXIS_ORDER`), applying per-axis overrides to each
+bound prefix, and emits one :class:`~repro.core.runner.SystemCell` per
+grid point, grouped by numeric policy (a policy is ambient process state
+-- ``use_policy`` -- so cells of different policies cannot share one
+``run_cells`` invocation).
 
 Because the expansion order matches the hand-coded figure experiments
 (pairs outer, systems, then scenarios), a spec mirroring Figure 9 compiles
@@ -25,13 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.batching import active_batching
-from repro.core.runner import Fig2Cell, SystemCell
+from repro.core.runner import SystemCell
 from repro.data.stream import DEFAULT_DURATION_S
-from repro.exec.shard import batch_signature, plan_shards, stream_signature
+from repro.exec.shard import (
+    batch_signature,
+    cell_label,
+    plan_shards,
+    stream_signature,
+)
 from repro.numeric import NumericPolicy, POLICIES, active_policy
 from repro.share.cluster import cluster_cells, describe_clusters
 from repro.share.policy import THRESHOLD, active_sharing
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import AXIS_ORDER, SweepSpec
 
 __all__ = ["CostEstimate", "PolicyPlan", "SweepPlan", "compile_plan"]
 
@@ -131,10 +136,7 @@ class SweepPlan:
                 streams[(group.policy.name,) + stream_signature(cell)] = (
                     duration
                 )
-                model_seed = (
-                    cell.seed if isinstance(cell, SystemCell) else 0
-                )
-                pretrains.add((group.policy.name, cell.pair, model_seed))
+                pretrains.add((group.policy.name, cell.pair, cell.seed))
             group_shards = plan_shards(group.cells, jobs)
             shards += len(group_shards)
             largest = max(
@@ -235,7 +237,6 @@ class SweepPlan:
         est = self.estimate(jobs)
         lines = [
             f"sweep {self.spec.name!r}: {self.spec.title}",
-            f"  cell kind          {self.spec.cell}",
             "  policies           "
             + ", ".join(g.policy.name for g in self.groups),
             f"  cells              {est.cells}",
@@ -290,21 +291,12 @@ class SweepPlan:
                     )
         for group in self.groups:
             head = group.cells[: 3]
-            preview = ", ".join(_cell_label(cell) for cell in head)
+            preview = ", ".join(cell_label(cell) for cell in head)
             more = len(group.cells) - len(head)
             if more > 0:
                 preview += f", ... (+{more})"
             lines.append(f"  [{group.policy.name}] {preview}")
         return "\n".join(lines) + "\n"
-
-
-def _cell_label(cell) -> str:
-    if isinstance(cell, Fig2Cell):
-        name = f"{cell.platform}-{cell.kind}"
-    else:
-        name = cell.system
-    duration = "def" if cell.duration_s is None else f"{cell.duration_s:g}s"
-    return f"{name}/{cell.pair}/{cell.scenario}/s{cell.seed}/{duration}"
 
 
 def _effective_values(spec: SweepSpec, axis: str, bound: dict) -> tuple:
@@ -322,13 +314,13 @@ def _effective_values(spec: SweepSpec, axis: str, bound: dict) -> tuple:
 
 def _expand(spec: SweepSpec, policy_name: str) -> list:
     """All cells of one policy, in documented axis order."""
-    order = [axis for axis in spec.axis_order if axis != "policy"]
+    order = [axis for axis in AXIS_ORDER if axis != "policy"]
     cells: list = []
     bound: dict = {"policy": policy_name}
 
     def walk(depth: int) -> None:
         if depth == len(order):
-            cells.append(_make_cell(spec, bound))
+            cells.append(_make_cell(bound))
             return
         axis = order[depth]
         for value in _effective_values(spec, axis, bound):
@@ -340,16 +332,7 @@ def _expand(spec: SweepSpec, policy_name: str) -> list:
     return cells
 
 
-def _make_cell(spec: SweepSpec, bound: dict):
-    if spec.cell == "fig2":
-        return Fig2Cell(
-            kind=bound["kind"],
-            platform=bound["platform"],
-            pair=bound["pair"],
-            scenario=bound["scenario"],
-            seed=bound["seed"],
-            duration_s=bound["duration"],
-        )
+def _make_cell(bound: dict) -> SystemCell:
     return SystemCell(
         system=bound["system"],
         pair=bound["pair"],

@@ -67,16 +67,18 @@ ABORT_ENV = "REPRO_SWEEP_ABORT_AFTER_SHARDS"
 def plan_fingerprint(plan: SweepPlan) -> str:
     """Content hash pinning a journal to one compiled plan.
 
-    Covers the spec name, cell kind, and every (policy, cell) in
-    expansion order -- but *not* jobs or backend, so a journal written at
-    ``--jobs 8`` over subprocess workers resumes at ``--jobs 1`` serial.
+    Covers the spec name and every (policy, cell) in expansion order --
+    but *not* jobs or backend, so a journal written at ``--jobs 8`` over
+    subprocess workers resumes at ``--jobs 1`` serial.
     The active policies fold in through :meth:`PolicySet.fingerprint`, so
     a sharing journal can never resume an independent sweep or vice
     versa; the off-path fingerprint is the historical byte string.
     """
     hasher = hashlib.sha256()
+    # ``|system`` once named the cell type; it stays so fingerprints keep
+    # their bytes.
     hasher.update(
-        f"{plan.spec.name}|{plan.spec.cell}"
+        f"{plan.spec.name}|system"
         f"{PolicySet.active().fingerprint()}".encode()
     )
     for key in _plan_keys(plan):
@@ -267,7 +269,7 @@ def run_sweep(
         "schema_version": SWEEP_SCHEMA_VERSION,
         "name": spec.name,
         "title": spec.title,
-        "cell": spec.cell,
+        "cell": "system",
         "policies": [group.policy.name for group in plan.groups],
         "group_by": list(spec.group_by),
         "metrics": list(spec.metrics),

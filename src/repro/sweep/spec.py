@@ -6,20 +6,16 @@ once.  A :class:`SweepSpec` describes such a fleet declaratively -- the
 cross-product of systems x pairs x scenarios x seeds x durations x numeric
 policies -- so grid experiments stop being hand-coded per figure and become
 data (a TOML or JSON file) that the planner (:mod:`repro.sweep.plan`)
-compiles into :class:`~repro.core.runner.SystemCell` /
-:class:`~repro.core.runner.Fig2Cell` lists.
+compiles into :class:`~repro.core.runner.SystemCell` lists.
 
 File schema (TOML shown; JSON uses the same keys)::
 
     [sweep]
     name = "fig9"              # required: [A-Za-z0-9_-]+, names the outputs
     title = "Figure 9 fleet"   # optional
-    cell = "system"            # "system" (default) or "fig2"
 
     [axes]
-    systems   = ["DaCapo-Spatiotemporal", "OrinHigh-Ekya"]  # cell="system"
-    kinds     = ["student", "ekya"]                         # cell="fig2"
-    platforms = ["RTX3090", "OrinHigh"]                     # cell="fig2"
+    systems   = ["DaCapo-Spatiotemporal", "OrinHigh-Ekya"]
     pairs     = ["resnet18_wrn50"]
     scenarios = ["S1", "S4"]
     seeds     = [0, 1]          # optional, default [0]
@@ -35,10 +31,10 @@ File schema (TOML shown; JSON uses the same keys)::
     percentiles = [50, 90]                      # default
     metrics     = ["accuracy", "drop_rate", "retrain_s", "label_s"]
 
-Axes expand in a fixed documented order -- policy, pair, system (or
-platform then kind), scenario, seed, duration -- and an override may match
-on any axes and replace the value lists of axes *later* in that order (the
-planner validates this), e.g. "scenario S4 runs at 300 s with seeds 0-3".
+Axes expand in a fixed documented order -- policy, pair, system, scenario,
+seed, duration -- and an override may match on any axes and replace the
+value lists of axes *later* in that order (the planner validates this),
+e.g. "scenario S4 runs at 300 s with seeds 0-3".
 Matching earlier-only axes keeps expansion a proper cross-product per
 prefix, so a spec can never produce duplicate cells.
 
@@ -57,7 +53,7 @@ import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.runner import FIG2_KINDS, GPU_PLATFORMS, SYSTEM_BUILDERS
+from repro.core.runner import SYSTEM_BUILDERS
 from repro.data.scenarios import SCENARIO_NAMES
 from repro.errors import ConfigurationError
 from repro.models.zoo import MODEL_PAIRS
@@ -65,8 +61,7 @@ from repro.numeric import resolve_policy
 from repro.share.policy import resolve_sharing
 
 __all__ = [
-    "AXIS_ORDERS",
-    "CELL_KINDS",
+    "AXIS_ORDER",
     "METRICS",
     "ROW_KEYS",
     "SweepOverride",
@@ -75,27 +70,13 @@ __all__ = [
     "spec_from_mapping",
 ]
 
-#: Supported grid cell kinds.
-CELL_KINDS = ("system", "fig2")
+#: Axis expansion order (earlier axes may be matched by an override; only
+#: later axes may be overridden).
+AXIS_ORDER = ("policy", "pair", "system", "scenario", "seed", "duration")
 
-#: Axis expansion order per cell kind (earlier axes may be matched by an
-#: override; only later axes may be overridden).
-AXIS_ORDERS: dict[str, tuple[str, ...]] = {
-    "system": ("policy", "pair", "system", "scenario", "seed", "duration"),
-    "fig2": (
-        "policy", "pair", "platform", "kind", "scenario", "seed", "duration",
-    ),
-}
-
-#: Identity columns of a per-cell result row, per cell kind (the legal
-#: ``group_by`` targets -- see :mod:`repro.sweep.aggregate`).
-ROW_KEYS: dict[str, tuple[str, ...]] = {
-    "system": ("policy", "system", "pair", "scenario", "seed", "duration_s"),
-    "fig2": (
-        "policy", "platform", "kind", "system", "pair", "scenario", "seed",
-        "duration_s",
-    ),
-}
+#: Identity columns of a per-cell result row (the legal ``group_by``
+#: targets -- see :mod:`repro.sweep.aggregate`).
+ROW_KEYS = ("policy", "system", "pair", "scenario", "seed", "duration_s")
 
 #: Metrics the aggregation layer can reduce.
 METRICS = ("accuracy", "drop_rate", "retrain_s", "label_s", "energy_j")
@@ -105,8 +86,6 @@ _AXIS_KEYS: dict[str, str] = {
     "policies": "policy",
     "pairs": "pair",
     "systems": "system",
-    "platforms": "platform",
-    "kinds": "kind",
     "scenarios": "scenario",
     "seeds": "seed",
     "durations": "duration",
@@ -143,7 +122,6 @@ class SweepSpec:
     Attributes:
         name: Sweep id; names reports and output files.
         title: Human-readable title.
-        cell: Grid cell kind (``"system"`` or ``"fig2"``).
         axes: Internal axis name -> value tuple.  ``duration`` may be
             ``(None,)`` (scenario default length); ``policy`` may be ``()``
             (resolve the ambient policy at plan time).
@@ -158,7 +136,6 @@ class SweepSpec:
 
     name: str
     title: str
-    cell: str = "system"
     axes: dict[str, tuple] = field(default_factory=dict)
     overrides: tuple[SweepOverride, ...] = ()
     group_by: tuple[str, ...] = _DEFAULT_GROUP_BY
@@ -177,11 +154,6 @@ class SweepSpec:
             )
         _validate_spec(self)
 
-    @property
-    def axis_order(self) -> tuple[str, ...]:
-        """The expansion order for this spec's cell kind."""
-        return AXIS_ORDERS[self.cell]
-
 
 def _fail(source: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"sweep spec {source}: {message}")
@@ -197,8 +169,6 @@ _NAME_VALIDATORS: dict[str, tuple] = {
     "system": tuple(SYSTEM_BUILDERS),
     "pair": tuple(MODEL_PAIRS),
     "scenario": tuple(SCENARIO_NAMES),
-    "platform": tuple(GPU_PLATFORMS),
-    "kind": tuple(FIG2_KINDS),
 }
 
 
@@ -270,20 +240,14 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise _fail(
             source, f"name must be non-empty [A-Za-z0-9_-]+, got {spec.name!r}"
         )
-    if spec.cell not in CELL_KINDS:
-        raise _fail(
-            source,
-            f"cell must be one of {', '.join(CELL_KINDS)}, got {spec.cell!r}",
-        )
-    order = AXIS_ORDERS[spec.cell]
     for axis in spec.axes:
-        if axis not in order:
+        if axis not in AXIS_ORDER:
             raise _fail(
                 source,
-                f"axis {axis!r} does not apply to cell={spec.cell!r} "
-                f"(expected one of: {', '.join(order)})",
+                f"unknown axis {axis!r} "
+                f"(expected one of: {', '.join(AXIS_ORDER)})",
             )
-    for axis in order:
+    for axis in AXIS_ORDER:
         if axis in ("policy", "seed", "duration"):
             continue  # defaulted below
         if axis not in spec.axes:
@@ -315,7 +279,7 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise _fail(source, f"{where}: overrides no axes")
         new_axes = []
         for axis, values in override.axes:
-            if axis not in order:
+            if axis not in AXIS_ORDER:
                 raise _fail(source, f"{where}: unknown axis {axis!r}")
             values = _check_axis_values(
                 axis, tuple(values), f"{source} {where}"
@@ -338,7 +302,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         where = f"override[{index}]"
         last_match = -1
         for axis, values in override.match:
-            if axis not in order:
+            if axis not in AXIS_ORDER:
                 raise _fail(source, f"{where}: unknown match axis {axis!r}")
             for v in values:
                 if v not in possible[axis]:
@@ -349,23 +313,22 @@ def _validate_spec(spec: SweepSpec) -> None:
                         f"{tuple(sorted(possible[axis], key=repr))!r}) -- "
                         "it would never fire",
                     )
-            last_match = max(last_match, order.index(axis))
+            last_match = max(last_match, AXIS_ORDER.index(axis))
         for axis, _ in override.axes:
-            if order.index(axis) <= last_match:
+            if AXIS_ORDER.index(axis) <= last_match:
                 raise _fail(
                     source,
                     f"{where}: cannot override {axis!r} -- overridden axes "
                     "must come after every matched axis in the expansion "
-                    f"order ({', '.join(order)})",
+                    f"order ({', '.join(AXIS_ORDER)})",
                 )
 
-    row_keys = ROW_KEYS[spec.cell]
     for column in spec.group_by:
-        if column not in row_keys:
+        if column not in ROW_KEYS:
             raise _fail(
                 source,
-                f"group_by column {column!r} is not a row key for "
-                f"cell={spec.cell!r} (known: {', '.join(row_keys)})",
+                f"group_by column {column!r} is not a row key "
+                f"(known: {', '.join(ROW_KEYS)})",
             )
     if len(set(spec.group_by)) != len(spec.group_by):
         raise _fail(source, f"group_by has duplicates: {spec.group_by}")
@@ -448,7 +411,6 @@ def spec_from_mapping(data: dict, source: str = "<mapping>") -> SweepSpec:
     if not isinstance(name, str) or not name:
         raise _fail(source, "[sweep] needs a non-empty string 'name'")
     title = head.pop("title", name)
-    cell = head.pop("cell", "system")
     sharing = head.pop("sharing", None)
     if sharing is not None and not isinstance(sharing, str):
         raise _fail(source, "[sweep] 'sharing' must be a policy name string")
@@ -496,7 +458,6 @@ def spec_from_mapping(data: dict, source: str = "<mapping>") -> SweepSpec:
     return SweepSpec(
         name=name,
         title=title,
-        cell=cell,
         axes=axes,
         overrides=overrides,
         group_by=group_by,

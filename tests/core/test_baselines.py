@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import PhaseKind, build_system, run_on_scenario
-from repro.core.runner import build_fig2_system
 from repro.errors import ConfigurationError
 
 PAIR = "resnet18_wrn50"
@@ -69,48 +68,54 @@ class TestEomu:
 
 class TestNoRetrain:
     def test_student_never_retrains(self):
-        system = build_fig2_system("student", "OrinHigh", PAIR)
+        system = build_system("OrinHigh-Student", PAIR)
         result = run_on_scenario(system, "S1", seed=0, duration_s=SHORT)
         assert len(result.retraining_completions()) == 0
 
     def test_teacher_drops_frames_on_orin(self):
-        system = build_fig2_system("teacher", "OrinHigh", PAIR)
+        system = build_system("OrinHigh-Teacher", PAIR)
         result = run_on_scenario(system, "S1", seed=0, duration_s=SHORT)
         assert result.frame_drop_rate > 0.0
 
     def test_teacher_clean_on_rtx3090(self):
-        system = build_fig2_system("teacher", "RTX3090", PAIR)
+        system = build_system("RTX3090-Teacher", PAIR)
         result = run_on_scenario(system, "S1", seed=0, duration_s=SHORT)
         assert result.frame_drop_rate == 0.0
 
     def test_teacher_beats_student_on_drifty_stream(self):
         student = run_on_scenario(
-            build_fig2_system("student", "RTX3090", PAIR), "S5",
+            build_system("RTX3090-Student", PAIR), "S5",
             seed=0, duration_s=600,
         )
         teacher = run_on_scenario(
-            build_fig2_system("teacher", "RTX3090", PAIR), "S5",
+            build_system("RTX3090-Teacher", PAIR), "S5",
             seed=0, duration_s=600,
         )
         assert teacher.average_accuracy() > student.average_accuracy()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_fig2_system("oracle", "RTX3090", PAIR)
+            build_system("RTX3090-Oracle", PAIR)
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_fig2_system("student", "H100", PAIR)
+            build_system("H100-Student", PAIR)
 
 
 class TestBuilderRegistry:
     def test_all_fig9_systems_build(self):
         from repro.core import SYSTEM_BUILDERS
 
-        assert set(SYSTEM_BUILDERS) == {
+        # Figure 9's six in legend order, then the rest of Figure 2's.
+        assert list(SYSTEM_BUILDERS) == [
             "OrinLow-Ekya", "OrinHigh-Ekya", "OrinHigh-EOMU",
             "DaCapo-Ekya", "DaCapo-Spatial", "DaCapo-Spatiotemporal",
-        }
+            "RTX3090-Student", "RTX3090-Teacher", "RTX3090-Ekya",
+            "OrinHigh-Student", "OrinHigh-Teacher",
+            "OrinLow-Student", "OrinLow-Teacher",
+        ]
+        for name in SYSTEM_BUILDERS:
+            assert build_system(name, PAIR).name == name
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.exec.run
-from repro.core import Fig2Cell, SystemCell, warm_model_caches
+from repro.core import SystemCell, warm_model_caches
 from repro.errors import ConfigurationError
 from repro.exec import (
     JOBS_ENV,
@@ -71,8 +71,8 @@ class TestRunCells:
 
     def test_fig2_cells_run(self):
         cells = [
-            Fig2Cell("student", "RTX3090", "resnet18_wrn50", "S5", 0, DURATION),
-            Fig2Cell("ekya", "OrinHigh", "resnet18_wrn50", "S5", 0, DURATION),
+            SystemCell("RTX3090-Student", "resnet18_wrn50", "S5", 0, DURATION),
+            SystemCell("OrinHigh-Ekya", "resnet18_wrn50", "S5", 0, DURATION),
         ]
         serial = run_cells(cells, jobs=1)
         parallel = run_cells(cells, jobs=2)

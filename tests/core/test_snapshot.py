@@ -27,7 +27,6 @@ from repro.data.scenarios import SEGMENT_S
 from repro.errors import ScheduleError, SnapshotError
 from repro.exec.shard import (
     CellJob,
-    Fig2Cell,
     SystemCell,
     run_cell,
     run_job,
@@ -205,10 +204,15 @@ class TestDecodeRejections:
         SystemCell("DaCapo-Ekya", PAIR, "S1", 0, 240.0),
         SystemCell("OrinHigh-EOMU", PAIR, "S4", 0, 240.0),
         SystemCell("OrinLow-Ekya", PAIR, "S1", 0, 240.0),
-        Fig2Cell("student", "OrinHigh", PAIR, "S4", 0, 240.0),
-        Fig2Cell("ekya", "OrinHigh", PAIR, "S4", 0, 240.0),
+        pytest.param(
+            SystemCell("OrinHigh-Student", PAIR, "S4", 0, 240.0),
+            id="fig2-student",
+        ),
+        pytest.param(
+            SystemCell("OrinHigh-Ekya", PAIR, "S4", 0, 240.0), id="fig2-ekya"
+        ),
     ],
-    ids=lambda cell: getattr(cell, "system", None) or f"fig2-{cell.kind}",
+    ids=lambda cell: cell.system,
 )
 class TestIncrementalBitIdentity:
     def test_windows_match_prefix_runs(self, cell):

@@ -11,7 +11,6 @@ from repro.errors import ProtocolError
 from repro.exec import (
     CellJob,
     CellOutcome,
-    Fig2Cell,
     PolicySet,
     ShardResult,
     ShardSpec,
@@ -86,8 +85,11 @@ class TestCellRoundTrip:
         assert protocol.decode_cell(protocol.encode_cell(cell)) == cell
 
     def test_fig2_cell_and_default_duration(self):
-        cell = Fig2Cell("student", "RTX3090", "resnet18_wrn50", "S5", 0, None)
-        assert protocol.decode_cell(protocol.encode_cell(cell)) == cell
+        # Figure 2's bars are systems; the wire knows one cell type.
+        cell = SystemCell("RTX3090-Student", "resnet18_wrn50", "S5", 0, None)
+        payload = protocol.encode_cell(cell)
+        assert payload["type"] == "system"
+        assert protocol.decode_cell(payload) == cell
 
     def test_numpy_scalars_in_cells_coerce(self):
         # Sweeps built from numpy-derived grids leak np scalars into cell
@@ -128,6 +130,12 @@ class TestCellRoundTrip:
             protocol.encode_cell("not-a-cell")
         with pytest.raises(ProtocolError):
             protocol.decode_cell({"type": "warp-drive"})
+        with pytest.raises(ProtocolError, match="unknown cell type 'fig2'"):
+            protocol.decode_cell(
+                {"type": "fig2", "kind": "student", "platform": "RTX3090",
+                 "pair": "resnet18_wrn50", "scenario": "S5", "seed": 0,
+                 "duration_s": None}
+            )
 
 
 class TestShardMessages:

@@ -18,7 +18,6 @@ from repro.errors import ProtocolError
 from repro.exec import (
     CellJob,
     CellOutcome,
-    Fig2Cell,
     PolicySet,
     ShardResult,
     ShardSpec,
@@ -66,10 +65,7 @@ objects = st.dictionaries(st.text(max_size=8), finite_json, max_size=4)
 names = st.text(max_size=12)
 seeds = st.integers(-(2**40), 2**40)
 durations = st.none() | st.floats(allow_nan=False)
-cells = st.one_of(
-    st.builds(SystemCell, names, names, names, seeds, durations),
-    st.builds(Fig2Cell, names, names, names, names, seeds, durations),
-)
+cells = st.builds(SystemCell, names, names, names, seeds, durations)
 
 
 jobs = st.builds(

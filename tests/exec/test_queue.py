@@ -13,6 +13,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec import (
     DEFAULT_LEASE_TTL_S,
+    PolicySet,
     QueueBackend,
     Scheduler,
     ShardFailure,
@@ -30,7 +31,8 @@ from repro.exec import (
 )
 from repro.exec.queue import DEFAULT_POLL_S, QueueLayout
 from repro.exec.worker import queue_worker_main
-from repro.reference import run_digest
+from repro.learn.cache import CACHE_ENV
+from repro.reference import expected_digest, run_digest
 
 DURATION = 60.0
 
@@ -112,15 +114,6 @@ class TestDurationVariables:
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT", raw)
         with pytest.raises(ConfigurationError, match="REPRO_SHARD_TIMEOUT"):
             SubprocessWorkerBackend(1)
-
-    @pytest.mark.parametrize("name", ["REPRO_LEASE_TTL", "REPRO_QUEUE_POLL"])
-    def test_worker_refuses_non_finite(self, name, tmp_path, monkeypatch):
-        layout = QueueLayout(tmp_path / "q").create(
-            lease_ttl_s=30.0, poll_s=0.05
-        )
-        monkeypatch.setenv(name, "nan")
-        with pytest.raises(ConfigurationError, match=name):
-            queue_worker_main(layout.root, drain=True)
 
     @pytest.mark.parametrize("raw", ["", "   "])
     @pytest.mark.parametrize("name", sorted(DURATION_VARIABLES))
@@ -602,8 +595,6 @@ class TestConfigDurations:
     """A duration in the queue's config.json obeys the environment's rule."""
 
     def write_config(self, tmp_path, monkeypatch, key, value):
-        for name in ("REPRO_LEASE_TTL", "REPRO_QUEUE_POLL"):
-            monkeypatch.delenv(name, raising=False)
         layout = QueueLayout(tmp_path / "q").create(
             lease_ttl_s=30.0, poll_s=0.05
         )
@@ -651,3 +642,52 @@ class TestConfigDurations:
         lines = [line for line in result.stderr.splitlines() if line]
         assert len(lines) == 1
         assert "poll_s" in lines[0]
+
+
+class TestAttachedWorkerTiming:
+    def test_the_worker_beats_at_the_queue_ttl_not_its_own(
+        self, tmp_path, monkeypatch
+    ):
+        # The backend reclaims a lease 0.5 s stale; a worker attached with
+        # REPRO_LEASE_TTL=30 in its own environment must still beat at the
+        # queue's TTL, or it would beat every 7.5 s and lose the lease.
+        # An empty cache makes the shard pretrain, so it runs for seconds.
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        backend = QueueBackend(
+            1, directory=tmp_path / "q", lease_ttl_s=0.5, poll_s=0.02,
+            spawn=False,
+        )
+        env = dict(os.environ)
+        env["REPRO_LEASE_TTL"] = "30"
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.exec.worker",
+             "--queue", str(backend.layout.root)],
+            env=env,
+        )
+        cell = SystemCell(
+            "DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", 0, 1200.0
+        )
+        outcomes = []
+        collect = threading.Thread(
+            target=lambda: outcomes.extend(
+                backend.run(make_shard_specs([cell], 1))
+            ),
+            daemon=True,
+        )
+        try:
+            collect.start()
+            collect.join(timeout=120)
+        finally:
+            backend.close()
+            try:
+                worker.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                worker.kill()
+                worker.wait()
+        assert not collect.is_alive(), "no outcome within 120 s"
+        [outcome] = outcomes
+        assert isinstance(outcome, ShardResult), outcome
+        assert run_digest(outcome.results[0]) == expected_digest(
+            "full", cell, PolicySet()
+        )

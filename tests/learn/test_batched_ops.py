@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.learn import MLPClassifier, TrainConfig, train_sgd
-from repro.learn.executor import batched_forward, batched_predict
 from repro.learn.mlp import BatchedMLPBank
 from repro.learn.ops import (
     batched_cross_entropy_grad,
@@ -132,16 +131,6 @@ class TestBatchedBankForward:
             BatchedMLPBank([a, cast(a, np.float32)])
         with pytest.raises(ConfigurationError):
             BatchedMLPBank([])
-
-    def test_executor_helpers(self):
-        models = make_models()
-        xs, _ = make_batches()
-        stacked = np.stack(xs)
-        logits = batched_forward(models, stacked, MX9, 1.0)
-        preds = batched_predict(models, stacked, MX9, 1.0)
-        for k, model in enumerate(models):
-            assert np.array_equal(logits[k], model.forward(xs[k], MX9, 1.0))
-            assert np.array_equal(preds[k], model.predict(xs[k], MX9, 1.0))
 
 
 class TestBatchedTrain:

@@ -8,6 +8,7 @@ from repro.learn.cache import (
     CACHE_ENV,
     cache_dir,
     load_pretrained,
+    pretrained_mlp,
     store_pretrained,
 )
 
@@ -71,15 +72,15 @@ class TestDiskCache:
 
     def test_pretraining_equals_cached_reload(self, tmp_path, monkeypatch):
         # A cold pretraining and a cache hit must produce identical weights.
-        import repro.learn.student as student_mod
+        from repro.learn.student import _PRETRAIN
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        student_mod._pretrained_mlp.cache_clear()
-        cold = student_mod._pretrained_mlp("resnet18", 0, 1234)
-        student_mod._pretrained_mlp.cache_clear()
-        warm = student_mod._pretrained_mlp("resnet18", 0, 1234)
+        pretrained_mlp.cache_clear()
+        cold = pretrained_mlp(_PRETRAIN, "resnet18", 0, 1234)
+        pretrained_mlp.cache_clear()
+        warm = pretrained_mlp(_PRETRAIN, "resnet18", 0, 1234)
         for a, b in zip(cold.weights, warm.weights):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(cold.biases, warm.biases):
             np.testing.assert_array_equal(a, b)
-        student_mod._pretrained_mlp.cache_clear()
+        pretrained_mlp.cache_clear()

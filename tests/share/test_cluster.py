@@ -2,7 +2,11 @@
 
 import itertools
 
-from repro.exec.shard import Fig2Cell, SystemCell
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.data.scenarios import SCENARIO_NAMES
+from repro.exec.shard import SystemCell
 from repro.share.cluster import ClusterTracker, cluster_cells
 
 
@@ -41,15 +45,15 @@ class TestBatchClustering:
             } == base_map
 
     def test_work_profiles_never_merge(self):
-        # Identical scenario/duration but different systems (or pairs, or
-        # cell kinds) must not share weights -- they run different models.
+        # Identical scenario/duration but different systems (or pairs)
+        # must not share weights -- they run different models.
         cells = [
             SystemCell("DaCapo-Spatiotemporal", "resnet18_wrn50", "S4", 0,
                        240.0),
             SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S4", 0, 240.0),
             SystemCell("DaCapo-Spatiotemporal", "vit32_wrn50", "S4", 0,
                        240.0),
-            Fig2Cell("student", "RTX3090", "resnet18_wrn50", "S4", 0, 240.0),
+            SystemCell("RTX3090-Student", "resnet18_wrn50", "S4", 0, 240.0),
         ]
         assignment = cluster_cells(cells)
         ids = [assignment.cluster_of(cell) for cell in cells]
@@ -97,3 +101,37 @@ class TestTracker:
                        240.0)
         b = SystemCell("DaCapo-Ekya", "resnet18_wrn50", "S4", 0, 240.0)
         assert tracker.assign(a) != tracker.assign(b)
+
+
+cell_lists = st.lists(
+    st.builds(
+        SystemCell,
+        st.sampled_from(["DaCapo-Spatiotemporal", "DaCapo-Ekya"]),
+        st.sampled_from(["resnet18_wrn50", "vit_b32_b16"]),
+        st.sampled_from(SCENARIO_NAMES),
+        st.integers(0, 3),
+        st.sampled_from([None, 120.0, 240.0]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_lists)
+def test_batch_ids_are_a_tracker_fed_the_sorted_members(cells):
+    # A member is a cell's (system, pair, scenario, duration): the batch
+    # pass is the tracker's greedy rule over the distinct members, visited
+    # in sorted order whatever order the cells came in.
+    def member(cell):
+        duration = "def" if cell.duration_s is None else f"{cell.duration_s:g}"
+        return (cell.system, cell.pair, cell.scenario, duration)
+
+    first = {}
+    for cell in cells:
+        first.setdefault(member(cell), cell)
+    tracker = ClusterTracker()
+    expected = {key: tracker.assign(first[key]) for key in sorted(first)}
+    assignment = cluster_cells(cells)
+    assert [assignment.cluster_of(cell) for cell in cells] == [
+        expected[member(cell)] for cell in cells
+    ]

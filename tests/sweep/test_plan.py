@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Fig2Cell, SystemCell
+from repro.core import SystemCell
 from repro.errors import ConfigurationError
-from repro.experiments.fig2 import FIG2_KINDS, FIG2_PAIRS, FIG2_PLATFORMS
+from repro.experiments.fig2 import FIG2_BARS, FIG2_PAIRS, FIG2_PLATFORMS
 from repro.experiments.fig9 import FIG9_PAIRS, FIG9_SCENARIOS, FIG9_SYSTEMS
 from repro.numeric import use_policy
 from repro.sweep import compile_plan, load_spec, spec_from_mapping
@@ -131,10 +131,10 @@ class TestExamples:
         spec = load_spec(EXAMPLES / "fig2_sweep.toml")
         (group,) = compile_plan(spec).groups
         expected = tuple(
-            Fig2Cell(kind, platform, pair, "S5", 0, 600.0)
+            SystemCell(f"{platform}-{bar.capitalize()}", pair, "S5", 0, 600.0)
             for pair in FIG2_PAIRS
             for platform in FIG2_PLATFORMS
-            for kind in FIG2_KINDS
+            for bar in FIG2_BARS
         )
         assert group.cells == expected
 

@@ -24,7 +24,6 @@ def minimal(**updates):
 TOML_SPEC = """
 [sweep]
 name = "toml-spec"
-cell = "system"
 
 [axes]
 systems = ["DaCapo-Spatiotemporal", "OrinHigh-Ekya"]
@@ -124,26 +123,31 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="missing required"):
             spec_from_mapping(data)
 
-    def test_fig2_requires_platform_kind_axes(self):
-        data = minimal()
-        data["sweep"]["cell"] = "fig2"
-        with pytest.raises(ConfigurationError, match="does not apply"):
-            spec_from_mapping(data)
+    def test_fig2_dialect_refused(self):
+        # Figure 2's bars are systems now; the old dialect names keys the
+        # schema no longer has.
+        for section, key, value in (
+            ("sweep", "cell", "fig2"),
+            ("axes", "platforms", ["RTX3090"]),
+            ("axes", "kinds", ["student"]),
+        ):
+            data = minimal()
+            data[section][key] = value
+            with pytest.raises(ConfigurationError, match=f"unknown .*{key}"):
+                spec_from_mapping(data)
 
-    def test_fig2_axes_accepted(self):
+    def test_fig2_systems_accepted(self):
         data = minimal()
-        data["sweep"]["cell"] = "fig2"
-        del data["axes"]["systems"]
-        data["axes"]["platforms"] = ["RTX3090", "OrinLow"]
-        data["axes"]["kinds"] = ["student", "ekya"]
-        data["aggregate"] = {"group_by": ["platform", "kind"]}
+        data["axes"]["systems"] = ["RTX3090-Student", "OrinLow-Ekya"]
+        data["aggregate"] = {"group_by": ["pair", "system"]}
         spec = spec_from_mapping(data)
-        assert spec.axes["platform"] == ("RTX3090", "OrinLow")
+        assert spec.axes["system"] == ("RTX3090-Student", "OrinLow-Ekya")
 
     def test_unknown_cell_kind(self):
+        # The one cell type is implied: a ``cell`` key is not schema.
         data = minimal()
         data["sweep"]["cell"] = "gpu"
-        with pytest.raises(ConfigurationError, match="cell must be"):
+        with pytest.raises(ConfigurationError, match=r"unknown \[sweep\] keys"):
             spec_from_mapping(data)
 
     def test_unknown_axis_key(self):

@@ -212,8 +212,8 @@ class TestPolicyVariablesRefusedBeforeWork:
         def pretrain(*args):
             raise AssertionError("pretrained before refusing REPRO_DTYPE")
 
-        monkeypatch.setattr(student, "_pretrained_mlp", pretrain)
-        monkeypatch.setattr(teacher, "_pretrained_mlp", pretrain)
+        monkeypatch.setattr(student, "pretrained_mlp", pretrain)
+        monkeypatch.setattr(teacher, "pretrained_mlp", pretrain)
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         assert main(RUN) == 2

@@ -85,12 +85,10 @@ class TestDisabledPath:
 class TestRunnerWiring:
     def test_run_records_the_paper_phases(self):
         from repro.core import build_system, run_on_scenario
-        import repro.learn.student as student_mod
-        import repro.learn.teacher as teacher_mod
+        from repro.learn.cache import pretrained_mlp
 
-        # Drop pretrain memos so the pretrain phase actually executes here.
-        student_mod._pretrained_mlp.cache_clear()
-        teacher_mod._pretrained_mlp.cache_clear()
+        # Drop the pretrain memo so the pretrain phase actually executes.
+        pretrained_mlp.cache_clear()
 
         profiler = profiling.enable()
         t0 = time.perf_counter()

@@ -1,7 +1,7 @@
 """The bit-identity contract against the frozen reference digests.
 
-Tier-1 recomputes the cheap ``smoke`` case under every numeric policy and
-compares it with its freeze; the heavyweight ``full`` (the 29-entry
+Tier-1 recomputes the cheap ``smoke`` case under every numeric policy, and
+the ``fig2`` case, and compares them with their freeze; the heavyweight ``full`` (the 29-entry
 fixed-seed set) and ``fig9`` (108 cells at 1200 s) cases run when
 ``REPRO_FULL_DIGESTS=1``.  Every file under ``tests/reference/`` is
 exactly what the registry's one writer renders, and belongs to a case.
@@ -38,6 +38,12 @@ FULL = os.environ.get("REPRO_FULL_DIGESTS", "") == "1"
 @policies
 def test_smoke_digests_match_reference(policy):
     assert mismatches("smoke", PolicySet(numeric=policy)) == []
+
+
+def test_fig2_digests_match_reference():
+    # Figure 2's six resnet18_wrn50 bars at 300 s, frozen through the
+    # Figure 2 cell type they used to run as.
+    assert mismatches("fig2", PolicySet()) == []
 
 
 @pytest.mark.skipif(
