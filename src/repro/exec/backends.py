@@ -28,12 +28,17 @@ Four transports:
   mid-sweep.
 
 The two transports that hear from another process turn each reply into
-an outcome through one check, :func:`reply_outcome`.  Backend selection
-is ambient -- the :data:`BACKEND` knob, a :func:`use_backend` override,
-then ``$REPRO_BACKEND``; README "Policies" -- and :mod:`repro.exec.run`
-applies it.  Every backend produces bit-identical results at any worker
-count -- cells seed their own RNGs, so *where* a shard runs can never
-change *what* it computes.
+an outcome through one check, :func:`reply_outcome`, and start each
+local worker with its CPU share of BLAS threads: ``OPENBLAS_NUM_THREADS``
+and ``OMP_NUM_THREADS`` set to ``max(1, usable CPUs // workers)``, unless
+the caller sets either one (:func:`_worker_env`).  The pool's forked
+workers keep the BLAS the parent already loaded.
+
+Backend selection is ambient -- the :data:`BACKEND` knob, a
+:func:`use_backend` override, then ``$REPRO_BACKEND``; README "Policies"
+-- and :mod:`repro.exec.run` applies it.  Every backend produces
+bit-identical results at any worker count -- cells seed their own RNGs,
+so *where* a shard runs can never change *what* it computes.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ __all__ = [
     "active_backend_spec",
     "parse_backend",
     "reply_outcome",
+    "usable_cpus",
     "use_backend",
 ]
 
@@ -98,6 +104,11 @@ BACKEND_KINDS = ("serial", "process", "subprocess", "queue")
 #: Seconds the subprocess backend's workers get, together, to exit after
 #: their shutdown message before the ones still running are killed.
 SHUTDOWN_GRACE_S = 5.0
+
+#: The variables sizing a fresh process's OpenBLAS and OpenMP thread
+#: pools.  Left unset, each would start one thread per CPU in every
+#: worker, so ``N`` local workers would oversubscribe the host ``N``-fold.
+BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @runtime_checkable
@@ -340,8 +351,28 @@ def default_worker_command() -> list[str]:
     return [sys.executable, "-m", "repro.exec.worker"]
 
 
-def _worker_env() -> dict[str, str]:
-    """Child environment: inherit, plus make ``repro`` importable."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on.
+
+    ``sched_getaffinity`` respects container/cgroup CPU masks that
+    ``os.cpu_count`` does not; oversubscribing a quota-limited container
+    with host-count threads is slower than running serially.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # non-Linux
+        return max(1, os.cpu_count() or 1)
+
+
+def _worker_env(workers: int) -> dict[str, str]:
+    """Child environment for one of ``workers`` local workers.
+
+    Inherit, make ``repro`` importable, and give the worker its share of
+    the usable CPUs as BLAS threads -- joblib's ``cpu_count // n_jobs``
+    rule -- unless the parent sets :data:`BLAS_THREAD_ENVS` itself (then
+    the worker inherits both as they are).  A blank value sets nothing:
+    OpenBLAS reads it as its default, one thread per CPU.
+    """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2])
     current = env.get("PYTHONPATH", "")
@@ -349,6 +380,9 @@ def _worker_env() -> dict[str, str]:
         env["PYTHONPATH"] = (
             src + os.pathsep + current if current else src
         )
+    if not any(env.get(name, "").strip() for name in BLAS_THREAD_ENVS):
+        share = str(max(1, usable_cpus() // workers))
+        env.update(dict.fromkeys(BLAS_THREAD_ENVS, share))
     return env
 
 
@@ -359,6 +393,7 @@ class _WorkerHandle:
         self,
         slot: int,
         command: list[str],
+        workers: int,
         timeout_s: float | None = None,
     ) -> None:
         self.slot = slot
@@ -369,7 +404,7 @@ class _WorkerHandle:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
-                env=_worker_env(),
+                env=_worker_env(workers),
             )
         except OSError as exc:
             raise ShardFailure(
@@ -528,7 +563,9 @@ class SubprocessWorkerBackend:
                 return None
             self._spawned += 1
         command = self.command or default_worker_command()
-        handle = _WorkerHandle(slot, command, self.shard_timeout_s)
+        handle = _WorkerHandle(
+            slot, command, self.workers, self.shard_timeout_s
+        )
         with self._lock:
             self._handles[slot] = handle
         return handle

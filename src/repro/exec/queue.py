@@ -267,7 +267,7 @@ class QueueBackend:
             and self._spawned < self.workers + self.max_respawns
         ):
             self._spawned += 1
-            env = _worker_env()
+            env = _worker_env(self.workers)
             env[PARENT_PID_ENV] = str(os.getpid())
             try:
                 proc = subprocess.Popen(self._worker_command(), env=env)

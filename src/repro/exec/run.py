@@ -21,7 +21,6 @@ frozen reference digests are verified across every backend.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -35,6 +34,7 @@ from repro.exec.backends import (
     SubprocessWorkerBackend,
     active_backend_spec,
     parse_backend,
+    usable_cpus,
 )
 from repro.exec.queue import QueueBackend
 from repro.exec.scheduler import execute_cells
@@ -57,22 +57,17 @@ JOBS_ENV = "REPRO_JOBS"
 
 
 def default_jobs() -> int:
-    """The default worker count: ``$REPRO_JOBS`` if set, else usable CPUs.
+    """The default worker count: ``$REPRO_JOBS`` if set, else
+    :func:`~repro.exec.backends.usable_cpus`.
 
     ``REPRO_JOBS`` must be a positive integer
     (:class:`ConfigurationError` otherwise); it exists so CI and remote
-    workers can pin parallelism fleet-wide.  The CPU fallback uses
-    ``sched_getaffinity``, which respects container/cgroup CPU masks that
-    ``os.cpu_count`` does not; oversubscribing a quota-limited container
-    with host-count workers is slower than running serially.
+    workers can pin parallelism fleet-wide.
     """
     pinned = positive_int_env(JOBS_ENV)
     if pinned is not None:
         return pinned
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # non-Linux
-        return max(1, os.cpu_count() or 1)
+    return usable_cpus()
 
 
 def resolve_jobs(jobs: int) -> int:

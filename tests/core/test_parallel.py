@@ -18,6 +18,7 @@ from repro.exec import (
     run_cells,
 )
 from repro.exec import run_cell as _run_cell
+from repro.exec.backends import usable_cpus
 from repro.learn.cache import CACHE_ENV
 from repro.share.policy import CLUSTER, active_sharing, use_sharing
 
@@ -181,6 +182,7 @@ class TestDefaultJobs:
     def test_unset_uses_available_cpus(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
         assert default_jobs() >= 1
+        assert default_jobs() == usable_cpus()
 
     def test_env_override_pins_worker_count(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "7")

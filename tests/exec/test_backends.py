@@ -1,15 +1,18 @@
 """Tests for the execution backends: parsing, equivalence, worker death."""
 
 import io
+import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import backends, protocol
+from repro.exec import queue as queue_module
 from repro.exec import (
     BACKEND_ENV,
     FAULT_PLAN_ENV,
@@ -17,6 +20,7 @@ from repro.exec import (
     FaultPlan,
     PolicySet,
     ProcessPoolBackend,
+    QueueBackend,
     SerialBackend,
     ShardFailure,
     SubprocessWorkerBackend,
@@ -118,18 +122,25 @@ class TestBackendEquivalence:
 
 
 class TestSmokeGridDigests:
-    def test_subprocess_backend_matches_frozen_reference(self):
+    def test_subprocess_backend_matches_frozen_reference(self, monkeypatch):
         """The acceptance bit-identity check: the frozen smoke digests
         reproduce through the subprocess transport (serial and process
         are covered by tests/test_reference_digests.py and the sweep
-        suite)."""
+        suite), whether the workers take their CPU share of BLAS threads
+        or the caller sets a count of its own."""
         cells = CASES["smoke"].cells
-        results = run_cells(cells, backend="subprocess:2")
         policies = PolicySet.active()
-        for cell, result in zip(cells, results):
-            assert run_digest(result) == expected_digest(
-                "smoke", cell, policies
-            ), cell
+        for threads in (None, "3"):
+            for name in backends.BLAS_THREAD_ENVS:
+                if threads is None:
+                    monkeypatch.delenv(name, raising=False)
+                else:
+                    monkeypatch.setenv(name, threads)
+            results = run_cells(cells, backend="subprocess:2")
+            for cell, result in zip(cells, results):
+                assert run_digest(result) == expected_digest(
+                    "smoke", cell, policies
+                ), (cell, threads)
 
     def test_worker_without_scipy_matches_frozen_reference(
         self, monkeypatch
@@ -403,6 +414,104 @@ class TestShutdown:
         ]
         assert ("kill", 1, grace) in log
         assert not [entry for entry in log if entry[:2] == ("kill", 0)]
+
+
+class TestWorkerBlasThreads:
+    @pytest.fixture
+    def eight_cpus(self, monkeypatch):
+        """A parent with 8 usable CPUs and neither BLAS variable set."""
+        for name in backends.BLAS_THREAD_ENVS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(
+            backends.os, "sched_getaffinity", lambda pid: set(range(8)),
+            raising=False,
+        )
+
+    @staticmethod
+    def blas(env):
+        return {name: env.get(name) for name in backends.BLAS_THREAD_ENVS}
+
+    @pytest.mark.parametrize(
+        "workers, share", [(1, "8"), (2, "4"), (3, "2"), (16, "1")]
+    )
+    def test_each_worker_gets_its_cpu_share(self, eight_cpus, workers, share):
+        env = backends._worker_env(workers)
+        assert self.blas(env) == dict.fromkeys(
+            backends.BLAS_THREAD_ENVS, share
+        )
+
+    @pytest.mark.parametrize(
+        "name, value", [("OPENBLAS_NUM_THREADS", "3"), ("OMP_NUM_THREADS", "5")]
+    )
+    def test_a_caller_setting_passes_through_alone(
+        self, eight_cpus, monkeypatch, name, value
+    ):
+        monkeypatch.setenv(name, value)
+        env = backends._worker_env(2)
+        assert self.blas(env) == self.blas(backends.os.environ)
+        assert env[name] == value
+
+    def test_a_blank_setting_sets_nothing(self, eight_cpus, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", " ")
+        env = backends._worker_env(2)
+        assert self.blas(env) == dict.fromkeys(backends.BLAS_THREAD_ENVS, "4")
+
+    def test_the_rest_of_the_environment_is_inherited(
+        self, eight_cpus, monkeypatch
+    ):
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        env = backends._worker_env(2)
+        src = str(Path(backends.__file__).resolve().parents[2])
+        assert env.pop("PYTHONPATH") == src + os.pathsep + "elsewhere"
+        for name in backends.BLAS_THREAD_ENVS:
+            env.pop(name)
+        parent = dict(os.environ)
+        parent.pop("PYTHONPATH")
+        assert env == parent
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(backends.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(backends.os, "cpu_count", lambda: 6)
+        assert backends.usable_cpus() == 6
+        monkeypatch.setattr(backends.os, "cpu_count", lambda: None)
+        assert backends.usable_cpus() == 1
+
+    def test_subprocess_spawner_passes_its_worker_count(
+        self, eight_cpus, monkeypatch
+    ):
+        envs, clock = [], SimpleNamespace(now=0.0)
+
+        def popen(*args, env, **kwargs):
+            envs.append(env)
+            return _FakeWorker(len(envs), [], clock, 0.0)
+
+        monkeypatch.setattr(backends.subprocess, "Popen", popen)
+        backend = SubprocessWorkerBackend(3)
+        backend._spawn(0)
+        backend._spawn(1)
+        backend.close()
+        assert [self.blas(env) for env in envs] == 2 * [
+            dict.fromkeys(backends.BLAS_THREAD_ENVS, "2")
+        ]
+
+    def test_queue_spawner_passes_its_worker_count(
+        self, eight_cpus, monkeypatch, tmp_path
+    ):
+        envs = []
+
+        def popen(command, env):
+            envs.append(env)
+            return SimpleNamespace(
+                pid=-len(envs), poll=lambda: None, wait=lambda timeout: 0
+            )
+
+        monkeypatch.setattr(queue_module.subprocess, "Popen", popen)
+        backend = QueueBackend(3, directory=tmp_path / "q")
+        backend._maintain_workers()
+        backend.close()
+        assert [self.blas(env) for env in envs] == 3 * [
+            dict.fromkeys(backends.BLAS_THREAD_ENVS, "2")
+        ]
 
 
 class TestPipes:
