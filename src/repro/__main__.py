@@ -88,6 +88,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
     if args.jobs is not None:
+        # Validated on every experiment, as on ``sweep``: a bad value
+        # exits 2 even where the experiment would ignore it.
+        jobs = resolve_jobs(args.jobs)
         if not supports_jobs(args.id):
             print(
                 f"experiment {args.id!r} does not support --jobs; "
@@ -95,7 +98,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            kwargs["jobs"] = args.jobs
+            kwargs["jobs"] = jobs
     if args.backend is not None and not supports_jobs(args.id):
         print(
             f"experiment {args.id!r} does not route through the "

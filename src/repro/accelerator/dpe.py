@@ -88,9 +88,3 @@ class DotProductEngine:
             )
         fmt_b = fmt_b or fmt_a
         return float(np.dot(quantize(a, fmt_a), quantize(b, fmt_b)))
-
-    def dots_for_depth(self, depth: int) -> int:
-        """Number of block dot-products to contract a ``depth``-long vector."""
-        if depth < 1:
-            raise ConfigurationError("contraction depth must be >= 1")
-        return -(-depth // self.lanes)

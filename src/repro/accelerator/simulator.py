@@ -64,13 +64,6 @@ class Timing:
     compute_cycles: float
     memory_cycles: float
 
-    @property
-    def utilization(self) -> float:
-        """Array busy fraction over the bottleneck time."""
-        if self.cycles == 0:
-            return 0.0
-        return min(1.0, self.compute_cycles / self.cycles)
-
     def __add__(self, other: "Timing") -> "Timing":
         return Timing(
             self.cycles + other.cycles,
@@ -203,42 +196,3 @@ class AcceleratorSimulator:
         """Sustained training samples/second at the given batch size."""
         timing = self.training_timing(model, fmt, sub, batch)
         return batch / sub.seconds(timing.cycles)
-
-    def layer_report(
-        self,
-        model: ModelGraph,
-        fmt: MXFormat,
-        sub: SubAccelerator,
-        batch: int = 1,
-    ) -> list[dict]:
-        """Per-layer timing breakdown of one forward pass.
-
-        Returns one row per compute-bearing layer with its GEMM count,
-        bottleneck cycles, and whether it is compute- or memory-bound --
-        the visibility a performance engineer needs to size partitions.
-        """
-        if sub.is_empty:
-            raise PartitionError(f"{sub.name} has no rows assigned")
-        rows: list[dict] = []
-        for layer in model.layers:
-            gemms = layer.gemms(batch)
-            if not gemms:
-                continue
-            total = _ZERO
-            for gemm in gemms:
-                total = total + self.gemm_timing(gemm, fmt, sub)
-            rows.append(
-                {
-                    "layer": layer.name,
-                    "gemms": len(gemms),
-                    "macs": layer.macs(batch),
-                    "cycles": total.cycles,
-                    "bound": (
-                        "compute"
-                        if total.compute_cycles >= total.memory_cycles
-                        else "memory"
-                    ),
-                    "utilization": total.utilization,
-                }
-            )
-        return rows

@@ -8,12 +8,11 @@ arithmetic (step 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.models.graph import ModelGraph
 from repro.models.zoo import ModelPair
-from repro.mx import FORMATS
 from repro.platform.base import Platform
 
 __all__ = ["KernelRates", "PerformanceEstimator"]
@@ -83,26 +82,3 @@ class PerformanceEstimator:
             )
             self._rates_cache[share] = cached
         return cached
-
-    def precision_report(self) -> dict[str, KernelRates]:
-        """Kernel rates for every supported MX precision (workflow step 2).
-
-        Only meaningful for platforms with configurable precision; platforms
-        without the attributes report their single operating point.
-        """
-        report: dict[str, KernelRates] = {}
-        base = self.platform
-        if not hasattr(base, "inference_fmt"):
-            report["native"] = self.rates()
-            return report
-
-        for fmt in FORMATS:
-            configured = replace(
-                base,
-                inference_fmt=fmt,
-                labeling_fmt=fmt,
-                training_fmt=fmt,
-            )
-            estimator = PerformanceEstimator(configured, self.pair)
-            report[fmt.name] = estimator.rates()
-        return report

@@ -126,32 +126,6 @@ class RunResult:
             "average_power_w": self.average_power_w,
         }
 
-    def to_json(self, window_s: float = 15.0) -> str:
-        """Serialize the run (summary + series + phase trace) to JSON."""
-        import json
-
-        starts, series = self.accuracy_series(window_s)
-        payload = {
-            "summary": self.summary(),
-            "duration_s": self.duration_s,
-            "window_s": window_s,
-            "accuracy_series": {
-                "window_starts": starts.tolist(),
-                "accuracy": series.tolist(),
-            },
-            "phases": [
-                {
-                    "kind": p.kind.value,
-                    "start_s": p.start_s,
-                    "end_s": p.end_s,
-                    "samples": p.samples,
-                    "drift_detected": p.drift_detected,
-                }
-                for p in self.phases
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
 
 def _array_bytes(array: np.ndarray) -> bytes:
     """Dtype-tagged contiguous bytes (the dtype is part of the identity)."""

@@ -1,8 +1,8 @@
 """Pluggable execution: cell jobs, shards, transports, scheduling, resume.
 
-:func:`~repro.exec.run.run_cells` and
-:func:`~repro.exec.run.parallel_map` (:mod:`repro.exec.run`) are the entry
-points: they select a backend from an explicit argument, a
+:func:`~repro.exec.run.run_cells` (:mod:`repro.exec.run`) runs a grid,
+and :func:`~repro.exec.run.resolve_backend` selects its backend (and the
+sweep's and the service's) from an explicit argument, a
 :func:`use_backend` override, or ``$REPRO_BACKEND``.  Grids decompose
 into stream- or cluster-sharing :class:`~repro.exec.shard.ShardSpec`\\ s
 of :class:`~repro.exec.shard.CellJob`\\ s, and one worker-side call,
@@ -60,7 +60,6 @@ from repro.exec.run import (
     JOBS_ENV,
     default_jobs,
     make_backend,
-    parallel_map,
     resolve_backend,
     resolve_jobs,
     run_cells,
@@ -141,7 +140,6 @@ __all__ = [
     "make_shard_specs",
     "note_shard_observation",
     "observed_cost",
-    "parallel_map",
     "parse_backend",
     "plan_shards",
     "reset_observed_costs",

@@ -1,7 +1,10 @@
 """The entry points above every transport: pick a backend, run a grid.
 
-:func:`run_cells` runs grid cells and :func:`parallel_map` maps a
-function; both pick their backend here, in precedence order:
+:func:`run_cells` runs a grid of cells, and :func:`resolve_backend`
+picks its transport -- and the transport ``repro sweep`` and ``repro
+serve`` hand their shards to.  Nothing else fans work out: a computation
+that is not a grid of cells runs serially in this process.  The backend
+is chosen in precedence order:
 
 1. an explicit ``backend=`` argument (``"serial"``, ``"process[:N]"``,
    ``"subprocess[:N]"``, ``"queue[:N]"``, or a constructed
@@ -21,8 +24,7 @@ frozen reference digests are verified across every backend.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.core.results import RunResult
 from repro.core.runner import SystemCell
@@ -38,14 +40,12 @@ from repro.exec.backends import (
 )
 from repro.exec.queue import QueueBackend
 from repro.exec.scheduler import execute_cells
-from repro.exec.shard import PolicySet
 from repro.knobs import positive_int_env
 
 __all__ = [
     "JOBS_ENV",
     "default_jobs",
     "make_backend",
-    "parallel_map",
     "resolve_backend",
     "resolve_jobs",
     "run_cells",
@@ -162,48 +162,3 @@ def run_cells(
     finally:
         if owned:
             instance.close()
-
-
-def _policy_call(payload: tuple) -> object:
-    """Run one mapped call under the parent's policies (worker side)."""
-    policies, fn, item = payload
-    with policies.use():
-        return fn(item)
-
-
-def parallel_map(
-    fn: Callable, items: Iterable, jobs: int = 1
-) -> list:
-    """Order-preserving map, in-process or across worker processes.
-
-    Args:
-        fn: A module-level (pickleable) callable of one argument.
-        items: Inputs, in the order results should come back.
-        jobs: Worker processes; 1 maps in-process, 0 means "all cores".
-
-    Lightweight experiments (Table II/III rows, the ablation sweeps) fan
-    out through this rather than hand-rolling executors; results are
-    identical at any jobs count.  The ambient backend selection applies
-    with one caveat: arbitrary callables cannot cross the JSON shard
-    protocol, so ``subprocess`` and ``queue`` degrade to the local
-    process pool here (``serial`` forces in-process, and a ``:N`` pins
-    the worker count).
-    The parent's active :class:`~repro.exec.shard.PolicySet` is
-    re-installed around every mapped call, so policy overrides survive
-    into spawn-started workers exactly as they do for ``run_cells``.
-    """
-    jobs = resolve_jobs(jobs)
-    spec = active_backend_spec()
-    if spec is not None:
-        kind, workers = parse_backend(spec)
-        if kind == "serial":
-            jobs = 1
-        elif workers is not None:
-            jobs = workers
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    policies = PolicySet.active()
-    payloads = [(policies, fn, item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(_policy_call, payloads, chunksize=1))

@@ -9,14 +9,18 @@
 - **Nldd multiplier** (section VI-B): the paper empirically picks
   ``Nldd = 4 * Nl``; sweep the multiplier.
 
-Every ablation fans its independent rows through the shared grid
-infrastructure -- :func:`~repro.exec.run.run_cells` for full system
-runs, :func:`~repro.exec.run.parallel_map` for the cheaper spec
-sweeps -- so ``--jobs`` composes uniformly and results are identical at
-any worker count.
+The partitioning ablation is a grid of registered systems, so it runs
+through :func:`~repro.exec.run.run_cells` and takes ``--jobs`` and
+``--backend`` like the figure grids, with results identical at any
+worker count.  The other four build their rows serially in this process:
+the spec sweeps are milliseconds of arithmetic, and each Nldd run needs
+its own :class:`~repro.core.config.DaCapoConfig`, which a grid cell
+cannot carry.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,10 +38,10 @@ from repro.core import (
     build_system,
     run_on_scenario,
 )
-from repro.exec import parallel_map, run_cells
+from repro.exec import run_cells
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.models import get_pair
-from repro.mx import FORMATS, MX6, MX9, sqnr
+from repro.mx import FORMATS, MX6, MX9, MXFormat, sqnr
 from repro.platform import build_dacapo_platform
 
 __all__ = [
@@ -88,18 +92,8 @@ def run_ablation_partitioning(
     )
 
 
-def _precision_row(args: tuple[str, str, int]) -> dict:
-    """One precision-ablation row (module-level so it maps across processes).
-
-    Each row does only its own format's work -- one configured platform,
-    one set of rate queries, one SQNR measurement -- so the serial path
-    costs the same as the pre-parallel loop and workers never duplicate
-    the other formats' graph walks.
-    """
-    from dataclasses import replace
-
-    fmt_name, pair_name, seed = args
-    fmt = next(f for f in FORMATS if f.name == fmt_name)
+def _precision_row(fmt: MXFormat, pair_name: str, seed: int) -> dict:
+    """One precision-ablation row: kernel rates and SQNR at ``fmt``."""
     pair = get_pair(pair_name)
     platform = replace(
         build_dacapo_platform(rows_tsa=13),
@@ -123,14 +117,10 @@ def _precision_row(args: tuple[str, str, int]) -> dict:
 
 
 def run_ablation_precision(
-    pair_name: str = "resnet18_wrn50", seed: int = 0, jobs: int = 1
+    pair_name: str = "resnet18_wrn50", seed: int = 0
 ) -> ExperimentResult:
     """Kernel rates and numeric quality per MX precision (workflow step 2)."""
-    rows = parallel_map(
-        _precision_row,
-        [(fmt.name, pair_name, seed) for fmt in FORMATS],
-        jobs=jobs,
-    )
+    rows = [_precision_row(fmt, pair_name, seed) for fmt in FORMATS]
     report = (
         f"Ablation: MX precision tradeoff ({pair_name})\n"
         + format_table(rows, floatfmt=".2f")
@@ -145,9 +135,8 @@ def run_ablation_precision(
     )
 
 
-def _dataflow_row(args: tuple[str, str, int]) -> dict:
-    """One dataflow-comparison row (module-level for process mapping)."""
-    dataflow, pair_name, rows_tsa = args
+def _dataflow_row(dataflow: str, pair_name: str, rows_tsa: int) -> dict:
+    """One dataflow-comparison row."""
     pair = get_pair(pair_name)
     student = pair.student_graph()
     teacher = pair.teacher_graph()
@@ -162,21 +151,17 @@ def _dataflow_row(args: tuple[str, str, int]) -> dict:
 
 
 def run_ablation_dataflow(
-    pair_name: str = "resnet18_wrn50", rows_tsa: int = 13, jobs: int = 1
+    pair_name: str = "resnet18_wrn50", rows_tsa: int = 13
 ) -> ExperimentResult:
     """Output-stationary vs weight-stationary kernel rates (section V-A).
 
     The paper's RTL employs the output-stationary design; this ablation
     quantifies what the choice costs/earns per kernel on the prototype.
     """
-    rows = parallel_map(
-        _dataflow_row,
-        [
-            (dataflow, pair_name, rows_tsa)
-            for dataflow in ("output_stationary", "weight_stationary")
-        ],
-        jobs=jobs,
-    )
+    rows = [
+        _dataflow_row(dataflow, pair_name, rows_tsa)
+        for dataflow in ("output_stationary", "weight_stationary")
+    ]
     report = (
         f"Ablation: dataflow comparison ({pair_name}, "
         f"T-SA {rows_tsa} rows)\n"
@@ -191,9 +176,10 @@ def run_ablation_dataflow(
     )
 
 
-def _scaling_row(args: tuple[str, int, int, str]) -> dict:
-    """One array-scaling row (module-level for process mapping)."""
-    label, rows_count, cols, pair_name = args
+def _scaling_row(
+    label: str, rows_count: int, cols: int, pair_name: str
+) -> dict:
+    """One array-scaling row."""
     pair = get_pair(pair_name)
     student = pair.student_graph()
     teacher = pair.teacher_graph()
@@ -213,7 +199,7 @@ def _scaling_row(args: tuple[str, int, int, str]) -> dict:
 
 
 def run_ablation_scaling(
-    pair_name: str = "resnet18_wrn50", jobs: int = 1
+    pair_name: str = "resnet18_wrn50",
 ) -> ExperimentResult:
     """Array scaling study (section VII-A's 32x32 / chiplet remark)."""
     configs = (
@@ -221,11 +207,7 @@ def run_ablation_scaling(
         ("32x32", 32, 32),
         ("64x64", 64, 64),
     )
-    rows = parallel_map(
-        _scaling_row,
-        [(label, r, c, pair_name) for label, r, c in configs],
-        jobs=jobs,
-    )
+    rows = [_scaling_row(label, r, c, pair_name) for label, r, c in configs]
     for chips in (2, 4):
         package = ChipletPackage(chips=chips)
         base = rows[0]
@@ -253,9 +235,10 @@ def run_ablation_scaling(
     )
 
 
-def _nldd_row(args: tuple[int, str, str, float, int]) -> dict:
-    """One Nldd-sweep row (module-level for process mapping)."""
-    multiplier, pair, scenario, duration_s, seed = args
+def _nldd_row(
+    multiplier: int, pair: str, scenario: str, duration_s: float, seed: int
+) -> dict:
+    """One Nldd-sweep row: a full system run at one multiplier."""
     config = DaCapoConfig(drift_label_multiplier=multiplier)
     system = build_system(
         "DaCapo-Spatiotemporal", pair, config=config, seed=seed
@@ -277,21 +260,17 @@ def run_ablation_nldd(
     pair: str = "resnet18_wrn50",
     multipliers: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
-    jobs: int = 1,
 ) -> ExperimentResult:
     """Sweep the drift-labeling multiplier around the paper's choice of 4.
 
     Each multiplier is a full system run with its own config (which
-    :class:`~repro.core.runner.SystemCell` cannot express), so the sweep
-    rides :func:`~repro.exec.run.parallel_map` rather than
-    ``run_cells``; the shared stream still comes from the artifact store's
-    disk tier in every worker.
+    :class:`~repro.core.runner.SystemCell` cannot express), so the runs
+    go one after another in this process and share one materialized
+    stream.
     """
-    rows = parallel_map(
-        _nldd_row,
-        [(m, pair, scenario, duration_s, seed) for m in multipliers],
-        jobs=jobs,
-    )
+    rows = [
+        _nldd_row(m, pair, scenario, duration_s, seed) for m in multipliers
+    ]
     report = (
         f"Ablation: Nldd multiplier sweep ({pair}, {scenario}, "
         f"{duration_s:.0f} s; paper uses 4)\n"

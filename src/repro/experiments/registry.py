@@ -68,10 +68,11 @@ def _get_runner(name: str) -> Callable[..., ExperimentResult]:
 def supports_jobs(name: str) -> bool:
     """Whether an experiment accepts a ``jobs`` worker-count argument.
 
-    Exactly these runners fan their grid out via ``run_cells`` /
-    ``parallel_map``, so they are also the ones the ambient ``--backend``
-    selection (:func:`repro.exec.use_backend`) reaches; the rest are
-    single-cell or analytic and always run serially in-process.
+    Exactly the grid experiments do -- ``fig2``, ``fig9`` to ``fig12``,
+    ``headline`` and ``ablation_partitioning`` -- because they run their
+    cells through ``run_cells``, which is also what the ambient
+    ``--backend`` selection (:func:`repro.exec.use_backend`) reaches.
+    The rest build their rows serially in this process.
     """
     return "jobs" in inspect.signature(_get_runner(name)).parameters
 

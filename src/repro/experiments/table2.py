@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 from repro.data.scenarios import SCENARIO_NAMES, build_scenario, scenario_table
-from repro.exec import parallel_map
 from repro.experiments.reporting import ExperimentResult, format_table
 
 __all__ = ["run_table2"]
 
 
-def _scenario_row(args: tuple[dict, float]) -> dict:
-    """One Table II row (module-level so it maps across processes)."""
-    spec, duration_s = args
+def _scenario_row(spec: dict, duration_s: float) -> dict:
+    """One Table II row."""
     stream = build_scenario(spec["name"], duration_s=duration_s)
     return {
         **spec,
@@ -21,18 +19,9 @@ def _scenario_row(args: tuple[dict, float]) -> dict:
     }
 
 
-def run_table2(duration_s: float = 1200.0, jobs: int = 1) -> ExperimentResult:
-    """Reproduce Table II, adding measured drift counts per scenario.
-
-    ``jobs > 1`` fans the per-scenario rows over worker processes (results
-    identical at any worker count); rows are millisecond-cheap, so this
-    mainly serves CLI uniformity with the grid experiments.
-    """
-    rows = parallel_map(
-        _scenario_row,
-        [(spec, duration_s) for spec in scenario_table()],
-        jobs=jobs,
-    )
+def run_table2(duration_s: float = 1200.0) -> ExperimentResult:
+    """Reproduce Table II, adding measured drift counts per scenario."""
+    rows = [_scenario_row(spec, duration_s) for spec in scenario_table()]
     report = (
         "Table II: workload scenarios (20-minute streams at 30 FPS)\n"
         + format_table(rows)

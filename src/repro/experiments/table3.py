@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.exec import parallel_map
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.models import MODEL_PAIRS, get_model
 
@@ -20,7 +19,7 @@ PAPER_TABLE3: dict[str, tuple[float, float]] = {
 
 
 def _model_row(name: str) -> dict:
-    """One Table III row (module-level so it maps across processes)."""
+    """One Table III row."""
     roles = {}
     for pair in MODEL_PAIRS.values():
         roles[pair.student] = "Student"
@@ -37,15 +36,9 @@ def _model_row(name: str) -> dict:
     }
 
 
-def run_table3(jobs: int = 1) -> ExperimentResult:
-    """Reproduce Table III from the architectural specs, with paper deltas.
-
-    ``jobs > 1`` genuinely shards the per-model rows over worker processes
-    via :func:`~repro.exec.run.parallel_map` (results identical at
-    any worker count).  The rows are spec lookups, so this is about CLI
-    uniformity *and* exercising the same fan-out path as the grids.
-    """
-    rows = parallel_map(_model_row, list(PAPER_TABLE3), jobs=jobs)
+def run_table3() -> ExperimentResult:
+    """Reproduce Table III from the architectural specs, with paper deltas."""
+    rows = [_model_row(name) for name in PAPER_TABLE3]
     report = (
         "Table III: evaluated DNN models (measured vs paper)\n"
         + format_table(rows, floatfmt=".2f")

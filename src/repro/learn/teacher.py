@@ -85,15 +85,6 @@ class TeacherModel:
         """Ground-truth accuracy (for analysis; the system never sees it)."""
         return self.mlp.accuracy(x, y, self.fmt, self.sensitivity)
 
-    def with_precision(self, fmt: MXFormat | None) -> "TeacherModel":
-        """The same weights executed at a different precision."""
-        return TeacherModel(
-            name=self.name,
-            mlp=self.mlp,
-            fmt=fmt,
-            sensitivity=self.sensitivity,
-        )
-
 
 #: Pretraining corpus size (per domain) and schedule: enough for teachers
 #: to exceed ~90% in-domain accuracy while keeping construction fast.

@@ -91,14 +91,6 @@ class ModelGraph:
             self._gemm_cache[batch] = cached
         return cached
 
-    def weight_elems(self) -> int:
-        """Parameter elements streamed per forward pass (equals params)."""
-        return self.params
-
-    def activation_elems(self, batch: int = 1) -> int:
-        """Activation elements produced per forward pass of a batch."""
-        return batch * sum(layer.out_elems for layer in self.layers)
-
     def layer(self, name: str) -> Layer:
         """Look up a layer by name."""
         if name not in self._names:

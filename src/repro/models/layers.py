@@ -39,10 +39,6 @@ class Gemm:
         """Multiply-accumulate count."""
         return self.m * self.k * self.n
 
-    def scaled_batch(self, batch: int) -> "Gemm":
-        """The same GEMM with ``M`` scaled for a larger batch."""
-        return Gemm(self.m * batch, self.k, self.n)
-
 
 @dataclass(frozen=True)
 class Layer:

@@ -70,12 +70,6 @@ class DaCapoPlatform:
             model, self.inference_fmt, self.partition.bsa, INFERENCE_BATCH
         )
 
-    def inference_latency_s(self, model: ModelGraph) -> float:
-        """Per-frame latency on B-SA (drives the frame-rate constraint)."""
-        return self.simulator.forward_latency_s(
-            model, self.inference_fmt, self.partition.bsa, INFERENCE_BATCH
-        )
-
     def labeling_rate(self, model: ModelGraph, share: float = 1.0) -> float:
         """Teacher labeling on T-SA, scaled by its time share."""
         self._check_share(share)

@@ -45,13 +45,3 @@ class TestDotProductEngine:
         dpe = DotProductEngine()
         with pytest.raises(ConfigurationError):
             dpe.dot(np.zeros(8), np.zeros(8), MX6)
-
-    def test_dots_for_depth(self):
-        dpe = DotProductEngine()
-        assert dpe.dots_for_depth(16) == 1
-        assert dpe.dots_for_depth(17) == 2
-        assert dpe.dots_for_depth(1) == 1
-
-    def test_dots_for_depth_invalid(self):
-        with pytest.raises(ConfigurationError):
-            DotProductEngine().dots_for_depth(0)

@@ -14,13 +14,6 @@ FULL = ARRAY.full()
 
 
 class TestTiming:
-    def test_utilization(self):
-        assert Timing(100, 50, 10).utilization == 0.5
-        assert Timing(0, 0, 0).utilization == 0.0
-
-    def test_utilization_capped(self):
-        assert Timing(10, 20, 5).utilization == 1.0
-
     def test_addition(self):
         total = Timing(1, 2, 3) + Timing(4, 5, 6)
         assert (total.cycles, total.compute_cycles, total.memory_cycles) == (
@@ -65,6 +58,15 @@ class TestForward:
         tsa, _ = ARRAY.split(0)
         with pytest.raises(PartitionError):
             SIM.forward_timing(get_model("resnet18"), MX6, tsa)
+
+    def test_cycles_sum_close_to_forward_timing(self):
+        model = get_model("resnet18")
+        total = sum(
+            SIM.gemm_timing(gemm, MX6, FULL).cycles for gemm in model.gemms()
+        )
+        forward = SIM.forward_timing(model, MX6, FULL).cycles
+        # forward_timing adds the vector-unit overhead on top.
+        assert forward == pytest.approx(total * (1 + SIM.vector_overhead))
 
 
 class TestTraining:

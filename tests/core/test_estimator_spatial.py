@@ -35,21 +35,6 @@ class TestEstimator:
         assert half.labeling_sps == pytest.approx(full.labeling_sps / 2)
         assert half.inference_fps == full.inference_fps  # dedicated metric
 
-    def test_precision_report_on_dacapo(self):
-        platform = build_dacapo_platform(rows_tsa=13)
-        report = PerformanceEstimator(platform, PAIR).precision_report()
-        assert set(report) == {"MX4", "MX6", "MX9"}
-        # Lower precision is strictly faster (workflow step 2's tradeoff).
-        assert (
-            report["MX4"].inference_fps
-            > report["MX6"].inference_fps
-            > report["MX9"].inference_fps
-        )
-
-    def test_precision_report_on_gpu_is_native(self):
-        report = PerformanceEstimator(jetson_orin_high(), PAIR)
-        assert set(report.precision_report()) == {"native"}
-
 
 class TestSpatialAllocation:
     def test_min_rows_meets_frame_rate(self):

@@ -104,15 +104,3 @@ class TestDegenerateConfigs:
         )
         result = run_on_scenario(system, "S1", seed=0, duration_s=60)
         assert len(result.phases) > 0
-
-    def test_run_result_json_round_trip(self):
-        import json
-
-        from repro.core import build_system, run_on_scenario
-
-        system = build_system("DaCapo-Spatiotemporal", "resnet18_wrn50")
-        result = run_on_scenario(system, "S1", seed=0, duration_s=60)
-        payload = json.loads(result.to_json())
-        assert payload["summary"]["system"] == "DaCapo-Spatiotemporal"
-        assert len(payload["phases"]) == len(result.phases)
-        assert payload["duration_s"] == 60.0

@@ -1,26 +1,19 @@
 """Tests for the parallel experiment runner (determinism and equivalence)."""
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-
 import numpy as np
 import pytest
 
-import repro.exec.run
 from repro.core import SystemCell, warm_model_caches
 from repro.errors import ConfigurationError
 from repro.exec import (
     JOBS_ENV,
     default_jobs,
-    parallel_map,
     plan_shards,
     run_cells,
 )
 from repro.exec import run_cell as _run_cell
 from repro.exec.backends import usable_cpus
 from repro.learn.cache import CACHE_ENV
-from repro.share.policy import CLUSTER, active_sharing, use_sharing
 
 DURATION = 60.0
 
@@ -137,45 +130,6 @@ class TestSharding:
         parallel = run_cells(cells, jobs=3)
         for a, b in zip(serial, parallel):
             assert_results_identical(a, b)
-
-
-def _square(x):
-    return x * x
-
-
-def _worker_sharing(_item) -> str:
-    """The worker's active sharing policy (module-level for pickling)."""
-    return active_sharing().name
-
-
-class TestParallelMap:
-    def test_matches_serial_in_order(self):
-        items = list(range(7))
-        assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
-        assert parallel_map(_square, items, jobs=3) == [x * x for x in items]
-
-    def test_rejects_negative_jobs(self):
-        with pytest.raises(ConfigurationError):
-            parallel_map(_square, [1], jobs=-2)
-
-    def test_jobs_zero_uses_all_cores(self):
-        assert parallel_map(_square, [1, 2], jobs=0) == [1, 4]
-
-    def test_parallel_map_threads_policy(self, monkeypatch):
-        # Workers re-install the caller's policies around every call.  A
-        # forked worker would inherit the override anyway, so the pool
-        # spawns: only the re-install can put the override there.
-        monkeypatch.setattr(
-            repro.exec.run,
-            "ProcessPoolExecutor",
-            partial(
-                ProcessPoolExecutor,
-                mp_context=multiprocessing.get_context("spawn"),
-            ),
-        )
-        with use_sharing(CLUSTER):
-            names = parallel_map(_worker_sharing, [0, 1], jobs=2)
-        assert names == ["cluster", "cluster"]
 
 
 class TestDefaultJobs:

@@ -13,6 +13,7 @@ from repro.experiments import (
     run_table2,
     run_table3,
     run_table4,
+    supports_jobs,
 )
 
 
@@ -26,6 +27,14 @@ class TestRegistry:
             "ablation_dataflow", "ablation_scaling",
         }
         assert set(EXPERIMENTS) == expected
+
+    def test_only_the_grid_experiments_take_jobs(self):
+        # These run their cells through run_cells; every other experiment
+        # builds its rows serially, so --jobs and --backend only warn.
+        assert {name for name in EXPERIMENTS if supports_jobs(name)} == {
+            "fig2", "fig9", "fig10", "fig11", "fig12", "headline",
+            "ablation_partitioning",
+        }
 
     def test_run_experiment_dispatch(self):
         result = run_experiment("table1")

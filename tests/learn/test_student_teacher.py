@@ -47,11 +47,6 @@ class TestTeacher:
         b = make_teacher("wide_resnet50_2")
         np.testing.assert_array_equal(a.mlp.weights[0], b.mlp.weights[0])
 
-    def test_with_precision_shares_weights(self, teacher):
-        mx = teacher.with_precision(MX6)
-        assert mx.mlp is teacher.mlp
-        assert mx.fmt is MX6
-
 
 class TestStudent:
     def test_teacher_beats_student_outside_base_domain(

@@ -61,10 +61,5 @@ class TestModelGraph:
                 ),
             )
 
-    def test_activation_elems(self):
-        model = tiny_model()
-        per_sample = 8 * 8 * 8 + 4  # conv output + fc output
-        assert model.activation_elems(batch=3) == 3 * per_sample
-
     def test_summary_mentions_name(self):
         assert "tiny" in tiny_model().summary()

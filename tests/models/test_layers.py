@@ -11,9 +11,6 @@ class TestGemm:
     def test_macs(self):
         assert Gemm(2, 3, 4).macs == 24
 
-    def test_scaled_batch(self):
-        assert Gemm(2, 3, 4).scaled_batch(8) == Gemm(16, 3, 4)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ModelSpecError):
             Gemm(0, 3, 4)

@@ -50,9 +50,10 @@ class TestRates:
     def test_latency_consistent_with_rate(self):
         plat = build_dacapo_platform(rows_tsa=13)
         model = get_model("resnet18")
-        assert plat.inference_latency_s(model) == pytest.approx(
-            1.0 / plat.inference_rate(model)
+        latency = plat.simulator.forward_latency_s(
+            model, plat.inference_fmt, plat.partition.bsa
         )
+        assert latency == pytest.approx(1.0 / plat.inference_rate(model))
 
     def test_more_tsa_rows_speed_up_labeling(self):
         teacher = get_model("wide_resnet50_2")

@@ -55,13 +55,3 @@ class TestTimeShared:
 
     def test_power_matches_table4(self):
         assert DaCapoTimeShared().average_power_w(1.0) == pytest.approx(0.236)
-
-    def test_precision_report_works(self):
-        from repro.core import PerformanceEstimator
-        from repro.models import get_pair
-
-        estimator = PerformanceEstimator(
-            DaCapoTimeShared(), get_pair("resnet18_wrn50")
-        )
-        report = estimator.precision_report()
-        assert set(report) == {"MX4", "MX6", "MX9"}

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import EXPERIMENTS
 from repro.learn import student, teacher
 
 TINY_SWEEP = {
@@ -57,8 +58,10 @@ class TestExperiment:
         assert "does not support --jobs" in captured.err
         assert "Nt" in captured.out
 
-    def test_invalid_jobs_exits_2_with_one_line_message(self, capsys):
-        assert main(["experiment", "table2", "--jobs", "-1"]) == 2
+    # Refused on every experiment, also where --jobs would be ignored.
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_invalid_jobs_exits_2_with_one_line_message(self, name, capsys):
+        assert main(["experiment", name, "--jobs", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
         assert "jobs must be >= 0" in err
@@ -291,19 +294,29 @@ class TestBackend:
         ]) == 0
         assert "jobs=1" in capsys.readouterr().out
 
-    def test_backend_on_unsupported_experiment_warns(self, capsys):
-        assert main([
-            "experiment", "table1", "--backend", "serial"
-        ]) == 0
+    @pytest.mark.parametrize(
+        "name, backend, text",
+        [("table1", "serial", "Nt"), ("table3", "queue:2", "resnet18")],
+        ids=["table1-serial", "table3-queue"],
+    )
+    def test_backend_on_unsupported_experiment_warns(
+        self, name, backend, text, capsys
+    ):
+        assert main(["experiment", name, "--backend", backend]) == 0
         captured = capsys.readouterr()
         assert "does not route through" in captured.err
-        assert "Nt" in captured.out
+        assert text in captured.out
 
-    def test_experiment_backend_serial_matches_default(self, capsys):
-        assert main([
-            "experiment", "table2", "--backend", "serial"
-        ]) == 0
-        assert "S1" in capsys.readouterr().out
+    def test_experiment_backend_serial_matches_default(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        argv = ["experiment", "fig2", "--duration", "60"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert "Figure 2" in default
+        assert main([*argv, "--backend", "serial"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestKillAndResume:

@@ -1,12 +1,15 @@
 """The import layering of ``src/repro``: every import points down.
 
-The source is read with ``ast`` and nothing is imported.  Three rules:
+The source is read with ``ast`` and nothing is imported.  Four rules:
 
 - every ``repro`` import goes to the importer's own layer of
   :data:`LAYERS` or a lower one;
 - the module-level import graph has no cycle;
 - an import inside a function carries a comment, on its line or the one
-  above, that gives its reason, and hides no cycle between packages.
+  above, that gives its reason, and hides no cycle between packages;
+- only :data:`POOL_OWNER` reaches ``concurrent.futures``'
+  ``ProcessPoolExecutor``, so every process pool is an execution
+  backend.
 
 Peers in one layer may import each other (``repro.knobs`` imports
 ``repro.errors``); the cycle checks keep them apart.  Importing
@@ -47,6 +50,9 @@ LAYERS = (
 _LAYER_OF = {
     entry: index for index, entries in enumerate(LAYERS) for entry in entries
 }
+
+#: The one module that may start a ``ProcessPoolExecutor``.
+POOL_OWNER = "repro.exec.backends"
 
 
 def module_names(src: Path) -> dict[str, Path]:
@@ -208,6 +214,33 @@ def unexplained_function_imports(src: Path = SRC) -> list[str]:
     return sorted(set(problems))
 
 
+def pool_importers(src: Path = SRC) -> list[str]:
+    """Modules besides :data:`POOL_OWNER` that reach ``ProcessPoolExecutor``.
+
+    Both ways in count: importing the name from ``concurrent.futures`` (or
+    a submodule), and reading it as an attribute of an imported module.
+    """
+    problems = []
+    for module, path in module_names(src).items():
+        if module == POOL_OWNER:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("concurrent") and any(
+                    alias.name == "ProcessPoolExecutor" for alias in node.names
+                )
+            else:
+                hit = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "ProcessPoolExecutor"
+                )
+            if hit:
+                problems.append(
+                    f"{module}:{node.lineno} reaches ProcessPoolExecutor"
+                )
+    return problems
+
+
 def test_every_import_points_down():
     assert upward_imports() == []
 
@@ -219,6 +252,10 @@ def test_module_level_imports_have_no_cycle():
 def test_function_level_imports_give_their_reason():
     assert unexplained_function_imports() == []
     assert package_cycles() == []
+
+
+def test_only_the_backends_start_a_process_pool():
+    assert pool_importers() == []
 
 
 def _tree(root: Path, files: dict[str, str]) -> Path:
@@ -260,4 +297,23 @@ def test_an_unexplained_function_import_is_reported(tmp_path):
     })
     assert unexplained_function_imports(src) == [
         "repro.knobs:2 imports repro.errors in a function"
+    ]
+
+
+def test_a_second_pool_importer_is_reported(tmp_path):
+    pool = "from concurrent.futures import ProcessPoolExecutor\n"
+    src = _tree(tmp_path, {
+        "repro/__init__.py": "",
+        "repro/exec/__init__.py": "",
+        "repro/exec/backends.py": pool,
+        "repro/exec/run.py": pool,
+        "repro/experiments/table2.py": (
+            "import concurrent.futures\n"
+            "\n"
+            "POOL = concurrent.futures.ProcessPoolExecutor\n"
+        ),
+    })
+    assert pool_importers(src) == [
+        "repro.exec.run:1 reaches ProcessPoolExecutor",
+        "repro.experiments.table2:3 reaches ProcessPoolExecutor",
     ]
